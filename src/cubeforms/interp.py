@@ -53,7 +53,8 @@ class Cochain:
         """Read ``id,value`` lines (header optional, any id order)."""
         pairs: dict[int, float] = {}
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or not row[0].strip():
                     continue
                 try:
@@ -62,7 +63,12 @@ class Cochain:
                     continue  # header line
                 if i in pairs:
                     raise ValueError(f"duplicate cochain id {i} in {path}")
-                pairs[i] = float(row[1])
+                try:
+                    pairs[i] = float(row[1])
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"{path} line {reader.line_num}: expected 'id,value', got {row}"
+                    ) from None
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError(
                 f"cochain ids in {path} must be exactly 0..{len(pairs) - 1}"

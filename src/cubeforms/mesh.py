@@ -8,34 +8,30 @@ a parallelotope (the image of the unit cube under an invertible affine
 map) and cells may only meet along whole shared faces, which is checked
 on the shared vertex-id sets.
 
-Refinement instantiates the small p-cubes of every cell and glues them
-globally.  Identification is exact: a small-cube corner is keyed by the
-integer multilinear weights of the cell's vertices at that point (common
-denominator k^n, zero weights dropped), and a small cube by the set of
-its corner keys, so cubes shared between neighbouring cells coincide
-bit for bit regardless of which cell produced them.  Each global cube
-carries an orientation, stored as the exterior coordinates of its span;
-owners record the sign relating their local direction order to it.
+Refinement glues the small p-cubes of all cells at once from one
+reference pattern per (n, p, k).  A small cube is keyed exactly by the
+integer multilinear weights of its centre on the cell's vertex ids
+(denominator (2k)^n): the centre determines the cube, and its nonzero
+weights are intrinsic to the smallest face holding it, so cells sharing
+the cube produce the same key.  Global ids follow first appearance.
+Each owner records the sign relating its local direction order to the
+orientation of the cube's span at its first owner, and coboundaries
+scatter the reference boundary of each cube through that first owner.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import NamedTuple
+from math import comb
 
 import numpy as np
 from scipy import sparse
 
 from .forms import PolyForm, exterior_derivative
-from .smallcubes import (
-    SmallCube,
-    enumerate_small_cubes,
-    small_cube_from_geometry,
-    small_cube_positions,
-)
+from .smallcubes import SmallCube, enumerate_small_cubes, small_cube_positions
 
 #: Relative tolerance for the parallelotope shape check.
 SHAPE_TOL = 1e-12
@@ -359,54 +355,16 @@ def _minor_det(
 
 # -- refinement ------------------------------------------------------
 
+#: Edge components below this fraction of the edge length count as zero
+#: when an orientation is normalised: far above the roundoff of edges
+#: taken from vertex differences (~1e-16), so every owner of a shared
+#: cube picks the same leading component.
+EDGE_SNAP_TOL = 1e-9
 
-class CubeOwner(NamedTuple):
-    cell: int
-    local_index: int
-    sign: int
-
-
-@dataclass
-class GlobalCube:
-    """One small cube of the refined mesh, shared by its owner cells."""
-
-    index: int
-    degree: int
-    key: frozenset
-    orientation: np.ndarray
-    owners: list[CubeOwner] = field(default_factory=list)
-
-    @property
-    def representative(self) -> CubeOwner:
-        return self.owners[0]
-
-
-def _global_cube_key(
-    cell_vertices: tuple[int, ...], cube: SmallCube, order: int
-) -> frozenset:
-    """Exact identifier of the cube's physical point set.
-
-    Each corner is keyed by the nonzero integer multilinear weights of
-    the cell vertices at that point (denominator k^n implied); on a
-    shared face both cells produce identical keys, because the weights
-    are intrinsic to the face once the off-face factors collapse to
-    powers of k.
-    """
-    n = cube.dimension
-    k = order
-    corner_keys = []
-    for nums in cube.corner_numerators():
-        entries = []
-        for corner in range(1 << n):
-            w = 1
-            for j in range(n):
-                w *= nums[j] if (corner >> j) & 1 else k - nums[j]
-                if w == 0:
-                    break
-            if w:
-                entries.append((cell_vertices[corner], w))
-        corner_keys.append(tuple(sorted(entries)))
-    return frozenset(corner_keys)
+#: An owner whose span meets the shared orientation at |cos| at most this
+#: is rejected: owners of one cube agree up to roundoff (|cos| = 1), so
+#: only cells that do not really share the cube come near it.
+SPAN_AGREEMENT_TOL = 1e-8
 
 
 def _exterior_coordinates(edges: np.ndarray) -> np.ndarray:
@@ -419,59 +377,119 @@ def _exterior_coordinates(edges: np.ndarray) -> np.ndarray:
     )
 
 
-def _canonical_orientation(edges: np.ndarray) -> np.ndarray:
+def _canonical_orientation(edges: np.ndarray, wedge: np.ndarray) -> np.ndarray:
     """Owner-independent unit orientation vector for a small cube's span.
 
-    Edge vectors are sign-normalised (first significant component made
-    positive) and sorted, removing any dependence on the local direction
-    order, then wedged and scaled to unit length.  Components below
-    1e-9 of the edge length are treated as zero so that both owners of a
-    shared cube make identical decisions despite roundoff.
+    ``wedge`` is ``_exterior_coordinates(edges)``.  Edge vectors are
+    sign-normalised (first significant component made positive) and
+    sorted, removing any dependence on the local direction order; the
+    orientation is the wedge of the normalised edges, which is ``wedge``
+    times the parity of the flips and the sort, scaled to unit length.
+    Components below :data:`EDGE_SNAP_TOL` of the edge length are
+    treated as zero so that every owner of a shared cube makes identical
+    decisions despite roundoff.
     """
-    n, p = edges.shape
+    p = edges.shape[1]
     if p == 0:
         return np.ones(1)
-    cols = []
+    sign = 1
+    keys = []
     for j in range(p):
-        v = edges[:, j].copy()
+        v = edges[:, j]
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise MeshValidationError("small cube has a zero edge vector")
-        snapped = np.where(np.abs(v) > 1e-9 * norm, v, 0.0)
+        snapped = np.where(np.abs(v) > EDGE_SNAP_TOL * norm, v, 0.0)
         lead = snapped[np.nonzero(snapped)[0]]
         if lead.size == 0:
             raise MeshValidationError("small cube has a vanishing edge vector")
         if lead[0] < 0:
             snapped = -snapped
-            v = -v
-        cols.append((tuple(snapped), v))
-    cols.sort(key=lambda item: item[0])
-    wedge = _exterior_coordinates(np.column_stack([v for _, v in cols]))
+            sign = -sign
+        keys.append(tuple(snapped))
+    order = sorted(range(p), key=keys.__getitem__)
+    sign *= (-1) ** sum(order[a] > order[b] for a, b in combinations(range(p), 2))
     norm = float(np.linalg.norm(wedge))
     if norm == 0.0:
         raise MeshValidationError("small cube spans a degenerate plane")
-    out = wedge / norm
-    out.setflags(write=False)
-    return out
+    return sign * wedge / norm
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def _reference_pattern(dimension: int, degree: int, order: int):
+    """The local small p-cubes of one cell, as integer tables.
+
+    Returns, per local cube in canonical order, the index of its
+    direction tuple among ``combinations(range(n), p)`` and the
+    multilinear weights of its centre on the 2^n cell corners.  The
+    centre has numerators over 2k (odd on spanned axes, even on fixed
+    ones), so the weights are integers over (2k)^n.
+    """
+    n, k = dimension, order
+    local = enumerate_small_cubes(n, degree, k)
+    tuples = {dirs: t for t, dirs in enumerate(combinations(range(n), degree))}
+    direction = np.array([tuples[sc.directions] for sc in local], dtype=np.int64)
+    centre = np.array(
+        [
+            [2 * a + (axis in sc.directions) for axis, a in enumerate(sc.anchor_numerators)]
+            for sc in local
+        ],
+        dtype=np.int64,
+    )
+    bits = np.array([_corner_shift(c, n) for c in range(1 << n)], dtype=bool)
+    weights = np.where(bits, centre[:, None, :], 2 * k - centre[:, None, :]).prod(axis=2)
+    return _frozen(direction), _frozen(weights)
+
+
+@lru_cache(maxsize=None)
+def _reference_incidence(dimension: int, degree: int, order: int):
+    """Boundary of each local (p+1)-cube of one cell, as local p-cubes.
+
+    Returns (faces, signs), one row per local (p+1)-cube in canonical
+    order: the face fixing the j-th spanned direction enters with
+    (-1)^j, positive on the far side and negative on the near side.
+    """
+    positions = small_cube_positions(dimension, degree, order)
+    faces, signs = [], []
+    for sc in enumerate_small_cubes(dimension, degree + 1, order):
+        for j, axis in enumerate(sc.directions):
+            face_dirs = tuple(d for d in sc.directions if d != axis)
+            for side in (0, 1):
+                nums = list(sc.anchor_numerators)
+                nums[axis] += side
+                faces.append(positions[face_dirs, tuple(nums)])
+                signs.append((-1) ** j * (1 if side else -1))
+    shape = (-1, 2 * (degree + 1))
+    return (
+        _frozen(np.array(faces, dtype=np.int64).reshape(shape)),
+        _frozen(np.array(signs, dtype=np.int64).reshape(shape)),
+    )
 
 
 @dataclass
 class RefinedMesh:
     """Order-k refinement of a mesh: globally numbered small cubes.
 
-    For each requested degree p, ``cubes[p]`` lists the distinct global
-    small p-cubes, ``cell_tables[p][c, i]`` the global id of local cube
-    i of cell c, and ``cell_signs[p][c, i]`` the sign relating the local
-    direction order to the stored global orientation.
+    For each refined degree p, ``cell_tables[p][c, i]`` is the global id
+    of local cube i (canonical order) of cell c, and ``cell_signs[p][c, i]``
+    the sign relating its local direction order to the global cube's
+    orientation.  Ids follow first appearance, cells in order and local
+    cubes in order within a cell; ``first_owners[p][g]`` is the
+    (cell, local index) where cube g first appears.
     """
 
     mesh: CubicalMesh
     order: int
     degrees: tuple[int, ...]
     maps: tuple[AffineMap, ...]
-    cubes: dict[int, list[GlobalCube]]
     cell_tables: dict[int, np.ndarray]
     cell_signs: dict[int, np.ndarray]
+    first_owners: dict[int, np.ndarray]
     _coboundaries: dict[int, sparse.csr_matrix] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -480,74 +498,51 @@ class RefinedMesh:
     def dimension(self) -> int:
         return self.mesh.dimension
 
-    def count(self, degree: int) -> int:
-        """Number of distinct global small cubes of one degree."""
-        return len(self._cubes_of(degree))
-
-    def _cubes_of(self, degree: int) -> list[GlobalCube]:
-        if degree not in self.cubes:
+    def _require(self, degree: int) -> None:
+        if degree not in self.first_owners:
             raise KeyError(
                 f"degree {degree} was not refined; available: {self.degrees}"
             )
-        return self.cubes[degree]
+
+    def count(self, degree: int) -> int:
+        """Number of distinct global small cubes of one degree."""
+        self._require(degree)
+        return len(self.first_owners[degree])
+
+    def owner_counts(self, degree: int) -> np.ndarray:
+        """Number of cells holding each global small cube of one degree."""
+        self._require(degree)
+        return np.bincount(
+            self.cell_tables[degree].ravel(), minlength=self.count(degree)
+        )
 
     def local_cubes(self, degree: int) -> list[SmallCube]:
         """Reference small cubes of one cell, canonical order."""
         return enumerate_small_cubes(self.dimension, degree, self.order)
-
-    def incidence(self, degree: int) -> list[list[tuple[int, int]]]:
-        """Per global (degree+1)-cube: its faces as (global id, sign).
-
-        Signs follow the boundary of the oriented cube: the face fixing
-        the j-th spanned direction contributes (-1)^j, positive on the
-        far side and negative on the near side, conjugated by the
-        relative orientations of cube and face.
-        """
-        top = self._cubes_of(degree + 1)
-        table = self.cell_tables[degree]
-        signs = self.cell_signs[degree]
-        positions = small_cube_positions(self.dimension, degree, self.order)
-        local_top = self.local_cubes(degree + 1)
-        out: list[list[tuple[int, int]]] = []
-        for gc in top:
-            cell, local_index, cube_sign = gc.representative
-            sc = local_top[local_index]
-            entries: list[tuple[int, int]] = []
-            for j, axis in enumerate(sc.directions):
-                face_dirs = tuple(d for d in sc.directions if d != axis)
-                for side in (0, 1):
-                    nums = list(sc.anchor_numerators)
-                    nums[axis] += side
-                    face = small_cube_from_geometry(self.order, face_dirs, tuple(nums))
-                    fi = positions[face.geometry_key()]
-                    coeff = (
-                        cube_sign
-                        * (-1) ** j
-                        * (1 if side else -1)
-                        * int(signs[cell, fi])
-                    )
-                    entries.append((int(table[cell, fi]), coeff))
-            out.append(entries)
-        return out
 
     def coboundary_matrix(self, degree: int) -> sparse.csr_matrix:
         """Sparse map from p-cochains to (p+1)-cochains, cached.
 
         Row g lists the boundary faces of global cube g with their
         incidence signs; applying it to a vector of integrals over the
-        p-cubes realises the discrete exterior derivative.
+        p-cubes realises the discrete exterior derivative.  Each row is
+        the reference boundary of the cube's first owner, carried
+        through that cell's tables and signs.
         """
         if degree in self._coboundaries:
             return self._coboundaries[degree]
-        entries = self.incidence(degree)
-        rows, cols, vals = [], [], []
-        for g, faces in enumerate(entries):
-            for f, coeff in faces:
-                rows.append(g)
-                cols.append(f)
-                vals.append(float(coeff))
+        self._require(degree + 1)
+        self._require(degree)
+        cells, local = self.first_owners[degree + 1].T
+        faces, face_signs = _reference_incidence(self.dimension, degree, self.order)
+        faces, face_signs = faces[local], face_signs[local]
+        table, signs = self.cell_tables[degree], self.cell_signs[degree]
+        cube_signs = self.cell_signs[degree + 1][cells, local]
+        cols = table[cells[:, None], faces]
+        vals = cube_signs[:, None] * face_signs * signs[cells[:, None], faces]
+        rows = np.repeat(np.arange(len(cells)), faces.shape[1])
         matrix = sparse.csr_matrix(
-            (vals, (rows, cols)),
+            (vals.ravel().astype(float), (rows, cols.ravel())),
             shape=(self.count(degree + 1), self.count(degree)),
         )
         self._coboundaries[degree] = matrix
@@ -556,17 +551,15 @@ class RefinedMesh:
     def to_csv(self, path, degree: int) -> None:
         """Debug dump: one line per global cube with owners and anchor."""
         local = self.local_cubes(degree)
+        owner_counts = self.owner_counts(degree)
         with open(path, "w") as fh:
             fh.write("id,degree,n_owners,first_cell,anchor\n")
-            for gc in self._cubes_of(degree):
-                cell, li, _ = gc.representative
+            for g, (cell, li) in enumerate(self.first_owners[degree].tolist()):
                 anchor = self.maps[cell](
                     np.array([float(a) for a in local[li].anchor])
                 )
                 coords = " ".join(f"{x:.6g}" for x in anchor)
-                fh.write(
-                    f"{gc.index},{degree},{len(gc.owners)},{cell},{coords}\n"
-                )
+                fh.write(f"{g},{degree},{owner_counts[g]},{cell},{coords}\n")
 
 
 def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
@@ -585,55 +578,52 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         if any(not 0 <= p <= n for p in wanted):
             raise ValueError(f"degrees {wanted} outside 0..{n}")
     maps = tuple(mesh.cell_map(i) for i in range(mesh.n_cells))
-    cubes: dict[int, list[GlobalCube]] = {}
+    edge_matrices = [amap.linear / order for amap in maps]
+    cells = np.array(mesh.cells, dtype=np.int64).reshape(mesh.n_cells, 1 << n)
     tables: dict[int, np.ndarray] = {}
     signs: dict[int, np.ndarray] = {}
+    owners: dict[int, np.ndarray] = {}
     for p in wanted:
-        local = enumerate_small_cubes(n, p, order)
-        registry: dict[frozenset, GlobalCube] = {}
-        ordered: list[GlobalCube] = []
-        table = np.empty((mesh.n_cells, len(local)), dtype=np.int64)
-        sign = np.empty((mesh.n_cells, len(local)), dtype=np.int8)
-        for ci, cell in enumerate(mesh.cells):
-            edge_matrix = maps[ci].linear / order
-            for li, sc in enumerate(local):
-                key = _global_cube_key(cell, sc, order)
-                edges = edge_matrix[:, list(sc.directions)]
-                gc = registry.get(key)
-                if gc is None:
-                    gc = GlobalCube(
-                        index=len(ordered),
-                        degree=p,
-                        key=key,
-                        orientation=_canonical_orientation(edges),
-                    )
-                    registry[key] = gc
-                    ordered.append(gc)
-                if p == 0:
-                    s = 1
-                else:
-                    pl = _exterior_coordinates(edges)
-                    dot = float(pl @ gc.orientation)
-                    if abs(dot) <= 1e-8 * float(np.linalg.norm(pl)):
-                        raise MeshValidationError(
-                            f"cells disagree on the span of a shared small "
-                            f"cube near cell {ci}"
-                        )
-                    s = 1 if dot > 0 else -1
-                gc.owners.append(CubeOwner(ci, li, s))
-                table[ci, li] = gc.index
-                sign[ci, li] = s
-        cubes[p] = ordered
-        table.setflags(write=False)
-        sign.setflags(write=False)
-        tables[p] = table
-        signs[p] = sign
+        direction, weights = _reference_pattern(n, p, order)
+        n_local = len(direction)
+        # key: the centre's nonzero (vertex id, weight) pairs, packed into
+        # one integer each and sorted; zero weights become -1
+        packed = cells[:, None, :] * ((2 * order) ** n + 1) + weights
+        keys = np.sort(np.where(weights > 0, packed, -1), axis=2)
+        _, first, inverse = np.unique(
+            keys.reshape(-1, 1 << n), axis=0, return_index=True, return_inverse=True
+        )
+        by_appearance = np.argsort(first)
+        rank = np.empty_like(by_appearance)
+        rank[by_appearance] = np.arange(len(by_appearance))
+        table = rank[inverse.reshape(-1)].reshape(mesh.n_cells, n_local)
+        first_cell, first_local = np.divmod(first[by_appearance], n_local)
+
+        wedges, orientations = [], []
+        for e in edge_matrices:
+            for dirs in combinations(range(n), p):
+                wedges.append(_exterior_coordinates(e[:, list(dirs)]))
+                orientations.append(_canonical_orientation(e[:, list(dirs)], wedges[-1]))
+        shape = (mesh.n_cells, comb(n, p), comb(n, p))
+        own = np.reshape(wedges, shape)[:, direction]
+        shared = np.reshape(orientations, shape)[first_cell, direction[first_local]]
+        shared = shared[table]
+        dot = np.einsum("clt,clt->cl", own, shared)
+        disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(own, axis=2)
+        if disagree.any():
+            ci = int(np.argmax(disagree.any(axis=1)))
+            raise MeshValidationError(
+                f"cells disagree on the span of a shared small cube near cell {ci}"
+            )
+        tables[p] = _frozen(table)
+        signs[p] = _frozen(np.where(dot > 0, 1, -1).astype(np.int8))
+        owners[p] = _frozen(np.stack([first_cell, first_local], axis=1))
     return RefinedMesh(
         mesh=mesh,
         order=order,
         degrees=wanted,
         maps=maps,
-        cubes=cubes,
         cell_tables=tables,
         cell_signs=signs,
+        first_owners=owners,
     )

@@ -4,6 +4,32 @@ from itertools import combinations
 
 import numpy as np
 
+from cubeforms.mesh import CubicalMesh
+
+
+def scramble_corners(mesh, rng):
+    """The same mesh with each cell's corners relabelled by a random
+    symmetry of the cube: an axis permutation followed by axis flips.
+
+    New local axis j is old axis ``perm[j]``, reversed where ``flips[j]``
+    is set, so every cell stays a parallelotope in binary-corner order
+    while its reference orientation differs from its neighbours'.
+    """
+    n = mesh.dimension
+    cells = []
+    for cell in mesh.cells:
+        perm = rng.permutation(n)
+        flips = rng.integers(0, 2, size=n)
+        relabelled = []
+        for corner in range(1 << n):
+            old = 0
+            for j in range(n):
+                bit = ((corner >> j) & 1) ^ int(flips[j])
+                old |= bit << int(perm[j])
+            relabelled.append(cell[old])
+        cells.append(tuple(relabelled))
+    return CubicalMesh(n, mesh.vertices, tuple(cells))
+
 
 def _face_between(cell_a, cell_b, dimension):
     """Fixed axis and side of the shared face, seen from cell_a.

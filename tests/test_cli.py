@@ -142,6 +142,26 @@ def test_interpolate_rejects_wrong_cochain_length(tmp_path, capsys):
     assert "cochain has 3 values" in capsys.readouterr().err
 
 
+def test_interpolate_rejects_cochain_row_without_value(tmp_path, capsys):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(2, 1), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    cochain_path.write_text("id,value\n0,1.0\n1\n2,0.5\n3,0.0\n")
+    code = main(
+        [
+            "interpolate",
+            "--mesh", str(mesh_path),
+            "--cochain", str(cochain_path),
+            "--p", "0",
+            "--k", "1",
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{cochain_path} line 3" in err
+
+
 def test_interpolate_rejects_malformed_mesh(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.json"
     mesh_path.write_text('{"dimension": 2}')

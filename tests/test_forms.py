@@ -5,6 +5,8 @@ their defining products, derivatives are taken symbolically, and
 evaluation is cross-checked through lambdify.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -154,7 +156,8 @@ def test_evaluate_warns_outside_unit_cube():
     form = PolyForm(1, 0, {(): np.array([1.0, 1.0])})
     with pytest.warns(UserWarning):
         form.evaluate(np.array([1.5]))
-    with np.testing.suppress_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert form.evaluate(np.array([1.5]), warn_outside=False)[()] == 2.5
 
 

@@ -6,6 +6,7 @@ floats on structured meshes), sharing nothing with the integer keys
 used by :func:`refine`.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,8 @@ from cubeforms.smallcubes import (
     small_cube_count,
     small_cube_from_geometry,
 )
+
+from helpers import scramble_corners
 
 
 def _corner_bits(j, n):
@@ -208,10 +211,12 @@ def test_owner_multiplicity_accounts_for_every_local_cube():
     n, m, k = 2, 2, 2
     refined = refine(structured_mesh(n, m), k)
     for p in range(n + 1):
-        total = sum(len(gc.owners) for gc in refined.cubes[p])
-        assert total == m**n * small_cube_count(n, p, k)
+        counts = refined.owner_counts(p)
+        assert counts.shape == (refined.count(p),)
+        assert counts.min() >= 1
+        assert counts.sum() == m**n * small_cube_count(n, p, k)
     # the centre vertex belongs to all four cells
-    assert max(len(gc.owners) for gc in refined.cubes[0]) == 4
+    assert refined.owner_counts(0).max() == 4
 
 
 def test_axis_aligned_refinement_signs_are_uniform():
@@ -228,21 +233,22 @@ def test_axis_aligned_refinement_signs_are_uniform():
 def test_sheared_refinement_signs_agree_between_owners():
     refined = refine(structured_mesh(2, 2, shear=0.6), 2)
     for p in range(3):
-        for gc in refined.cubes[p]:
-            signs = {s for (_, _, s) in gc.owners}
-            assert len(signs) == 1
+        cells, local = refined.first_owners[p].T
+        first_signs = refined.cell_signs[p][cells, local]
+        # every owner's sign equals the sign at the cube's first owner
+        assert np.array_equal(
+            refined.cell_signs[p], first_signs[refined.cell_tables[p]]
+        )
 
 
 def test_incidence_entry_pattern():
     refined = refine(structured_mesh(2, 2, shear=0.3), 2)
     for q in (0, 1):
-        rows = refined.incidence(q)
-        assert len(rows) == refined.count(q + 1)
-        for entries in rows:
-            assert len(entries) == 2 * (q + 2 - 1)
-            assert all(s in (-1, 1) for (_, s) in entries)
-            ids = [i for (i, _) in entries]
-            assert all(0 <= i < refined.count(q) for i in ids)
+        d = refined.coboundary_matrix(q)
+        assert d.shape[0] == refined.count(q + 1)
+        assert np.all(np.diff(d.indptr) == 2 * (q + 2 - 1))
+        assert np.all(np.isin(d.data, (-1.0, 1.0)))
+        assert np.all((0 <= d.indices) & (d.indices < refined.count(q)))
 
 
 @pytest.mark.parametrize(
@@ -271,7 +277,69 @@ def test_degree_restriction_raises_for_missing_level():
     with pytest.raises(KeyError):
         refined.count(0)
     with pytest.raises(KeyError):
-        refined.incidence(0)
+        refined.coboundary_matrix(0)
+
+
+def _refinement_digest(refined):
+    """SHA-256 of every cell table, cell sign array and sorted coboundary."""
+    h = hashlib.sha256()
+
+    def add(a):
+        a = np.asarray(a)
+        h.update(np.asarray(a.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+
+    for p in refined.degrees:
+        add(refined.cell_tables[p])
+        add(refined.cell_signs[p])
+    for q in refined.degrees[:-1]:
+        coo = refined.coboundary_matrix(q).tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        add(coo.row[order])
+        add(coo.col[order])
+        add(coo.data[order])
+    return h.hexdigest()
+
+
+# Recorded from the per-cube gluing that keyed cubes by their corner sets;
+# refinement must reproduce its ids, signs and coboundaries exactly.
+@pytest.mark.parametrize(
+    "n,k,scrambled,digest",
+    [
+    (2, 1, False, "b984137656ab7f2d15a1ea06a855b5a17a1d3d122c5fa1faa4128437706e542e"),
+    (2, 1, True, "4f72440b3681617c09efa6e9fdd816990c4cd66377b416772b151bb13d6d083e"),
+    (2, 2, False, "dc7ef76f341ea4a24fef3d1b7723c5f87d2d2c0cb0c46d02f8058fbd96abf95d"),
+    (2, 2, True, "213ce410941ac8f0c10fb32edec7ea843cfe4327602e08ff938592cb8f2e6b50"),
+    (2, 3, False, "2ad4eedbb4f814d30eeac7a0a32997f96d1de3fe6f6f08f016cc06fa31498d80"),
+    (2, 3, True, "1d444e9e49288bb1e8f3d6ddf93c15809c4766ba44a9901ad100bec5caa3fd8f"),
+    (3, 1, False, "ea8d66882de7b462655a2414004a69f602889c4a896b11d71a5d760091228a1f"),
+    (3, 1, True, "9b94a0e593e0ec70172c0b455a11953072e17ec7941c1f7dc694a21f7b07522c"),
+    (3, 2, False, "b3181f5f4723b9f18264d60d85bf41e815c4cecf307ec0bb410695c7d17cd268"),
+    (3, 2, True, "0070af8a21fc698a1f52d62bb1143845e0e404718e276e2ace1ee5236d015dcf"),
+    (3, 3, False, "c1bed83149e238e768996836e7294d37339b835e6fa8b7e4c77ec985d6e74552"),
+    (3, 3, True, "9da23b06c48a10ef2e8afe1adb61136987a0624daf05ff06cbeea2f37cd297fc"),
+    ],
+)
+def test_refinement_outputs_are_pinned(n, k, scrambled, digest):
+    mesh = structured_mesh(n, 2, shear=0.3)
+    if scrambled:
+        mesh = scramble_corners(mesh, np.random.default_rng([n, k]))
+    refined = refine(mesh, k)
+    assert _refinement_digest(refined) == digest
+    for p in refined.degrees:
+        # global ids are handed out in order of first appearance
+        flat = refined.cell_tables[p].ravel()
+        _, first = np.unique(flat, return_index=True)
+        cells, local = refined.first_owners[p].T
+        ids = np.arange(refined.count(p))
+        assert np.array_equal(flat[np.sort(first)], ids)
+        assert np.array_equal(refined.cell_tables[p][cells, local], ids)
+
+
+def test_refine_empty_mesh_gives_empty_levels():
+    refined = refine(CubicalMesh(2, np.zeros((0, 2)), ()), 2)
+    assert [refined.count(p) for p in range(3)] == [0, 0, 0]
+    assert refined.coboundary_matrix(0).shape == (0, 0)
 
 
 def test_refine_rejects_bad_arguments():
