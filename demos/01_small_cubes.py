@@ -2,8 +2,8 @@
 
 Subdividing the unit n-cube into k^n boxes produces scaled copies of
 every p-dimensional face.  Distinct generators can land on the same
-point set, so the enumeration deduplicates by geometry; the surviving
-count matches a closed-form product, and the top-dimensional cubes
+point set, so the enumeration lists each point set once, by geometry;
+the count matches a closed-form product, and the top-dimensional cubes
 tile the volume exactly.
 """
 

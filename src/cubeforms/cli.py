@@ -75,6 +75,8 @@ def run_convergence(
     same grid on every mesh keeps the sup-norm estimates comparable.
     The observed order eoc compares consecutive rows.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     form = get_form(form_id if form_id else f"sin{dimension}d-{degree}")
     if form.dimension != dimension or form.degree != degree:
         raise ValueError(

@@ -20,13 +20,14 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .combinatorics import FaceId
-from .smallcubes import SmallCube, enumerate_small_cubes
+from .smallcubes import SmallCube
 
 _OUTSIDE_TOL = 1e-12
 
@@ -274,9 +275,7 @@ def pattern_shape(dimension: int, degree_dirs: tuple[int, ...], order: int) -> t
     )
 
 
-_stack_cache: dict[tuple[int, int, int], dict[tuple[int, ...], np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def basis_grid_stack(
     dimension: int, degree: int, order: int
 ) -> dict[tuple[int, ...], np.ndarray]:
@@ -285,24 +284,17 @@ def basis_grid_stack(
     Entry I holds an array of shape (count, *pattern_shape) whose rows
     follow the canonical small-cube ordering restricted to direction
     tuple I.  Rows of different I never mix: a basis form only carries
-    its own dx_I.
+    its own dx_I.  Each stack is an outer product of per-axis tables of
+    the factor of anchor a, one row per a, one column per exponent.
     """
-    key = (dimension, degree, order)
-    cached = _stack_cache.get(key)
-    if cached is not None:
-        return cached
-    stacks: dict[tuple[int, ...], list[np.ndarray]] = {
-        dirs: [] for dirs in direction_tuples(dimension, degree)
-    }
-    for sc in enumerate_small_cubes(dimension, degree, order):
-        w = basis_form(sc)
-        shape = pattern_shape(dimension, sc.directions, order)
-        grid = np.zeros(shape)
-        g = w.terms[sc.directions]
-        grid[tuple(slice(0, d) for d in g.shape)] = g
-        stacks[sc.directions].append(grid)
-    out = {dirs: np.stack(grids) for dirs, grids in stacks.items()}
-    _stack_cache[key] = out
+    spanned = np.array([_product_factor(a, order - 1 - a) for a in range(order)])
+    fixed = np.array([_product_factor(a, order - a) for a in range(order + 1)])
+    out = {}
+    for dirs in direction_tuples(dimension, degree):
+        grid = _tensor_grid([spanned if axis in dirs else fixed for axis in range(dimension)])
+        # axes (anchor_0, exponent_0, anchor_1, ...) -> anchors first
+        grid = grid.transpose(*range(0, 2 * dimension, 2), *range(1, 2 * dimension, 2))
+        out[dirs] = grid.reshape(-1, *pattern_shape(dimension, dirs, order))
     return out
 
 

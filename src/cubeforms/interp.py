@@ -24,6 +24,11 @@ from .forms import PolyForm, basis_grid_stack, exterior_derivative
 from .mesh import PulledBackForm, RefinedMesh
 from .quadrature import gauss_unit_cube
 
+#: Slack, relative to the largest vertex coordinate, with which a point
+#: counts as inside a cell: points on shared faces pull back with a few
+#: ulps of roundoff, and this keeps them from falling between cells.
+LOCATE_TOL = 1e-12
+
 
 @dataclass
 class Cochain:
@@ -241,11 +246,11 @@ def evaluate_piecewise(form: PiecewiseForm, points, cell: int | None = None):
 
 
 def _locate_cells(refined: RefinedMesh, points: np.ndarray) -> np.ndarray:
-    """First cell (lowest index) containing each point, within 1e-12."""
+    """First cell (lowest index) containing each point, within LOCATE_TOL."""
     mesh = refined.mesh
     assign = np.full(len(points), -1, dtype=int)
     scale = max(1.0, float(np.abs(mesh.vertices).max(initial=0.0)))
-    tol = 1e-12 * scale
+    tol = LOCATE_TOL * scale
     for c in range(mesh.n_cells):
         open_idx = np.nonzero(assign < 0)[0]
         if not len(open_idx):

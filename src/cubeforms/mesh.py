@@ -44,8 +44,9 @@ class MeshValidationError(ValueError):
     """Raised when a mesh fails a structural or geometric check."""
 
 
-def _corner_shift(corner: int, dimension: int) -> tuple[int, ...]:
-    return tuple((corner >> j) & 1 for j in range(dimension))
+def _corner_shifts(dimension: int) -> np.ndarray:
+    """Row c holds the reference coordinates of corner c: bit j of c."""
+    return (np.arange(1 << dimension)[:, None] >> np.arange(dimension)) & 1
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,7 @@ class CubicalMesh:
                 f"(first few: {dangling[:5]})"
             )
         self._check_duplicate_vertices()
-        for ci in range(self.n_cells):
-            self._check_parallelotope(ci)
+        self._check_parallelotope()
         self._check_conformity()
 
     def _check_duplicate_vertices(self) -> None:
@@ -163,28 +163,36 @@ class CubicalMesh:
                 f"{v[i].tolist()}; merge them and share the id"
             )
 
-    def _check_parallelotope(self, index: int) -> None:
+    def _check_parallelotope(self) -> None:
+        """Check every cell at once; report the lowest failing cell."""
         n = self.dimension
-        cell = self.cells[index]
-        amap = self.cell_map(index)
-        scale = max(
-            1.0, float(np.linalg.norm(amap.linear, axis=0).max(initial=0.0))
-        )
-        for corner in range(1 << n):
-            predicted = amap(np.array(_corner_shift(corner, n), dtype=float))
-            actual = self.vertices[cell[corner]]
-            deviation = float(np.linalg.norm(actual - predicted))
-            if deviation > SHAPE_TOL * scale * (1 << n):
-                raise MeshValidationError(
-                    f"cell {index} is not a parallelotope: corner {corner} "
-                    f"(vertex {cell[corner]}) deviates by {deviation:.3e} "
-                    f"from the affine prediction {predicted.tolist()}"
-                )
-        if abs(amap.determinant) <= DEGENERACY_TOL * scale**n:
+        cells = np.array(self.cells, dtype=np.intp).reshape(-1, 1 << n)
+        corners = self.vertices[cells]
+        edges = corners[:, 1 << np.arange(n)] - corners[:, :1]
+        # matmul sums the edges in the same order as AffineMap.__call__
+        predicted = corners[:, :1] + _corner_shifts(n).astype(float) @ edges
+        deviation = np.linalg.norm(corners - predicted, axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0))
+        skewed = deviation > SHAPE_TOL * scale[:, None] * (1 << n)
+        # edges as columns, as in cell_map, so the determinant matches it
+        determinant = np.linalg.det(edges.transpose(0, 2, 1))
+        degenerate = np.abs(determinant) <= DEGENERACY_TOL * scale**n
+        failing = np.flatnonzero(skewed.any(axis=1) | degenerate)
+        if not failing.size:
+            return
+        index = int(failing[0])
+        if skewed[index].any():
+            corner = int(np.argmax(skewed[index]))
             raise MeshValidationError(
-                f"cell {index} is degenerate: edge-matrix determinant "
-                f"{amap.determinant:.3e}"
+                f"cell {index} is not a parallelotope: corner {corner} "
+                f"(vertex {self.cells[index][corner]}) deviates by "
+                f"{deviation[index, corner]:.3e} from the affine prediction "
+                f"{predicted[index, corner].tolist()}"
             )
+        raise MeshValidationError(
+            f"cell {index} is degenerate: edge-matrix determinant "
+            f"{determinant[index]:.3e}"
+        )
 
     def _check_conformity(self) -> None:
         incident: dict[int, list[int]] = {}
@@ -253,14 +261,10 @@ def structured_mesh(dimension: int, subdivisions: int, shear: float = 0.0) -> Cu
     verts = grid.copy()
     if shear:
         verts[:, 0] += shear * verts[:, 1]
-    cells = []
-    for base in product(range(m), repeat=n):
-        corner_ids = []
-        for corner in range(1 << n):
-            idx = tuple(b + s for b, s in zip(base, _corner_shift(corner, n)))
-            corner_ids.append(int(np.ravel_multi_index(idx, shape)))
-        cells.append(tuple(corner_ids))
-    return CubicalMesh(n, verts, tuple(cells))
+    base = np.array(list(product(range(m), repeat=n)))
+    corner_index = base[:, None, :] + _corner_shifts(n)
+    cells = np.ravel_multi_index(tuple(np.moveaxis(corner_index, -1, 0)), shape)
+    return CubicalMesh(n, verts, tuple(map(tuple, cells.tolist())))
 
 
 def load_mesh(path) -> CubicalMesh:
@@ -441,7 +445,7 @@ def _reference_pattern(dimension: int, degree: int, order: int):
         ],
         dtype=np.int64,
     )
-    bits = np.array([_corner_shift(c, n) for c in range(1 << n)], dtype=bool)
+    bits = _corner_shifts(n).astype(bool)
     weights = np.where(bits, centre[:, None, :], 2 * k - centre[:, None, :]).prod(axis=2)
     return _frozen(direction), _frozen(weights)
 

@@ -4,9 +4,10 @@ A small p-cube of order k is the image of a p-face of the unit cube
 under x -> (m + x) / k for a multi-index m with components in 0..k-1.
 On its free axes it spans an interval of length 1/k; on the remaining
 axes it sits at a grid value j/k.  Distinct generator pairs (m, face)
-can produce the same point set, so enumeration deduplicates by exact
-geometry: the direction set together with the anchor written as integer
-numerators over k.
+can produce the same point set, so cubes are listed by exact geometry
+instead: per direction tuple, every anchor (integer numerators over k,
+0..k-1 on free axes and 0..k on fixed ones) in lexicographic order, each
+built with its canonical generator by :func:`small_cube_from_geometry`.
 
 The order k is part of a small cube's identity: the same multi-index
 denotes different translates for different k, so k is stored explicitly
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
-from .combinatorics import FaceId, MultiIndex, enumerate_faces, enumerate_multi_indices
+from .combinatorics import FaceId, MultiIndex
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def small_cube_from_geometry(
     numerator a, the smallest admissible translate component max(a-1, 0)
     with the face bit making up the difference; this is the
     lexicographically smallest (multi-index, fixed-bit) generator of the
-    point set, matching the choice made during enumeration.
+    point set.
     """
     mi = []
     bits = []
@@ -165,25 +166,19 @@ def small_cube_from_geometry(
 
 @lru_cache(maxsize=None)
 def _enumerate_small_cubes(dimension: int, degree: int, order: int):
-    best: dict[tuple, SmallCube] = {}
-    for face in enumerate_faces(dimension, degree):
-        for mi in enumerate_multi_indices(dimension, order - 1):
-            sc = SmallCube(order, mi, face)
-            key = sc.geometry_key()
-            prev = best.get(key)
-            if prev is None or _generator_key(sc) < _generator_key(prev):
-                best[key] = sc
-    return tuple(sorted(best.values(), key=lambda sc: sc.geometry_key()))
-
-
-def _generator_key(sc: SmallCube):
-    return sc.multi_index.components, tuple(v for _, v in sc.face.fixed_values)
+    return tuple(
+        small_cube_from_geometry(order, dirs, anchor)
+        for dirs in combinations(range(dimension), degree)
+        for anchor in product(
+            *(range(order) if axis in dirs else range(order + 1) for axis in range(dimension))
+        )
+    )
 
 
 def enumerate_small_cubes(dimension: int, degree: int, order: int) -> list[SmallCube]:
     """All distinct kth-order small p-cubes, in canonical order.
 
-    Geometric duplicates are merged, keeping the lexicographically
+    Each point set appears once, with its lexicographically
     smallest generator; the result is ordered by (directions, anchor)
     and has exactly C(n, p) * k^p * (k+1)^(n-p) entries.
     """

@@ -230,6 +230,13 @@ def test_convergence_rejects_bad_m_lists(capsys):
     assert "at least two" in err
 
 
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_convergence_rejects_nonpositive_samples(capsys, samples):
+    argv = ["convergence", "--n", "2", "--p", "1", "--k", "1", "--m-list", "2,4"]
+    assert main(argv + ["--samples", samples]) == EXIT_USAGE
+    assert "error: samples must be >= 1" in capsys.readouterr().err
+
+
 def test_convergence_rejects_unknown_form(capsys):
     code = main(
         [

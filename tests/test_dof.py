@@ -146,11 +146,25 @@ def test_dof_value_against_quadrature(n, p, k):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_matrix_block_structure():
-    dm = assemble_dof_matrix(2, 1, 3)
+# A Kronecker product of the per-axis tables taken in floats differs from
+# the exact entries in the last bit on every case here but (3, 0, 3).
+@pytest.mark.parametrize(
+    "n,p,k,size,blocks",
+    [
+        (2, 1, 3, 24, {(0,), (1,)}),
+        (3, 0, 3, 64, {()}),
+        (3, 1, 3, 144, {(0,), (1,), (2,)}),
+        (3, 2, 3, 108, {(0, 1), (0, 2), (1, 2)}),
+        (3, 3, 3, 27, {(0, 1, 2)}),
+        (3, 3, 4, 64, {(0, 1, 2)}),
+    ],
+    ids=["2-1-3", "3-0-3", "3-1-3", "3-2-3", "3-3-3", "3-3-4"],
+)
+def test_matrix_block_structure(n, p, k, size, blocks):
+    dm = assemble_dof_matrix(n, p, k)
     assert isinstance(dm, DofMatrix)
-    assert dm.size == 24
-    assert set(dm.blocks) == {(0,), (1,)}
+    assert dm.size == size
+    assert set(dm.blocks) == blocks
     covered = np.zeros_like(dm.matrix, dtype=bool)
     for sl in dm.blocks.values():
         covered[sl, sl] = True

@@ -16,8 +16,11 @@ from cubeforms.forms import (
     AnalyticForm,
     PolyForm,
     basis_form,
+    basis_grid_stack,
+    direction_tuples,
     exterior_derivative,
     lowest_order_form,
+    pattern_shape,
     span_membership,
     span_residual,
     wedge_insert,
@@ -112,6 +115,21 @@ def test_basis_form_matches_symbolic_definition(n, p, k):
         assert set(w.terms) == {cube.directions}
         expected = sympy_grid(symbolic_generator_product(cube), n)
         assert grids_equal(w.terms[cube.directions], expected)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)])
+def test_basis_grid_stack_rows_are_basis_forms(n, k):
+    for p in range(n + 1):
+        stacks = basis_grid_stack(n, p, k)
+        assert list(stacks) == direction_tuples(n, p)
+        for dirs, stack in stacks.items():
+            cubes = [c for c in enumerate_small_cubes(n, p, k) if c.directions == dirs]
+            assert stack.shape == (len(cubes), *pattern_shape(n, dirs, k))
+            for row, cube in zip(stack, cubes):
+                padded = np.zeros(stack.shape[1:])
+                grid = basis_form(cube).terms[dirs]
+                padded[tuple(slice(0, d) for d in grid.shape)] = grid
+                assert row.tobytes() == padded.tobytes()
 
 
 def test_basis_form_at_order_one_is_lowest_order():

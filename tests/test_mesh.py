@@ -134,6 +134,22 @@ def test_rejects_degenerate_cell():
         _square([[0, 0], [1, 0], [2, 0], [3, 0]], ((0, 1, 2, 3),))
 
 
+def test_shape_error_names_the_lowest_failing_cell():
+    # cell 0 is a unit square, cell 1 is skewed, cell 2 is degenerate
+    verts = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    verts += [[5, 0], [6, 0], [5, 1], [7, 2]]
+    verts += [[10, 0], [11, 0], [12, 0], [13, 0]]
+    cells = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))
+    with pytest.raises(MeshValidationError, match="cell 1 is not a parallelotope: corner 3"):
+        _square(verts, cells)
+    # a lower degenerate cell comes before a higher skewed one
+    with pytest.raises(MeshValidationError, match="cell 1 is degenerate"):
+        _square(verts[:4] + verts[8:] + verts[4:8], cells)
+    # within one cell, a corner deviation comes before degeneracy
+    with pytest.raises(MeshValidationError, match="cell 0 is not a parallelotope"):
+        _square([[0, 0], [1, 0], [2, 0], [4, 0]], ((0, 1, 2, 3),))
+
+
 def test_rejects_non_conforming_cells():
     # cells share vertices {0, 1, 3}, which is not a binary face of
     # either cell
