@@ -63,6 +63,14 @@ def _trim(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient grids, zero-padded to a common shape."""
+    s = np.zeros(tuple(max(sa, sb) for sa, sb in zip(a.shape, b.shape)))
+    s[tuple(slice(0, d) for d in a.shape)] += a
+    s[tuple(slice(0, d) for d in b.shape)] += b
+    return s
+
+
 def _diff_grid(grid: np.ndarray, axis: int) -> np.ndarray | None:
     """Coefficient grid of the partial derivative along one axis."""
     d = grid.shape[axis]
@@ -160,18 +168,8 @@ class PolyForm:
             raise ValueError("can only add forms of equal dimension and degree")
         terms: dict[tuple[int, ...], np.ndarray] = {}
         for dirs in set(self.terms) | set(other.terms):
-            a = self.terms.get(dirs)
-            b = other.terms.get(dirs)
-            if a is None:
-                terms[dirs] = b
-            elif b is None:
-                terms[dirs] = a
-            else:
-                shape = tuple(max(sa, sb) for sa, sb in zip(a.shape, b.shape))
-                s = np.zeros(shape)
-                s[tuple(slice(0, d) for d in a.shape)] += a
-                s[tuple(slice(0, d) for d in b.shape)] += b
-                terms[dirs] = s
+            a, b = self.terms.get(dirs), other.terms.get(dirs)
+            terms[dirs] = b if a is None else a if b is None else _padded_sum(a, b)
         return PolyForm(self.dimension, self.degree, terms)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
@@ -251,15 +249,8 @@ def exterior_derivative(form: PolyForm) -> PolyForm:
                 continue
             sign, new_dirs = wedge_insert(axis, dirs)
             contrib = sign * dg
-            if new_dirs in terms:
-                a = terms[new_dirs]
-                shape = tuple(max(sa, sb) for sa, sb in zip(a.shape, contrib.shape))
-                s = np.zeros(shape)
-                s[tuple(slice(0, d) for d in a.shape)] += a
-                s[tuple(slice(0, d) for d in contrib.shape)] += contrib
-                terms[new_dirs] = s
-            else:
-                terms[new_dirs] = contrib
+            old = terms.get(new_dirs)
+            terms[new_dirs] = contrib if old is None else _padded_sum(old, contrib)
     return PolyForm(form.dimension, form.degree + 1, terms)
 
 

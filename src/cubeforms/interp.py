@@ -19,9 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .dof import assemble_dof_matrix, reference_solver
-from .forms import PolyForm, basis_grid_stack, exterior_derivative
-from .mesh import PulledBackForm, RefinedMesh
+from .dof import reference_solver
+from .forms import pattern_shape, wedge_insert
+from .mesh import RefinedMesh, compound_matrix
 from .quadrature import gauss_unit_cube
 
 #: Slack, relative to the largest vertex coordinate, with which a point
@@ -81,18 +81,13 @@ class Cochain:
         return cls(degree, np.array([pairs[i] for i in range(len(pairs))]))
 
 
-def _direction_runs(refined: RefinedMesh, degree: int):
-    """Contiguous runs of the local cube list sharing a direction tuple."""
-    local = refined.local_cubes(degree)
-    runs: list[tuple[tuple[int, ...], slice, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(local) + 1):
-        if i == len(local) or local[i].directions != local[start].directions:
-            anchors = np.array(
-                [local[j].anchor_numerators for j in range(start, i)], dtype=float
-            )
-            runs.append((local[start].directions, slice(start, i), anchors))
-            start = i
+def _direction_runs(dimension: int, degree: int, order: int):
+    """Per direction tuple: its run of the canonical local order and anchors."""
+    runs, start = [], 0
+    for dirs in combinations(range(dimension), degree):
+        anchors = np.indices(pattern_shape(dimension, dirs, order)).reshape(dimension, -1).T
+        runs.append((dirs, slice(start, start + len(anchors)), anchors.astype(float)))
+        start += len(anchors)
     return runs
 
 
@@ -113,28 +108,25 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     q = quad_order if quad_order is not None else 2 * k + 2
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
-    runs = _direction_runs(refined, p)
+    runs = _direction_runs(n, p, k)
     combos = list(combinations(range(n), p))
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     values = np.empty(count)
     for ci in range(refined.mesh.n_cells):
         amap = refined.maps[ci]
-        scaled = amap.linear / k
-        for dirs, sl, anchors in runs:
+        # span[r, t]: minor of the scaled edges on rows combos[r], columns combos[t]
+        span = compound_matrix(amap.linear / k, p)
+        for t, (dirs, sl, anchors) in enumerate(runs):
             x = np.zeros((len(anchors), nq, n))
             x += anchors[:, None, :]
             for j, axis in enumerate(dirs):
                 x[:, :, axis] += tpts[None, :, j]
             x /= k
             y = amap(x.reshape(-1, n))
-            if isinstance(form, PiecewiseForm):
-                comps = form.evaluate(y, cell=ci)
-            else:
-                comps = form.evaluate(y)
-            minors = _span_minors(scaled[:, list(dirs)], combos)
+            comps = form.evaluate(y, cell=ci) if isinstance(form, PiecewiseForm) else form.evaluate(y)
             integrand = np.zeros(len(anchors) * nq)
-            for dirs_i, minor in minors.items():
+            for dirs_i, minor in zip(combos, span[:, t]):
                 vals = comps.get(dirs_i)
                 if vals is None or minor == 0.0:
                     continue
@@ -142,30 +134,6 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
             cube_vals = integrand.reshape(len(anchors), nq) @ twts
             values[table[ci, sl]] = signs[ci, sl] * cube_vals
     return Cochain(p, values)
-
-
-def _span_minors(edge_matrix: np.ndarray, combos) -> dict[tuple[int, ...], float]:
-    p = edge_matrix.shape[1]
-    out = {}
-    for rows in combos:
-        if p == 0:
-            out[rows] = 1.0
-        elif p == 1:
-            out[rows] = float(edge_matrix[rows[0], 0])
-        else:
-            out[rows] = float(np.linalg.det(edge_matrix[list(rows), :]))
-    return out
-
-
-def _combined_reference_form(
-    coefficients: np.ndarray, dimension: int, degree: int, order: int
-) -> PolyForm:
-    stacks = basis_grid_stack(dimension, degree, order)
-    blocks = assemble_dof_matrix(dimension, degree, order).blocks
-    terms = {}
-    for dirs, sl in blocks.items():
-        terms[dirs] = np.tensordot(coefficients[sl], stacks[dirs], axes=([0], [0]))
-    return PolyForm(dimension, degree, terms)
 
 
 def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
@@ -183,61 +151,109 @@ def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
         )
     table = refined.cell_tables[p]
     local_values = cochain.values[table] * refined.cell_signs[p]
-    coeffs = reference_solver(n, p, k).solve(local_values.T)
-    cell_forms = tuple(
-        _combined_reference_form(coeffs[:, c], n, p, k)
-        for c in range(refined.mesh.n_cells)
-    )
-    return PiecewiseForm(refined, p, cell_forms)
+    solver = reference_solver(n, p, k)
+    coeffs = solver.solve(local_values.T).T
+    blocks = solver.matrix.blocks.items()
+    coefficients = {d: coeffs[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks}
+    return PiecewiseForm(refined, p, coefficients)
+
+
+def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D product factors at reference points x of shape (s, n).
+
+    Returns arrays of shape (k, n, s) and (k + 1, n, s) holding
+    x^a (1-x)^(k-1-a) (spanned axes) and x^a (1-x)^(k-a) (fixed axes).
+    """
+    rise, fall = np.ones((2, order + 1, *x.T.shape))
+    for a in range(1, order + 1):
+        rise[a] = rise[a - 1] * x.T
+        fall[a] = fall[a - 1] * (1 - x.T)
+    return rise[:order] * fall[order - 1 :: -1], rise * fall[::-1]
 
 
 @dataclass
 class PiecewiseForm:
-    """A form of the discrete space: one reference polynomial per cell.
+    """A form of the discrete space: per-cell coefficients in the product basis.
+
+    ``coefficients[I]`` is a read-only array of shape (n_cells, *sizes)
+    with size k on the axes in I and k + 1 on the others.  Entry
+    [c, a_0, ..., a_{n-1}] multiplies, on cell c's reference cube, the
+    spanning form prod_j x_j^a_j (1-x_j)^(k-1-a_j) (j in I) times
+    prod_j x_j^a_j (1-x_j)^(k-a_j) (j not in I) times dx_I: the anchors
+    run as in the canonical small-cube order, axis 0 slowest, so a
+    cell's block is the reference solve's output for I, reshaped.
 
     Evaluation locates points (lowest cell index wins on shared faces,
-    or pass ``cell=`` to pin one) and pushes the cell's reference
-    polynomial through the cell map, so components refer to ambient
-    coordinate differentials.
+    or pass ``cell=`` to pin one) and pushes the cell's reference form
+    through the cell map, so components refer to ambient coordinate
+    differentials.
     """
 
     refined: RefinedMesh
     degree: int
-    cell_forms: tuple[PolyForm, ...]
+    coefficients: dict[tuple[int, ...], np.ndarray]
+
+    def __post_init__(self) -> None:
+        for block in self.coefficients.values():
+            block.setflags(write=False)
 
     @property
     def dimension(self) -> int:
         return self.refined.dimension
 
     def evaluate(self, points, cell: int | None = None) -> dict[tuple[int, ...], np.ndarray | float]:
+        """Components at one point (n,) or a batch (..., n) of physical points.
+
+        Each cell pulls its points back, sums its coefficients against the
+        product factors one axis at a time, and pushes forward with the
+        p-by-p minors of the inverse Jacobian.  Raises ValueError if the
+        points do not have n coordinates, if ``cell`` is not an integer in
+        0..n_cells-1, or (unpinned) if a point lies in no cell.
+        """
+        n, p, n_cells = self.dimension, self.degree, self.refined.mesh.n_cells
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        flat = pts.reshape(-1, self.dimension)
-        if cell is None:
-            assign = _locate_cells(self.refined, flat)
-        else:
-            assign = np.full(len(flat), cell, dtype=int)
-        out = {
-            dirs: np.zeros(len(flat))
-            for dirs in combinations(range(self.dimension), self.degree)
-        }
+        if pts.shape[-1:] != (n,):
+            got = pts.shape[-1] if pts.ndim else 0
+            raise ValueError(f"points have {got} coordinates, form lives in dimension {n}")
+        if cell is not None and not (isinstance(cell, (int, np.integer)) and 0 <= cell < n_cells):
+            raise ValueError(f"cell must be an integer in 0..{n_cells - 1}, got {cell!r}")
+        flat = pts.reshape(-1, n)
+        assign = _locate_cells(self.refined, flat) if cell is None else np.full(len(flat), cell)
+        combos = list(combinations(range(n), p))
+        out = np.zeros((len(combos), len(flat)))
         for c in np.unique(assign):
             idx = np.nonzero(assign == c)[0]
-            pulled = PulledBackForm(self.refined.maps[c], self.cell_forms[c])
-            for dirs, vals in pulled.evaluate(flat[idx]).items():
-                out[dirs][idx] = vals
-        if single:
-            return {dirs: float(v[0]) for dirs, v in out.items()}
-        shape = pts.shape[:-1]
-        return {dirs: v.reshape(shape) for dirs, v in out.items()}
+            amap = self.refined.maps[c]
+            spanned, fixed = _factor_tables(amap.pull_to_reference(flat[idx]), self.refined.order)
+            ref = np.empty((len(combos), len(idx)))
+            for r, dirs in enumerate(combos):
+                tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
+                val = self.coefficients[dirs][c] @ tables[-1]
+                for table in reversed(tables[:-1]):  # sum out the last anchor axis
+                    val = np.einsum("...as,as->...s", val, table)
+                ref[r] = val
+            out[:, idx] = compound_matrix(amap.inverse_linear, p).T @ ref
+        if pts.ndim == 1:
+            return {dirs: float(v[0]) for dirs, v in zip(combos, out)}
+        return {dirs: v.reshape(pts.shape[:-1]) for dirs, v in zip(combos, out)}
 
     def exterior_derivative(self) -> "PiecewiseForm":
-        """Differentiate cell by cell (commutes with the cell maps)."""
-        return PiecewiseForm(
-            self.refined,
-            self.degree + 1,
-            tuple(exterior_derivative(f) for f in self.cell_forms),
-        )
+        """Differentiate cell by cell (commutes with the cell maps).
+
+        d/dx x^a (1-x)^(k-a) = a x^(a-1) (1-x)^(k-a) - (k-a) x^a (1-x)^(k-1-a),
+        so along each axis j outside I the fixed factors map to spanned ones
+        by D_k (D[a-1, a] = a, D[a, a] = a - k), times the sign of dx_j ^ dx_I.
+        """
+        k = self.refined.order
+        a = np.arange(k + 1)
+        diff = np.eye(k, k + 1, 1) * a - np.eye(k, k + 1) * (k - a)
+        terms: dict[tuple[int, ...], np.ndarray] = {}
+        for dirs, block in self.coefficients.items():
+            for axis in sorted(set(range(self.dimension)) - set(dirs)):
+                sign, new_dirs = wedge_insert(axis, dirs)
+                term = np.moveaxis(np.tensordot(diff, block, ([1], [axis + 1])), 0, axis + 1)
+                terms[new_dirs] = terms.get(new_dirs, 0) + sign * term
+        return PiecewiseForm(self.refined, self.degree + 1, dict(sorted(terms.items())))
 
 
 def evaluate_piecewise(form: PiecewiseForm, points, cell: int | None = None):
@@ -296,6 +312,16 @@ class IdentityReport:
         return all(e <= self.tolerance for e in errs)
 
 
+def _pinned_gap(a: PiecewiseForm, b: PiecewiseForm, cells, ref_pts) -> float:
+    """Largest component difference at reference points pinned to cells."""
+    gap = 0.0
+    for c in np.unique(cells):
+        phys = a.refined.maps[c](ref_pts[cells == c])
+        va, vb = a.evaluate(phys, cell=int(c)), b.evaluate(phys, cell=int(c))
+        gap = max([gap] + [float(np.abs(va[dirs] - vb[dirs]).max()) for dirs in va])
+    return gap
+
+
 def verify_identities(
     refined: RefinedMesh,
     degree: int,
@@ -319,37 +345,18 @@ def verify_identities(
     p = degree
     e_round = e_recon = 0.0
     e_comm: float | None = 0.0 if p < n else None
-    n_cells = refined.mesh.n_cells
     for _ in range(trials):
         x = Cochain(p, rng.standard_normal(refined.count(p)))
         w = interpolate(x, refined)
         y = de_rham(w, refined, quad_order)
         e_round = max(e_round, float(np.abs(y.values - x.values).max()))
         w2 = interpolate(y, refined)
-        cells = rng.integers(0, n_cells, size=samples)
+        cells = rng.integers(0, refined.mesh.n_cells, size=samples)
         ref_pts = rng.random((samples, n))
-        for c in np.unique(cells):
-            idx = cells == c
-            phys = refined.maps[c](ref_pts[idx])
-            va = w.evaluate(phys, cell=int(c))
-            vb = w2.evaluate(phys, cell=int(c))
-            for dirs in va:
-                e_recon = max(
-                    e_recon, float(np.abs(np.asarray(va[dirs]) - vb[dirs]).max())
-                )
+        e_recon = max(e_recon, _pinned_gap(w, w2, cells, ref_pts))
         if p < n:
-            dx = coboundary(x, refined)
-            w_dx = interpolate(dx, refined)
-            dw_x = w.exterior_derivative()
-            for c in np.unique(cells):
-                idx = cells == c
-                phys = refined.maps[c](ref_pts[idx])
-                va = w_dx.evaluate(phys, cell=int(c))
-                vb = dw_x.evaluate(phys, cell=int(c))
-                for dirs in va:
-                    e_comm = max(
-                        e_comm, float(np.abs(np.asarray(va[dirs]) - vb[dirs]).max())
-                    )
+            w_dx = interpolate(coboundary(x, refined), refined)
+            e_comm = max(e_comm, _pinned_gap(w_dx, w.exterior_derivative(), cells, ref_pts))
     return IdentityReport(
         degree=p,
         round_trip_error=e_round,

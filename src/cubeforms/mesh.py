@@ -323,13 +323,13 @@ class PulledBackForm:
     def evaluate(self, physical_points) -> dict[tuple[int, ...], np.ndarray | float]:
         x = self.cell_map.pull_to_reference(physical_points)
         ref_vals = self.reference.evaluate(x, warn_outside=False)
-        b = self.cell_map.inverse_linear
-        n, p = self.dimension, self.degree
+        combos = list(combinations(range(self.dimension), self.degree))
+        push = compound_matrix(self.cell_map.inverse_linear, self.degree)
         out = {}
-        for phys_dirs in combinations(range(n), p):
+        for col, phys_dirs in enumerate(combos):
             total = None
             for ref_dirs, vals in ref_vals.items():
-                minor = _minor_det(b, ref_dirs, phys_dirs)
+                minor = push[combos.index(ref_dirs), col]
                 if minor == 0.0:
                     continue
                 total = minor * vals if total is None else total + minor * vals
@@ -347,14 +347,24 @@ def pullback_basis(cell_map: AffineMap, reference: PolyForm) -> PulledBackForm:
     return PulledBackForm(cell_map, reference)
 
 
-def _minor_det(
-    matrix: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> float:
-    if not rows:
-        return 1.0
-    if len(rows) == 1:
-        return float(matrix[rows[0], cols[0]])
-    return float(np.linalg.det(matrix[np.ix_(rows, cols)]))
+def compound_matrix(matrices, degree: int) -> np.ndarray:
+    """All degree-by-degree minors of a stack of matrices.
+
+    For matrices of shape (..., r, c) the result has shape
+    (..., C(r, p), C(c, p)); entry [..., i, j] is the determinant of the
+    i-th row tuple and j-th column tuple, both listed as
+    ``combinations``.  Degree 0 gives ones and degree 1 returns the
+    input itself; column t of an edge matrix's compound is the wedge of
+    the edges in direction tuple t.
+    """
+    a = np.asarray(matrices, dtype=float)
+    if degree <= 1:
+        return a if degree else np.ones(a.shape[:-2] + (1, 1))
+    rows, cols = (
+        np.array(list(combinations(range(size), degree)), dtype=np.intp).reshape(-1, degree)
+        for size in a.shape[-2:]
+    )
+    return np.linalg.det(a[..., rows[:, None, :, None], cols[None, :, None, :]])
 
 
 # -- refinement ------------------------------------------------------
@@ -371,20 +381,10 @@ EDGE_SNAP_TOL = 1e-9
 SPAN_AGREEMENT_TOL = 1e-8
 
 
-def _exterior_coordinates(edges: np.ndarray) -> np.ndarray:
-    """All p-by-p row minors of an (n, p) edge matrix, rows sorted."""
-    n, p = edges.shape
-    if p == 0:
-        return np.ones(1)
-    return np.array(
-        [_minor_det(edges, rows, tuple(range(p))) for rows in combinations(range(n), p)]
-    )
-
-
 def _canonical_orientation(edges: np.ndarray, wedge: np.ndarray) -> np.ndarray:
     """Owner-independent unit orientation vector for a small cube's span.
 
-    ``wedge`` is ``_exterior_coordinates(edges)``.  Edge vectors are
+    ``wedge`` holds the p-by-p row minors of ``edges``.  Edge vectors are
     sign-normalised (first significant component made positive) and
     sorted, removing any dependence on the local direction order; the
     orientation is the wedge of the normalised edges, which is ``wedge``
@@ -582,7 +582,7 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         if any(not 0 <= p <= n for p in wanted):
             raise ValueError(f"degrees {wanted} outside 0..{n}")
     maps = tuple(mesh.cell_map(i) for i in range(mesh.n_cells))
-    edge_matrices = [amap.linear / order for amap in maps]
+    edges = np.array([amap.linear for amap in maps]).reshape(-1, n, n) / order
     cells = np.array(mesh.cells, dtype=np.int64).reshape(mesh.n_cells, 1 << n)
     tables: dict[int, np.ndarray] = {}
     signs: dict[int, np.ndarray] = {}
@@ -603,13 +603,15 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         table = rank[inverse.reshape(-1)].reshape(mesh.n_cells, n_local)
         first_cell, first_local = np.divmod(first[by_appearance], n_local)
 
-        wedges, orientations = [], []
-        for e in edge_matrices:
-            for dirs in combinations(range(n), p):
-                wedges.append(_exterior_coordinates(e[:, list(dirs)]))
-                orientations.append(_canonical_orientation(e[:, list(dirs)], wedges[-1]))
+        # wedges[c, t]: the row minors of cell c's edges along direction tuple t
+        wedges = np.swapaxes(compound_matrix(edges, p), 1, 2)
+        orientations = [
+            _canonical_orientation(e[:, list(dirs)], wedge)
+            for e, cell_wedges in zip(edges, wedges)
+            for dirs, wedge in zip(combinations(range(n), p), cell_wedges)
+        ]
         shape = (mesh.n_cells, comb(n, p), comb(n, p))
-        own = np.reshape(wedges, shape)[:, direction]
+        own = wedges[:, direction]
         shared = np.reshape(orientations, shape)[first_cell, direction[first_local]]
         shared = shared[table]
         dot = np.einsum("clt,clt->cl", own, shared)

@@ -31,6 +31,15 @@ def scramble_corners(mesh, rng):
     return CubicalMesh(n, mesh.vertices, tuple(cells))
 
 
+def coefficient_norms(form):
+    """Euclidean norm of each cell's product-basis coefficients."""
+    squares = [
+        np.square(block).reshape(len(block), -1).sum(axis=1)
+        for block in form.coefficients.values()
+    ]
+    return np.sqrt(np.sum(squares, axis=0))
+
+
 def _face_between(cell_a, cell_b, dimension):
     """Fixed axis and side of the shared face, seen from cell_a.
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cubeforms.catalog import get_form, list_forms
+from cubeforms.forms import PolyForm, basis_grid_stack, exterior_derivative
 from cubeforms.interp import (
     Cochain,
     PiecewiseForm,
@@ -19,9 +20,9 @@ from cubeforms.interp import (
     interpolate,
     verify_identities,
 )
-from cubeforms.mesh import refine, structured_mesh
+from cubeforms.mesh import PulledBackForm, refine, structured_mesh
 
-from helpers import trace_mismatch
+from helpers import coefficient_norms, scramble_corners, trace_mismatch
 
 
 # -- cochain container ----------------------------------------------
@@ -181,14 +182,70 @@ def test_piecewise_point_location_and_hints():
     assert single[(0,)] == pytest.approx(float(np.asarray(auto[(0,)])[0]))
 
 
+def _assert_components_close(got, want, tol=1e-12):
+    for dirs in set(got) | set(want):
+        a = np.asarray(got.get(dirs, 0.0))
+        b = np.asarray(want.get(dirs, 0.0))
+        assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max()), dirs
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_piecewise_form_matches_per_cell_oracle(n, k):
+    # the product-basis coefficients, expanded into monomials and pushed
+    # through the cell map by PulledBackForm, give the same form and the
+    # same exterior derivative as the array path
+    rng = np.random.default_rng(4)
+    mesh = structured_mesh(n, 2, shear=0.3)
+    for m in (mesh, scramble_corners(mesh, rng)):
+        refined = refine(m, k)
+        for p in range(n + 1):
+            approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+            d_approx = approx.exterior_derivative()
+            stack = basis_grid_stack(n, p, k)
+            interior = 0.05 + 0.9 * rng.random((12, n))
+            for c, amap in enumerate(refined.maps):
+                poly = PolyForm(
+                    n,
+                    p,
+                    {
+                        dirs: np.tensordot(block[c].ravel(), stack[dirs], 1)
+                        for dirs, block in approx.coefficients.items()
+                    },
+                )
+                pts = amap(interior)
+                pinned = approx.evaluate(pts, cell=c)
+                _assert_components_close(pinned, PulledBackForm(amap, poly).evaluate(pts))
+                _assert_components_close(
+                    d_approx.evaluate(pts, cell=c),
+                    PulledBackForm(amap, exterior_derivative(poly)).evaluate(pts),
+                )
+                _assert_components_close(approx.evaluate(pts), pinned)
+
+
+@pytest.mark.parametrize("cell", [-1, 4, 1.0])
+def test_piecewise_evaluate_rejects_bad_cell(cell):
+    refined = refine(structured_mesh(2, 2), 1)
+    approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
+    with pytest.raises(ValueError, match=rf"cell must be an integer in 0\.\.3, got {cell!r}"):
+        approx.evaluate(np.array([[0.2, 0.3]]), cell=cell)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 1)], ids=["point", "batch", "column"])
+def test_piecewise_evaluate_rejects_wrong_point_dimension(shape):
+    refined = refine(structured_mesh(2, 2), 1)
+    approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
+    with pytest.raises(
+        ValueError, match=rf"points have {shape[-1]} coordinates, form lives in dimension 2"
+    ):
+        approx.evaluate(np.full(shape, 0.25), cell=0)
+
+
 def test_piecewise_derivative_is_closed():
     refined = refine(structured_mesh(2, 2, shear=0.2), 2)
     approx = interpolate(de_rham(get_form("sin2d-0"), refined), refined)
     dd = approx.exterior_derivative().exterior_derivative()
-    scale = max(
-        form.norm() for form in approx.exterior_derivative().cell_forms
-    )
-    assert all(f.norm() <= 1e-12 * max(1.0, scale) for f in dd.cell_forms)
+    scale = np.max(coefficient_norms(approx.exterior_derivative()))
+    assert np.all(coefficient_norms(dd) <= 1e-12 * max(1.0, scale))
 
 
 # -- conformity across faces -----------------------------------------
@@ -221,7 +278,10 @@ def test_top_degree_trace_is_trivially_zero():
 # -- the identity suite ----------------------------------------------
 
 
-@pytest.mark.parametrize("n,k,p", [(2, 2, 0), (2, 2, 1), (2, 1, 2), (3, 1, 1)])
+@pytest.mark.parametrize(
+    "n,k,p",
+    [(2, 2, 0), (2, 2, 1), (2, 1, 2), (3, 1, 1), (3, 4, 0), (3, 4, 1), (3, 4, 2), (3, 4, 3)],
+)
 def test_identity_report_passes(n, k, p):
     refined = refine(structured_mesh(n, 2, shear=0.25), k)
     report = verify_identities(

@@ -8,6 +8,7 @@ used by :func:`refine`.
 
 import hashlib
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cubeforms.mesh import (
     CubicalMesh,
     MeshValidationError,
     PulledBackForm,
+    compound_matrix,
     load_mesh,
     pullback_basis,
     refine,
@@ -373,6 +375,31 @@ def test_to_csv_lists_every_cube(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,degree,n_owners,first_cell,anchor"
     assert len(lines) == 1 + refined.count(1)
+
+
+# -- minors ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compound_matrix_entries_are_minors(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((5, n, n))
+    assert np.array_equal(compound_matrix(stack, 0), np.ones((5, 1, 1)))
+    once = compound_matrix(stack, 1)
+    assert once.dtype == stack.dtype and once.tobytes() == stack.tobytes()
+    for p in range(n + 1):
+        got = compound_matrix(stack, p)
+        tuples = list(combinations(range(n), p))
+        assert got.shape == (5, len(tuples), len(tuples))
+        for r, rows in enumerate(tuples):
+            for c, cols in enumerate(tuples):
+                want = np.linalg.det(stack[:, list(rows)][:, :, list(cols)])
+                assert np.allclose(got[:, r, c], want, rtol=1e-12, atol=0)
+        # Cauchy-Binet: the compound of a product is the product of compounds
+        other = rng.standard_normal((5, n, n))
+        lhs = compound_matrix(stack @ other, p)
+        rhs = compound_matrix(stack, p) @ compound_matrix(other, p)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 # -- pullback --------------------------------------------------------
