@@ -343,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True, help="mesh JSON file")
     p.add_argument("--cochain", required=True, help="cochain CSV file (id,value)")
     p.add_argument("--p", type=int, required=True, help="form degree")
-    p.add_argument("--k", type=int, required=True, help="polynomial order")
+    p.add_argument(
+        "--k",
+        type=int,
+        required=True,
+        help="polynomial order, 1..8; in 3D the reference solve is numerically "
+        "singular for p <= 2 from k = 7 and for every p at k = 8",
+    )
     p.add_argument(
         "--points", help="CSV of evaluation points (default: cell centres)"
     )

@@ -21,13 +21,8 @@ import numpy as np
 
 from .dof import reference_solver
 from .forms import pattern_shape, wedge_insert
-from .mesh import RefinedMesh, compound_matrix
+from .mesh import LOCATE_TOL, RefinedMesh, compound_matrix  # noqa: F401 (re-exported)
 from .quadrature import gauss_unit_cube
-
-#: Slack, relative to the largest vertex coordinate, with which a point
-#: counts as inside a cell: points on shared faces pull back with a few
-#: ulps of roundoff, and this keeps them from falling between cells.
-LOCATE_TOL = 1e-12
 
 
 @dataclass
@@ -99,7 +94,10 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     piecewise forms all qualify.  Integrals use a tensor Gauss rule with
     ``quad_order`` points per axis (default 2k + 2); degree zero reduces
     to point evaluation.  Each cube's value is oriented by its stored
-    global orientation.
+    global orientation.  The quadrature points sit at the same reference
+    coordinates in every cell, so a :class:`PiecewiseForm` on the same
+    mesh is evaluated there directly, from factor tables built once per
+    direction tuple; any other form is evaluated at the mapped points.
     """
     n = refined.dimension
     p = form.degree
@@ -108,30 +106,34 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     q = quad_order if quad_order is not None else 2 * k + 2
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
-    runs = _direction_runs(n, p, k)
+    on_reference = isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh
     combos = list(combinations(range(n), p))
+    # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
+    linears = np.array([amap.linear for amap in refined.maps]).reshape(-1, n, n)
+    spans = compound_matrix(linears / k, p)
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     values = np.empty(count)
-    for ci in range(refined.mesh.n_cells):
-        amap = refined.maps[ci]
-        # span[r, t]: minor of the scaled edges on rows combos[r], columns combos[t]
-        span = compound_matrix(amap.linear / k, p)
-        for t, (dirs, sl, anchors) in enumerate(runs):
-            x = np.zeros((len(anchors), nq, n))
-            x += anchors[:, None, :]
-            for j, axis in enumerate(dirs):
-                x[:, :, axis] += tpts[None, :, j]
-            x /= k
-            y = amap(x.reshape(-1, n))
-            comps = form.evaluate(y, cell=ci) if isinstance(form, PiecewiseForm) else form.evaluate(y)
-            integrand = np.zeros(len(anchors) * nq)
-            for dirs_i, minor in zip(combos, span[:, t]):
+    for t, (dirs, sl, anchors) in enumerate(_direction_runs(n, p, k)):
+        x = np.zeros((len(anchors), nq, n))
+        x += anchors[:, None, :]
+        for j, axis in enumerate(dirs):
+            x[:, :, axis] += tpts[None, :, j]
+        x = x.reshape(-1, n) / k
+        if on_reference:
+            factors = _factor_tables(x, form.refined.order)
+        for ci, amap in enumerate(refined.maps):
+            if on_reference:
+                comps = dict(zip(combos, _reference_values(form, ci, *factors)))
+            else:
+                comps = form.evaluate(amap(x))
+            integrand = np.zeros(len(x))
+            for dirs_i, minor in zip(combos, spans[ci, :, t]):
                 vals = comps.get(dirs_i)
                 if vals is None or minor == 0.0:
                     continue
                 integrand += minor * np.asarray(vals, dtype=float).reshape(-1)
-            cube_vals = integrand.reshape(len(anchors), nq) @ twts
+            cube_vals = integrand.reshape(-1, nq) @ twts
             values[table[ci, sl]] = signs[ci, sl] * cube_vals
     return Cochain(p, values)
 
@@ -164,11 +166,14 @@ def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     Returns arrays of shape (k, n, s) and (k + 1, n, s) holding
     x^a (1-x)^(k-1-a) (spanned axes) and x^a (1-x)^(k-a) (fixed axes).
     """
-    rise, fall = np.ones((2, order + 1, *x.T.shape))
+    rise = np.ones((order + 1, *x.T.shape))
+    fall = np.ones_like(rise)
     for a in range(1, order + 1):
         rise[a] = rise[a - 1] * x.T
         fall[a] = fall[a - 1] * (1 - x.T)
-    return rise[:order] * fall[order - 1 :: -1], rise * fall[::-1]
+    spanned = rise[:order] * fall[order - 1 :: -1]
+    rise *= fall[::-1]  # in place: de_rham holds these tables for many points
+    return spanned, rise
 
 
 @dataclass
@@ -204,13 +209,19 @@ class PiecewiseForm:
     def evaluate(self, points, cell: int | None = None) -> dict[tuple[int, ...], np.ndarray | float]:
         """Components at one point (n,) or a batch (..., n) of physical points.
 
-        Each cell pulls its points back, sums its coefficients against the
-        product factors one axis at a time, and pushes forward with the
-        p-by-p minors of the inverse Jacobian.  Raises ValueError if the
-        points do not have n coordinates, if ``cell`` is not an integer in
-        0..n_cells-1, or (unpinned) if a point lies in no cell.
+        Unpinned, the whole batch is located at once through the mesh's
+        bucket grid (the lowest cell index wins on shared faces) and
+        evaluated at once, each point gathering its cell's coefficients,
+        with no loop over cells.  With ``cell=`` every point is pulled back
+        through that cell's map and its coefficient blocks meet the factor
+        tables of all points in one matrix product.  Either way the
+        coefficients are summed against the product factors one axis at a
+        time and pushed forward with the p-by-p minors of the inverse
+        Jacobian.  Raises ValueError if the points do not have n
+        coordinates, if ``cell`` is not an integer in 0..n_cells-1, or
+        (unpinned) if a point lies in no cell.
         """
-        n, p, n_cells = self.dimension, self.degree, self.refined.mesh.n_cells
+        n, n_cells = self.dimension, self.refined.mesh.n_cells
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (n,):
             got = pts.shape[-1] if pts.ndim else 0
@@ -218,21 +229,12 @@ class PiecewiseForm:
         if cell is not None and not (isinstance(cell, (int, np.integer)) and 0 <= cell < n_cells):
             raise ValueError(f"cell must be an integer in 0..{n_cells - 1}, got {cell!r}")
         flat = pts.reshape(-1, n)
-        assign = _locate_cells(self.refined, flat) if cell is None else np.full(len(flat), cell)
-        combos = list(combinations(range(n), p))
-        out = np.zeros((len(combos), len(flat)))
-        for c in np.unique(assign):
-            idx = np.nonzero(assign == c)[0]
-            amap = self.refined.maps[c]
-            spanned, fixed = _factor_tables(amap.pull_to_reference(flat[idx]), self.refined.order)
-            ref = np.empty((len(combos), len(idx)))
-            for r, dirs in enumerate(combos):
-                tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
-                val = self.coefficients[dirs][c] @ tables[-1]
-                for table in reversed(tables[:-1]):  # sum out the last anchor axis
-                    val = np.einsum("...as,as->...s", val, table)
-                ref[r] = val
-            out[:, idx] = compound_matrix(amap.inverse_linear, p).T @ ref
+        if cell is None:
+            cells, x = _locate_cells(self.refined, flat)
+        else:
+            cells, x = int(cell), self.refined.maps[cell].pull_to_reference(flat)
+        out = _reference_values(self, cells, *_factor_tables(x, self.refined.order))
+        combos = combinations(range(n), self.degree)
         if pts.ndim == 1:
             return {dirs: float(v[0]) for dirs, v in zip(combos, out)}
         return {dirs: v.reshape(pts.shape[:-1]) for dirs, v in zip(combos, out)}
@@ -261,31 +263,64 @@ def evaluate_piecewise(form: PiecewiseForm, points, cell: int | None = None):
     return form.evaluate(points, cell=cell)
 
 
-def _locate_cells(refined: RefinedMesh, points: np.ndarray) -> np.ndarray:
-    """First cell (lowest index) containing each point, within LOCATE_TOL."""
-    mesh = refined.mesh
-    assign = np.full(len(points), -1, dtype=int)
-    scale = max(1.0, float(np.abs(mesh.vertices).max(initial=0.0)))
-    tol = LOCATE_TOL * scale
-    for c in range(mesh.n_cells):
-        open_idx = np.nonzero(assign < 0)[0]
-        if not len(open_idx):
-            break
-        corners = mesh.vertices[list(mesh.cells[c])]
-        lo = corners.min(axis=0) - tol
-        hi = corners.max(axis=0) + tol
-        pts = points[open_idx]
-        boxed = np.all((pts >= lo) & (pts <= hi), axis=1)
-        if not boxed.any():
-            continue
-        cand = open_idx[boxed]
-        x = refined.maps[c].pull_to_reference(points[cand])
-        inside = np.all((x >= -tol) & (x <= 1 + tol), axis=1)
-        assign[cand[inside]] = c
+def _reference_values(form: PiecewiseForm, cells, spanned, fixed) -> np.ndarray:
+    """Physical components of a piecewise form at reference points of cells.
+
+    ``spanned`` and ``fixed`` are the points' factor tables from
+    :func:`_factor_tables`.  ``cells`` is one cell index holding every
+    point, whose coefficient blocks then meet the last axis's table in one
+    matrix product, or one index per point, each point gathering its own
+    block.  The remaining axes are summed out point by point, and the
+    result, one row per direction tuple in ``combinations`` order, is
+    pushed forward with the p-by-p minors of the inverse Jacobians.
+    """
+    n, p = form.dimension, form.degree
+    pinned = np.ndim(cells) == 0
+    combos = list(combinations(range(n), p))
+    ref = np.empty((len(combos), spanned.shape[-1]))
+    for r, dirs in enumerate(combos):
+        tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
+        block = form.coefficients[dirs][cells]
+        if pinned:
+            val = block @ tables[-1]
+        else:
+            val = np.einsum("s...a,as->...s", block, tables[-1])
+        for table in reversed(tables[:-1]):  # sum out the last anchor axis
+            val = np.einsum("...as,as->...s", val, table)
+        ref[r] = val
+    push = compound_matrix(form.refined.inverse_linears[cells], p)
+    if pinned:
+        return push.T @ ref
+    return np.einsum("sij,is->js", push, ref)
+
+
+def _locate_cells(refined: RefinedMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest-index cell containing each point, and the point's reference coordinates.
+
+    Candidates come from the mesh's bucket grid (:meth:`RefinedMesh.cell_grid`):
+    the cells whose bounding box, widened by ``LOCATE_TOL`` times the mesh
+    scale, holds the point.  All (point, candidate) pairs are pulled back
+    in one batch, a pair counts when every reference coordinate is within
+    that slack of [0, 1], and the lowest counting cell index wins, so a
+    point on a shared face goes to the lower cell.  Raises ValueError
+    naming the first point that lies in no cell.
+    """
+    assign = np.full(len(points), -1)
+    reference = np.empty_like(points)
+    if refined.mesh.n_cells:
+        grid = refined.cell_grid()
+        point, cell = grid.candidates(points)
+        offsets = points[point] - grid.origins[cell]
+        x = np.einsum("sj,sij->si", offsets, refined.inverse_linears[cell])
+        inside = np.all((x >= -grid.slack) & (x <= 1 + grid.slack), axis=1)
+        # pairs run by point, then by cell: a point's first hit is its lowest cell
+        hit, first = np.unique(point[inside], return_index=True)
+        assign[hit] = cell[inside][first]
+        reference[hit] = x[inside][first]
     if np.any(assign < 0):
-        first = points[int(np.nonzero(assign < 0)[0][0])]
+        first = points[int(np.argmax(assign < 0))]
         raise ValueError(f"point {first.tolist()} lies in no mesh cell")
-    return assign
+    return assign, reference
 
 
 def coboundary(cochain: Cochain, refined: RefinedMesh) -> Cochain:
@@ -313,13 +348,10 @@ class IdentityReport:
 
 
 def _pinned_gap(a: PiecewiseForm, b: PiecewiseForm, cells, ref_pts) -> float:
-    """Largest component difference at reference points pinned to cells."""
-    gap = 0.0
-    for c in np.unique(cells):
-        phys = a.refined.maps[c](ref_pts[cells == c])
-        va, vb = a.evaluate(phys, cell=int(c)), b.evaluate(phys, cell=int(c))
-        gap = max([gap] + [float(np.abs(va[dirs] - vb[dirs]).max()) for dirs in va])
-    return gap
+    """Largest component difference at reference points of the given cells."""
+    tables = _factor_tables(ref_pts, a.refined.order)
+    gap = _reference_values(a, cells, *tables) - _reference_values(b, cells, *tables)
+    return float(np.abs(gap).max(initial=0.0))
 
 
 def verify_identities(

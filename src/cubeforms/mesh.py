@@ -17,6 +17,8 @@ the cube produce the same key.  Global ids follow first appearance.
 Each owner records the sign relating its local direction order to the
 orientation of the cube's span at its first owner, and coboundaries
 scatter the reference boundary of each cube through that first owner.
+Points are located in cells through a bucket grid over the cells'
+bounding boxes, built once per refined mesh.
 """
 
 from __future__ import annotations
@@ -195,47 +197,45 @@ class CubicalMesh:
         )
 
     def _check_conformity(self) -> None:
-        incident: dict[int, list[int]] = {}
-        for ci, cell in enumerate(self.cells):
-            for v in cell:
-                incident.setdefault(v, []).append(ci)
-        pairs = {
-            (a, b)
-            for cells in incident.values()
-            for a, b in combinations(sorted(set(cells)), 2)
-        }
-        for a, b in sorted(pairs):
-            shared = set(self.cells[a]) & set(self.cells[b])
-            for ci in (a, b):
-                positions = [
-                    pos for pos, v in enumerate(self.cells[ci]) if v in shared
-                ]
-                if not _is_binary_face(positions):
-                    raise MeshValidationError(
-                        f"cells {a} and {b} share vertex ids {sorted(shared)} "
-                        f"which do not form a whole face of cell {ci}; "
-                        "cells must meet along complete shared faces"
-                    )
+        """Cells sharing a vertex must share a whole face of each.
+
+        Pairs run in sorted order, cell a before cell b, and the first
+        failure is reported.  The shared corner positions of a cell lie in
+        the face fixed by their common bits and free along the bits that
+        vary among them, so they form that face exactly when there are
+        2^(number of varying bits) of them.
+        """
+        n_cells, size = self.n_cells, 1 << self.dimension
+        cells = np.array(self.cells, dtype=np.intp).reshape(n_cells, size)
+        incidence = sparse.csr_matrix(
+            (np.ones(cells.size), (np.repeat(np.arange(n_cells), size), cells.ravel())),
+            shape=(n_cells, self.n_vertices),
+        )
+        pairs = sparse.triu(incidence @ incidence.T, k=1).tocoo()
+        order = np.lexsort((pairs.col, pairs.row))
+        a, b = pairs.row[order], pairs.col[order]
+        same = cells[a][:, :, None] == cells[b][:, None, :]
+        whole = np.stack([_whole_faces(same.any(axis=2)), _whole_faces(same.any(axis=1))], axis=1)
+        failing = np.flatnonzero(~whole.all(axis=1))
+        if not failing.size:
+            return
+        i = int(failing[0])
+        pair = (int(a[i]), int(b[i]))
+        shared = set(self.cells[pair[0]]) & set(self.cells[pair[1]])
+        raise MeshValidationError(
+            f"cells {pair[0]} and {pair[1]} share vertex ids {sorted(shared)} "
+            f"which do not form a whole face of cell {pair[int(np.argmin(whole[i]))]}; "
+            "cells must meet along complete shared faces"
+        )
 
 
-def _is_binary_face(positions: list[int]) -> bool:
-    """True iff the corner numbers are exactly those of one cube face."""
-    land = positions[0]
-    lor = positions[0]
-    for c in positions[1:]:
-        land &= c
-        lor |= c
-    free = lor & ~land
-    if len(positions) != 1 << free.bit_count():
-        return False
-    generated = set()
-    sub = free
-    while True:
-        generated.add(land | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return set(positions) == generated
+def _whole_faces(members: np.ndarray) -> np.ndarray:
+    """For rows of flags over the 2^n corner numbers: is each row one face?"""
+    corner = np.arange(members.shape[1])
+    common = np.bitwise_and.reduce(np.where(members, corner, corner[-1]), axis=1)
+    varying = np.bitwise_or.reduce(np.where(members, corner, 0), axis=1) & ~common
+    free_axes = sum((varying >> j) & 1 for j in range(members.shape[1].bit_length() - 1))
+    return members.sum(axis=1) == np.left_shift(1, free_axes)
 
 
 # -- construction and file format ------------------------------------
@@ -365,6 +365,96 @@ def compound_matrix(matrices, degree: int) -> np.ndarray:
         for size in a.shape[-2:]
     )
     return np.linalg.det(a[..., rows[:, None, :, None], cols[None, :, None, :]])
+
+
+# -- point location --------------------------------------------------
+
+#: Slack, relative to the largest vertex coordinate, with which a point
+#: counts as inside a cell: points on shared faces pull back with a few
+#: ulps of roundoff, and this keeps them from falling between cells.
+LOCATE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CellGrid:
+    """Uniform bucket grid over the cells' bounding boxes, for point location.
+
+    Each box is widened by ``slack`` (:data:`LOCATE_TOL` times the mesh
+    scale).  The bucket width per axis is the largest widened extent,
+    raised where needed so that no axis has more buckets than cells, so
+    every box meets at most two buckets per axis (up to roundoff).  Only
+    occupied buckets are stored, in CSR form: bucket ``keys[i]`` (its
+    raveled grid index) holds ``cells[indptr[i]:indptr[i + 1]]`` in
+    increasing order.  The stacked cell origins serve batched pull-backs.
+    """
+
+    slack: float
+    lower: np.ndarray
+    upper: np.ndarray
+    start: np.ndarray
+    width: np.ndarray
+    shape: tuple[int, ...]
+    keys: np.ndarray
+    indptr: np.ndarray
+    cells: np.ndarray
+    origins: np.ndarray
+
+    @classmethod
+    def build(cls, mesh: CubicalMesh, maps) -> "CellGrid":
+        n = mesh.dimension
+        slack = LOCATE_TOL * max(1.0, float(np.abs(mesh.vertices).max(initial=0.0)))
+        corners = mesh.vertices[np.array(mesh.cells, dtype=np.intp).reshape(-1, 1 << n)]
+        lower = corners.min(axis=1) - slack
+        upper = corners.max(axis=1) + slack
+        start = lower.min(axis=0)
+        spread = upper.max(axis=0) - start
+        width = np.maximum((upper - lower).max(axis=0), spread / len(lower))
+        shape = tuple(int(s) + 1 for s in np.floor(spread / width))
+        first = _bucket_coords(lower, start, width, shape)
+        last = _bucket_coords(upper, start, width, shape)
+        # two buckets per axis, or three where roundoff nudges an edge across
+        coords = first[:, None, :] + np.indices((3,) * n).reshape(n, -1).T
+        covered = np.all(coords <= last[:, None, :], axis=2)
+        keys = np.ravel_multi_index(tuple(coords[covered].T), shape)
+        members = np.repeat(np.arange(len(lower)), covered.sum(axis=1))
+        order = np.argsort(keys, kind="stable")
+        keys, starts = np.unique(keys[order], return_index=True)
+        return cls(
+            slack=slack,
+            lower=lower,
+            upper=upper,
+            start=start,
+            width=width,
+            shape=shape,
+            keys=keys,
+            indptr=np.append(starts, len(order)),
+            cells=members[order],
+            origins=np.array([m.origin for m in maps]),
+        )
+
+    def candidates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point, cell) index pairs whose widened box holds the point.
+
+        Pairs run by point, and by increasing cell within a point.
+        """
+        coords = _bucket_coords(points, self.start, self.width, self.shape)
+        keys = np.ravel_multi_index(tuple(coords.T), self.shape)
+        slot = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        begin = self.indptr[slot]
+        count = np.where(self.keys[slot] == keys, self.indptr[slot + 1] - begin, 0)
+        point = np.repeat(np.arange(len(points)), count)
+        offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
+        cell = self.cells[np.repeat(begin, count) + offset]
+        pts = points[point]
+        boxed = np.all((pts >= self.lower[cell]) & (pts <= self.upper[cell]), axis=1)
+        return point[boxed], cell[boxed]
+
+
+def _bucket_coords(points, start, width, shape) -> np.ndarray:
+    """Grid index per axis: monotone in each coordinate, clipped to the grid."""
+    coords = np.floor((points - start) / width)
+    coords[~np.isfinite(coords)] = 0
+    return np.clip(coords, 0, np.array(shape) - 1).astype(np.intp)
 
 
 # -- refinement ------------------------------------------------------
@@ -497,6 +587,7 @@ class RefinedMesh:
     _coboundaries: dict[int, sparse.csr_matrix] = field(
         default_factory=dict, init=False, repr=False
     )
+    _cell_grid: CellGrid | None = field(default=None, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -523,6 +614,18 @@ class RefinedMesh:
     def local_cubes(self, degree: int) -> list[SmallCube]:
         """Reference small cubes of one cell, canonical order."""
         return enumerate_small_cubes(self.dimension, degree, self.order)
+
+    @cached_property
+    def inverse_linears(self) -> np.ndarray:
+        """The cell maps' inverse Jacobians, stacked: shape (n_cells, n, n)."""
+        n = self.dimension
+        return np.linalg.inv(np.reshape([m.linear for m in self.maps], (-1, n, n)))
+
+    def cell_grid(self) -> CellGrid:
+        """The bucket grid that locates points in cells, built on first use."""
+        if self._cell_grid is None:
+            self._cell_grid = CellGrid.build(self.mesh, self.maps)
+        return self._cell_grid
 
     def coboundary_matrix(self, degree: int) -> sparse.csr_matrix:
         """Sparse map from p-cochains to (p+1)-cochains, cached.

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-from cubeforms.mesh import CubicalMesh
+from cubeforms.mesh import LOCATE_TOL, CubicalMesh
 
 
 def scramble_corners(mesh, rng):
@@ -29,6 +29,49 @@ def scramble_corners(mesh, rng):
             relabelled.append(cell[old])
         cells.append(tuple(relabelled))
     return CubicalMesh(n, mesh.vertices, tuple(cells))
+
+
+def graded_mesh(breaks, shear=0.0):
+    """Tensor grid on the given per-axis breakpoints: cells of unequal size.
+
+    A nonzero ``shear`` adds shear * x_1 to the first coordinate, as in
+    ``structured_mesh``.
+    """
+    n = len(breaks)
+    shape = tuple(len(b) for b in breaks)
+    verts = np.stack(np.meshgrid(*breaks, indexing="ij"), axis=-1).reshape(-1, n)
+    if shear:
+        verts[:, 0] += shear * verts[:, 1]
+    base = np.indices(tuple(s - 1 for s in shape)).reshape(n, -1).T
+    corners = base[:, None, :] + ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    cells = np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), shape)
+    return CubicalMesh(n, verts, tuple(map(tuple, cells.tolist())))
+
+
+def locate_by_scan(refined, points):
+    """Lowest-index cell holding each point, by scanning every cell (-1: none).
+
+    The oracle for point location: each cell in turn tests the points
+    not yet placed, first against its bounding box widened by the slack,
+    then by pulling them back through its map.
+    """
+    mesh = refined.mesh
+    assign = np.full(len(points), -1, dtype=int)
+    scale = max(1.0, float(np.abs(mesh.vertices).max(initial=0.0)))
+    tol = LOCATE_TOL * scale
+    for c in range(mesh.n_cells):
+        open_idx = np.nonzero(assign < 0)[0]
+        if not len(open_idx):
+            break
+        corners = mesh.vertices[list(mesh.cells[c])]
+        lo = corners.min(axis=0) - tol
+        hi = corners.max(axis=0) + tol
+        boxed = np.all((points[open_idx] >= lo) & (points[open_idx] <= hi), axis=1)
+        cand = open_idx[boxed]
+        x = refined.maps[c].pull_to_reference(points[cand])
+        inside = np.all((x >= -tol) & (x <= 1 + tol), axis=1)
+        assign[cand[inside]] = c
+    return assign
 
 
 def coefficient_norms(form):

@@ -162,6 +162,27 @@ def test_interpolate_rejects_cochain_row_without_value(tmp_path, capsys):
     assert f"{cochain_path} line 3" in err
 
 
+def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
+    # --k allows 8, but in 3D the reference solve is singular from k = 7 at p = 0
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(3, 1), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    Cochain(0, np.zeros(8**3)).to_csv(cochain_path)
+    code = main(
+        [
+            "interpolate",
+            "--mesh", str(mesh_path),
+            "--cochain", str(cochain_path),
+            "--p", "0",
+            "--k", "7",
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "(n=3, p=0, k=7) is numerically singular" in err
+
+
 def test_interpolate_rejects_malformed_mesh(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.json"
     mesh_path.write_text('{"dimension": 2}')

@@ -6,23 +6,36 @@ and the discrete Stokes identity checked against independently
 assembled incidence matrices.
 """
 
+import re
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubeforms.catalog import get_form, list_forms
 from cubeforms.forms import PolyForm, basis_grid_stack, exterior_derivative
 from cubeforms.interp import (
+    LOCATE_TOL,
     Cochain,
     PiecewiseForm,
+    _locate_cells,
     coboundary,
     de_rham,
     evaluate_piecewise,
     interpolate,
     verify_identities,
 )
-from cubeforms.mesh import PulledBackForm, refine, structured_mesh
+from cubeforms.mesh import CubicalMesh, PulledBackForm, refine, structured_mesh
 
-from helpers import coefficient_norms, scramble_corners, trace_mismatch
+from helpers import (
+    coefficient_norms,
+    graded_mesh,
+    locate_by_scan,
+    scramble_corners,
+    trace_mismatch,
+)
 
 
 # -- cochain container ----------------------------------------------
@@ -182,6 +195,78 @@ def test_piecewise_point_location_and_hints():
     assert single[(0,)] == pytest.approx(float(np.asarray(auto[(0,)])[0]))
 
 
+# -- point location --------------------------------------------------
+
+
+def _location_meshes(n, rng):
+    """Sheared uniform and graded meshes, each also with scrambled corners."""
+    shear = 0.3 if n > 1 else 0.0
+    uniform = structured_mesh(n, 3, shear=shear)
+    breaks = [np.array([0.0, 0.05, 0.2, 0.6, 2.0]) * (j + 1) for j in range(n)]
+    graded = graded_mesh(breaks, shear=shear)
+    return [uniform, scramble_corners(uniform, rng), graded, scramble_corners(graded, rng)]
+
+
+def _location_points(refined, rng):
+    """Per cell: its vertices, edge and face midpoints and centre, random
+    interior points, and points 0.5 and 3 LOCATE_TOL (times the mesh
+    scale) inside and outside each face, in the cell's reference frame."""
+    n = refined.dimension
+    slack = LOCATE_TOL * max(1.0, float(np.abs(refined.mesh.vertices).max()))
+    lattice = np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
+    near = []
+    for axis, side, step in product(range(n), (0, 1), (-3.0, -0.5, 0.5, 3.0)):
+        x = rng.random(n)
+        x[axis] = side + (1 if side else -1) * step * slack
+        near.append(x)
+    ref = np.concatenate([lattice, rng.random((4, n)), near])
+    return np.concatenate([amap(ref) for amap in refined.maps])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_matches_scan_oracle(n):
+    rng = np.random.default_rng(10 + n)
+    for mesh in _location_meshes(n, rng):
+        refined = refine(mesh, 1, degrees=(0,))
+        pts = _location_points(refined, rng)
+        want = locate_by_scan(refined, pts)
+        found = want >= 0
+        assert found.any() and not found.all()
+        cells, ref = _locate_cells(refined, pts[found])
+        assert np.array_equal(cells, want[found])
+        for c in np.unique(cells):
+            pulled = refined.maps[c].pull_to_reference(pts[found][cells == c])
+            assert np.abs(ref[cells == c] - pulled).max() <= 1e-12
+        first = pts[int(np.argmin(found))]
+        with pytest.raises(ValueError, match=re.escape(f"point {first.tolist()} lies in no")):
+            _locate_cells(refined, pts)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    entries=st.lists(st.floats(-0.6, 0.6), min_size=9, max_size=9),
+    scale=st.floats(0.05, 20.0),
+    shift=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_locate_matches_scan_oracle_on_random_affine_meshes(n, m, entries, scale, shift, seed):
+    linear = scale * (np.eye(n) + np.reshape(entries, (3, 3))[:n, :n])
+    assume(abs(np.linalg.det(linear)) > 0.05 * scale**n)
+    rng = np.random.default_rng(seed)
+    base = structured_mesh(n, m)
+    mesh = CubicalMesh(n, base.vertices @ linear.T + shift[:n], base.cells)
+    refined = refine(scramble_corners(mesh, rng), 1, degrees=(0,))
+    ref = rng.uniform(-0.2, 1.2, (60, n))
+    ref[::2] = np.round(2 * ref[::2]) / 2  # on vertices, edges and faces
+    cells = rng.integers(0, mesh.n_cells, len(ref))
+    pts = np.array([refined.maps[c](x) for c, x in zip(cells, ref)])
+    want = locate_by_scan(refined, pts)
+    found = want >= 0
+    assert np.array_equal(_locate_cells(refined, pts[found])[0], want[found])
+
+
 def _assert_components_close(got, want, tol=1e-12):
     for dirs in set(got) | set(want):
         a = np.asarray(got.get(dirs, 0.0))
@@ -238,6 +323,29 @@ def test_piecewise_evaluate_rejects_wrong_point_dimension(shape):
         ValueError, match=rf"points have {shape[-1]} coordinates, form lives in dimension 2"
     ):
         approx.evaluate(np.full(shape, 0.25), cell=0)
+
+
+class _PhysicalOnly:
+    """A form offering only ``degree`` and physical ``evaluate``."""
+
+    def __init__(self, form):
+        self.degree = form.degree
+        self.evaluate = form.evaluate
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_de_rham_on_reference_points_matches_physical_evaluation(n, k):
+    # a piecewise form is integrated at reference points of each cell;
+    # hiding its type makes de_rham evaluate it at mapped physical points
+    rng = np.random.default_rng(6)
+    mesh = structured_mesh(n, 2, shear=0.3)
+    for m in (mesh, scramble_corners(mesh, rng)):
+        refined = refine(m, k)
+        for p in range(n + 1):
+            approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+            got = de_rham(approx, refined).values
+            want = de_rham(_PhysicalOnly(approx), refined).values
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_piecewise_derivative_is_closed():

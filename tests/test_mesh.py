@@ -160,6 +160,36 @@ def test_rejects_non_conforming_cells():
         _square(verts, ((0, 1, 2, 3), (3, 4, 0, 1)))
 
 
+# A unit square and a diamond on its diagonal: they share vertex ids
+# {1, 2}, an edge of the diamond but not a face of the square.  Vertices
+# 4..9 repeat the pair shifted by 10 along the first axis.
+_DIAMOND_VERTS = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1], [1, 2]]
+_DIAMOND_VERTS += [[x + 10, y] for x, y in _DIAMOND_VERTS]
+_SQUARES = ((0, 1, 2, 3), (6, 7, 8, 9))
+_DIAMONDS = ((1, 2, 4, 5), (7, 8, 10, 11))
+
+
+@pytest.mark.parametrize(
+    "order,message",
+    [
+        # pairs (0, 1) and (2, 3)
+        ("SDsd", "cells 0 and 1 share vertex ids [1, 2] which do not form a whole face of cell 0"),
+        # the lower pair's bad cell is its second one
+        ("DSds", "cells 0 and 1 share vertex ids [1, 2] which do not form a whole face of cell 1"),
+        # pairs (0, 3) and (1, 2): the lowest pair comes first, not the first listed
+        ("SsdD", "cells 0 and 3 share vertex ids [1, 2] which do not form a whole face of cell 0"),
+        ("sSDd", "cells 0 and 3 share vertex ids [7, 8] which do not form a whole face of cell 0"),
+        ("DdsS", "cells 0 and 3 share vertex ids [1, 2] which do not form a whole face of cell 3"),
+    ],
+)
+def test_conformity_error_names_the_lowest_pair(order, message):
+    # upper case: the copy at the origin; lower case: the shifted copy
+    pick = {"S": _SQUARES[0], "D": _DIAMONDS[0], "s": _SQUARES[1], "d": _DIAMONDS[1]}
+    with pytest.raises(MeshValidationError) as err:
+        _square(_DIAMOND_VERTS, tuple(pick[c] for c in order))
+    assert str(err.value) == message + "; cells must meet along complete shared faces"
+
+
 def test_accepts_translated_disjoint_cells():
     mesh = _square(
         [[0, 0], [1, 0], [0, 1], [1, 1], [5, 0], [6, 0], [5, 1], [6, 1]],
