@@ -86,6 +86,12 @@ def _direction_runs(dimension: int, degree: int, order: int):
     return runs
 
 
+#: Quadrature points that ``de_rham`` maps and evaluates per batch of
+#: cells: enough to make the per-batch overhead negligible, few enough
+#: that the form's temporaries stay a few megabytes however large the mesh.
+DE_RHAM_BATCH_POINTS = 1 << 16
+
+
 def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochain:
     """Integrate a form over every global small cube of its degree.
 
@@ -95,25 +101,32 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     ``quad_order`` points per axis (default 2k + 2); degree zero reduces
     to point evaluation.  Each cube's value is oriented by its stored
     global orientation.  The quadrature points sit at the same reference
-    coordinates in every cell, so a :class:`PiecewiseForm` on the same
-    mesh is evaluated there directly, from factor tables built once per
-    direction tuple; any other form is evaluated at the mapped points.
+    coordinates in every cell.  One direction tuple at a time, they are
+    mapped into all cells at once through the stacked cell maps, and the
+    form is evaluated there in one call, with no loop over cells (meshes
+    with more than :data:`DE_RHAM_BATCH_POINTS` such points go in batches
+    of consecutive cells, to bound the temporaries); the integrands then
+    meet the weights in one product and are scattered to the global
+    cubes in one assignment.  A :class:`PiecewiseForm` on the same mesh
+    is instead evaluated at the reference points directly, cell by cell,
+    from factor tables built once per direction tuple.  Where owners of
+    a cube disagree in the last bit, the last owner in (tuple, cell)
+    order wins.
     """
     n = refined.dimension
     p = form.degree
     k = refined.order
-    count = refined.count(p)
+    n_cells = refined.mesh.n_cells
     q = quad_order if quad_order is not None else 2 * k + 2
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
     on_reference = isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh
     combos = list(combinations(range(n), p))
     # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
-    linears = np.array([amap.linear for amap in refined.maps]).reshape(-1, n, n)
-    spans = compound_matrix(linears / k, p)
+    spans = compound_matrix(refined.linears / k, p)
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
-    values = np.empty(count)
+    values = np.empty(refined.count(p))
     for t, (dirs, sl, anchors) in enumerate(_direction_runs(n, p, k)):
         x = np.zeros((len(anchors), nq, n))
         x += anchors[:, None, :]
@@ -121,20 +134,30 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
             x[:, :, axis] += tpts[None, :, j]
         x = x.reshape(-1, n) / k
         if on_reference:
+            # cell by cell, so the temporaries stay one cell's
             factors = _factor_tables(x, form.refined.order)
-        for ci, amap in enumerate(refined.maps):
-            if on_reference:
-                comps = dict(zip(combos, _reference_values(form, ci, *factors)))
-            else:
-                comps = form.evaluate(amap(x))
-            integrand = np.zeros(len(x))
-            for dirs_i, minor in zip(combos, spans[ci, :, t]):
-                vals = comps.get(dirs_i)
-                if vals is None or minor == 0.0:
-                    continue
-                integrand += minor * np.asarray(vals, dtype=float).reshape(-1)
-            cube_vals = integrand.reshape(-1, nq) @ twts
-            values[table[ci, sl]] = signs[ci, sl] * cube_vals
+            for ci in range(n_cells):
+                comps = _reference_values(form, ci, *factors)
+                integrand = np.zeros(len(x))
+                for minor, vals in zip(spans[ci, :, t], comps):
+                    if minor != 0.0:
+                        integrand += minor * vals
+                values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
+            continue
+        size = max(1, DE_RHAM_BATCH_POINTS // len(x))
+        for lo in range(0, n_cells, size):
+            batch = slice(lo, lo + size)
+            # matmul maps cell by cell, with the same products as AffineMap.__call__
+            points = x @ np.swapaxes(refined.linears[batch], 1, 2)
+            points += refined.origins[batch, None, :]
+            comps = form.evaluate(points)
+            minors = spans[batch, :, t]
+            integrand = np.zeros((len(minors), len(x)))
+            for dirs_i, minor, used in zip(combos, minors.T, minors.any(axis=0)):
+                if used and dirs_i in comps:
+                    integrand += minor[:, None] * np.asarray(comps[dirs_i], dtype=float)
+            cube_vals = integrand.reshape(len(minors), -1, nq) @ twts
+            values[table[batch, sl].ravel()] = (signs[batch, sl] * cube_vals).ravel()
     return Cochain(p, values)
 
 

@@ -9,13 +9,16 @@ map) and cells may only meet along whole shared faces, which is checked
 on the shared vertex-id sets.
 
 Refinement glues the small p-cubes of all cells at once from one
-reference pattern per (n, p, k).  A small cube is keyed exactly by the
-integer multilinear weights of its centre on the cell's vertex ids
-(denominator (2k)^n): the centre determines the cube, and its nonzero
-weights are intrinsic to the smallest face holding it, so cells sharing
-the cube produce the same key.  Global ids follow first appearance.
-Each owner records the sign relating its local direction order to the
-orientation of the cube's span at its first owner, and coboundaries
+reference pattern per (n, p, k), with no loop over cells.  The cell maps
+are gathered once, as stacked origins and edge matrices.  A small cube
+is keyed exactly by the integer multilinear weights of its centre on the
+cell's vertex ids (denominator (2k)^n): the centre determines the cube,
+and its nonzero weights are intrinsic to the smallest face holding it,
+so cells sharing the cube produce the same key.  One lexsort of the key
+rows groups equal keys, and global ids follow first appearance.  The
+spans of all (cell, direction tuple) pairs are oriented in one array
+pass; each owner records the sign relating its local direction order to
+the orientation of the cube's span at its first owner, and coboundaries
 scatter the reference boundary of each cube through that first owner.
 Points are located in cells through a bucket grid over the cells'
 bounding boxes, built once per refined mesh.
@@ -400,7 +403,7 @@ class CellGrid:
     origins: np.ndarray
 
     @classmethod
-    def build(cls, mesh: CubicalMesh, maps) -> "CellGrid":
+    def build(cls, mesh: CubicalMesh, origins: np.ndarray) -> "CellGrid":
         n = mesh.dimension
         slack = LOCATE_TOL * max(1.0, float(np.abs(mesh.vertices).max(initial=0.0)))
         corners = mesh.vertices[np.array(mesh.cells, dtype=np.intp).reshape(-1, 1 << n)]
@@ -429,7 +432,7 @@ class CellGrid:
             keys=keys,
             indptr=np.append(starts, len(order)),
             cells=members[order],
-            origins=np.array([m.origin for m in maps]),
+            origins=origins,
         )
 
     def candidates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,42 +474,69 @@ EDGE_SNAP_TOL = 1e-9
 SPAN_AGREEMENT_TOL = 1e-8
 
 
-def _canonical_orientation(edges: np.ndarray, wedge: np.ndarray) -> np.ndarray:
-    """Owner-independent unit orientation vector for a small cube's span.
+def _canonical_orientations(edges: np.ndarray, wedges: np.ndarray) -> np.ndarray:
+    """Owner-independent unit orientation vectors of many small-cube spans.
 
-    ``wedge`` holds the p-by-p row minors of ``edges``.  Edge vectors are
-    sign-normalised (first significant component made positive) and
-    sorted, removing any dependence on the local direction order; the
-    orientation is the wedge of the normalised edges, which is ``wedge``
-    times the parity of the flips and the sort, scaled to unit length.
-    Components below :data:`EDGE_SNAP_TOL` of the edge length are
-    treated as zero so that every owner of a shared cube makes identical
-    decisions despite roundoff.
+    ``edges`` has shape (pairs, n, p): per pair, the p edge vectors of one
+    direction tuple as columns; ``wedges`` (pairs, C(n, p)) holds their
+    p-by-p row minors.  All pairs are handled in one array pass.  Edge
+    vectors are sign-normalised (first significant component made
+    positive) and sorted, removing any dependence on the local direction
+    order; the orientation is the wedge of the normalised edges, which is
+    ``wedge`` times the parity of the flips and the sort, scaled to unit
+    length.  The sort's parity counts the edge pairs out of lexicographic
+    order, compared at their first differing component (equal edges keep
+    their order).  Components below :data:`EDGE_SNAP_TOL` of the edge
+    length are treated as zero so that every owner of a shared cube makes
+    identical decisions despite roundoff.  Raises
+    :class:`MeshValidationError` for the first failing pair, checking its
+    edges in order before its span.
     """
-    p = edges.shape[1]
+    p = edges.shape[-1]
     if p == 0:
-        return np.ones(1)
-    sign = 1
-    keys = []
-    for j in range(p):
-        v = edges[:, j]
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        return np.ones_like(wedges)
+    norms = np.linalg.norm(edges, axis=1)
+    snapped = np.where(np.abs(edges) > EDGE_SNAP_TOL * norms[:, None, :], edges, 0.0)
+    nonzero = snapped != 0.0
+    zero = norms == 0.0
+    bad_edge = zero | ~nonzero.any(axis=1)
+    span = np.linalg.norm(wedges, axis=1)
+    failing = np.flatnonzero(bad_edge.any(axis=1) | (span == 0.0))
+    if failing.size:
+        pair = int(failing[0])
+        if not bad_edge[pair].any():
+            raise MeshValidationError("small cube spans a degenerate plane")
+        if zero[pair, np.argmax(bad_edge[pair])]:
             raise MeshValidationError("small cube has a zero edge vector")
-        snapped = np.where(np.abs(v) > EDGE_SNAP_TOL * norm, v, 0.0)
-        lead = snapped[np.nonzero(snapped)[0]]
-        if lead.size == 0:
-            raise MeshValidationError("small cube has a vanishing edge vector")
-        if lead[0] < 0:
-            snapped = -snapped
-            sign = -sign
-        keys.append(tuple(snapped))
-    order = sorted(range(p), key=keys.__getitem__)
-    sign *= (-1) ** sum(order[a] > order[b] for a, b in combinations(range(p), 2))
-    norm = float(np.linalg.norm(wedge))
-    if norm == 0.0:
-        raise MeshValidationError("small cube spans a degenerate plane")
-    return sign * wedge / norm
+        raise MeshValidationError("small cube has a vanishing edge vector")
+    lead = np.take_along_axis(snapped, nonzero.argmax(axis=1)[:, None, :], axis=1)[:, 0]
+    snapped = np.where(lead[:, None, :] < 0, -snapped, snapped)
+    a, b = np.array(list(combinations(range(p), 2)), dtype=np.intp).reshape(-1, 2).T
+    differ = snapped[:, :, a] != snapped[:, :, b]
+    at = differ.argmax(axis=1)[:, None, :]
+    swapped = differ.any(axis=1) & (
+        np.take_along_axis(snapped[:, :, a], at, axis=1)[:, 0]
+        > np.take_along_axis(snapped[:, :, b], at, axis=1)[:, 0]
+    )
+    odd = ((lead < 0).sum(axis=1) + swapped.sum(axis=1)) % 2
+    return np.where(odd, -1.0, 1.0)[:, None] * wedges / span[:, None]
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``first`` and ``inverse`` of ``np.unique(rows, axis=0)``, from one lexsort.
+
+    Rows sort lexicographically, column 0 first, as ``np.unique`` orders
+    them; a new group starts wherever a row differs from the one before,
+    and the running count of starts numbers the groups.  The sort is
+    stable, so each group's first row in sorted order is its lowest index.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -574,12 +604,16 @@ class RefinedMesh:
     the sign relating its local direction order to the global cube's
     orientation.  Ids follow first appearance, cells in order and local
     cubes in order within a cell; ``first_owners[p][g]`` is the
-    (cell, local index) where cube g first appears.
+    (cell, local index) where cube g first appears.  The cell maps are
+    kept stacked, ``origins`` (n_cells, n) and ``linears`` (n_cells, n, n)
+    with the edges as columns, and ``maps[c]`` is the map on their row c.
     """
 
     mesh: CubicalMesh
     order: int
     degrees: tuple[int, ...]
+    origins: np.ndarray
+    linears: np.ndarray
     maps: tuple[AffineMap, ...]
     cell_tables: dict[int, np.ndarray]
     cell_signs: dict[int, np.ndarray]
@@ -618,13 +652,12 @@ class RefinedMesh:
     @cached_property
     def inverse_linears(self) -> np.ndarray:
         """The cell maps' inverse Jacobians, stacked: shape (n_cells, n, n)."""
-        n = self.dimension
-        return np.linalg.inv(np.reshape([m.linear for m in self.maps], (-1, n, n)))
+        return np.linalg.inv(self.linears)
 
     def cell_grid(self) -> CellGrid:
         """The bucket grid that locates points in cells, built on first use."""
         if self._cell_grid is None:
-            self._cell_grid = CellGrid.build(self.mesh, self.maps)
+            self._cell_grid = CellGrid.build(self.mesh, self.origins)
         return self._cell_grid
 
     def coboundary_matrix(self, degree: int) -> sparse.csr_matrix:
@@ -684,9 +717,13 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         wanted = tuple(sorted(set(int(p) for p in degrees)))
         if any(not 0 <= p <= n for p in wanted):
             raise ValueError(f"degrees {wanted} outside 0..{n}")
-    maps = tuple(mesh.cell_map(i) for i in range(mesh.n_cells))
-    edges = np.array([amap.linear for amap in maps]).reshape(-1, n, n) / order
     cells = np.array(mesh.cells, dtype=np.int64).reshape(mesh.n_cells, 1 << n)
+    # every cell map from one gather of the corners: edges as columns, as in cell_map
+    corners = mesh.vertices[cells]
+    origins = _frozen(corners[:, 0].copy())
+    linears = _frozen(np.swapaxes(corners[:, 1 << np.arange(n)] - corners[:, :1], 1, 2).copy())
+    maps = tuple(AffineMap(origin=o, linear=a) for o, a in zip(origins, linears))
+    edges = linears / order
     tables: dict[int, np.ndarray] = {}
     signs: dict[int, np.ndarray] = {}
     owners: dict[int, np.ndarray] = {}
@@ -697,25 +734,23 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         # one integer each and sorted; zero weights become -1
         packed = cells[:, None, :] * ((2 * order) ** n + 1) + weights
         keys = np.sort(np.where(weights > 0, packed, -1), axis=2)
-        _, first, inverse = np.unique(
-            keys.reshape(-1, 1 << n), axis=0, return_index=True, return_inverse=True
-        )
+        # one lexsort groups equal keys; ids are then handed out by first appearance
+        first, inverse = _unique_rows(keys.reshape(-1, 1 << n))
         by_appearance = np.argsort(first)
         rank = np.empty_like(by_appearance)
         rank[by_appearance] = np.arange(len(by_appearance))
-        table = rank[inverse.reshape(-1)].reshape(mesh.n_cells, n_local)
+        table = rank[inverse].reshape(mesh.n_cells, n_local)
         first_cell, first_local = np.divmod(first[by_appearance], n_local)
 
-        # wedges[c, t]: the row minors of cell c's edges along direction tuple t
+        # wedges[c, t]: the row minors of cell c's edges along direction tuple t;
+        # every (cell, tuple) pair is oriented, and a cube takes its first owner's
         wedges = np.swapaxes(compound_matrix(edges, p), 1, 2)
-        orientations = [
-            _canonical_orientation(e[:, list(dirs)], wedge)
-            for e, cell_wedges in zip(edges, wedges)
-            for dirs, wedge in zip(combinations(range(n), p), cell_wedges)
-        ]
-        shape = (mesh.n_cells, comb(n, p), comb(n, p))
+        n_tuples = comb(n, p)
+        tuples = np.array(list(combinations(range(n), p)), dtype=np.intp).reshape(n_tuples, p)
+        pair_edges = np.moveaxis(edges[:, :, tuples], 2, 1).reshape(mesh.n_cells * n_tuples, n, p)
+        orientations = _canonical_orientations(pair_edges, wedges.reshape(-1, n_tuples))
         own = wedges[:, direction]
-        shared = np.reshape(orientations, shape)[first_cell, direction[first_local]]
+        shared = orientations.reshape(-1, n_tuples, n_tuples)[first_cell, direction[first_local]]
         shared = shared[table]
         dot = np.einsum("clt,clt->cl", own, shared)
         disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(own, axis=2)
@@ -731,6 +766,8 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         mesh=mesh,
         order=order,
         degrees=wanted,
+        origins=origins,
+        linears=linears,
         maps=maps,
         cell_tables=tables,
         cell_signs=signs,

@@ -4,7 +4,17 @@ from itertools import combinations
 
 import numpy as np
 
-from cubeforms.mesh import LOCATE_TOL, CubicalMesh
+from cubeforms.catalog import get_form
+from cubeforms.cli import _sample_grid
+from cubeforms.interp import de_rham, interpolate
+from cubeforms.mesh import (
+    EDGE_SNAP_TOL,
+    LOCATE_TOL,
+    CubicalMesh,
+    MeshValidationError,
+    refine,
+    structured_mesh,
+)
 
 
 def scramble_corners(mesh, rng):
@@ -72,6 +82,64 @@ def locate_by_scan(refined, points):
         inside = np.all((x >= -tol) & (x <= 1 + tol), axis=1)
         assign[cand[inside]] = c
     return assign
+
+
+def canonical_orientation(edges, wedge):
+    """Owner-independent unit orientation of one small cube's span.
+
+    The oracle for the batched orientation in ``refine``, one (cell,
+    direction tuple) pair at a time: ``edges`` (n, p) holds the edge
+    vectors as columns and ``wedge`` their p-by-p row minors.  Edges are
+    snapped, sign-normalised and sorted as tuples; the orientation is
+    ``wedge`` times the parity of the flips and the sort, at unit length.
+    """
+    p = edges.shape[1]
+    if p == 0:
+        return np.ones(1)
+    sign = 1
+    keys = []
+    for j in range(p):
+        v = edges[:, j]
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            raise MeshValidationError("small cube has a zero edge vector")
+        snapped = np.where(np.abs(v) > EDGE_SNAP_TOL * norm, v, 0.0)
+        lead = snapped[np.nonzero(snapped)[0]]
+        if lead.size == 0:
+            raise MeshValidationError("small cube has a vanishing edge vector")
+        if lead[0] < 0:
+            snapped = -snapped
+            sign = -sign
+        keys.append(tuple(snapped))
+    order = sorted(range(p), key=keys.__getitem__)
+    sign *= (-1) ** sum(order[a] > order[b] for a, b in combinations(range(p), 2))
+    norm = float(np.linalg.norm(wedge))
+    if norm == 0.0:
+        raise MeshValidationError("small cube spans a degenerate plane")
+    return sign * wedge / norm
+
+
+def sup_errors_by_cell(dimension, degree, order, m_list, *, shear=0.0, samples=64):
+    """Sup errors of the convergence study, evaluated cell by cell.
+
+    The oracle for ``run_convergence``: per mesh, each cell maps the
+    sample grid and evaluates the interpolant pinned to that cell.
+    """
+    form = get_form(f"sin{dimension}d-{degree}")
+    ref_grid = _sample_grid(dimension, samples)
+    errors = []
+    for m in m_list:
+        refined = refine(structured_mesh(dimension, m, shear=shear), order, degrees=(degree,))
+        approx = interpolate(de_rham(form, refined), refined)
+        err = 0.0
+        for c, amap in enumerate(refined.maps):
+            phys = amap(ref_grid)
+            got = approx.evaluate(phys, cell=c)
+            want = form.evaluate(phys)
+            for dirs, values in got.items():
+                err = max(err, float(np.abs(values - np.asarray(want.get(dirs, 0.0))).max()))
+        errors.append(err)
+    return errors
 
 
 def coefficient_norms(form):

@@ -2,15 +2,18 @@
 
 import subprocess
 import sys
+from math import log
 
 import numpy as np
 import pytest
 
-from cubeforms.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from cubeforms.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run_convergence
 from cubeforms.dof import assemble_dof_matrix
 from cubeforms.interp import Cochain, de_rham
 from cubeforms.catalog import get_form
 from cubeforms.mesh import refine, save_mesh, structured_mesh
+
+from helpers import sup_errors_by_cell
 
 
 def test_dims_golden_table(capsys):
@@ -249,6 +252,44 @@ def test_convergence_rejects_bad_m_lists(capsys):
     err = capsys.readouterr().err
     assert "comma-separated" in err
     assert "at least two" in err
+
+
+def test_convergence_rejects_repeated_mesh_sizes(capsys):
+    argv = ["convergence", "--n", "2", "--p", "1", "--k", "1", "--m-list", "2,2"]
+    assert main(argv) == EXIT_USAGE
+    assert "error: mesh sizes must be distinct, got [2, 2]" in capsys.readouterr().err
+
+
+def test_convergence_with_zero_error_has_no_order(capsys):
+    # every discrete space reproduces the linear form exactly
+    argv = ["convergence", "--n", "2", "--p", "1", "--k", "1", "--m-list", "2,4"]
+    assert main(argv + ["--form", "linear2d-1"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["2,0.5,0.0,", "4,0.25,0.0,"]
+    assert "final EOC undefined" in err and "m=2 and m=4" in err
+
+
+@pytest.mark.parametrize(
+    "n,p,k,m_list,shear",
+    [
+        (2, 1, 2, [2, 4, 8], 0.5),
+        (2, 0, 3, [3, 5], 0.0),
+        (3, 1, 2, [2, 3, 4], 0.3),
+        (3, 2, 1, [2, 4], 0.3),
+    ],
+)
+def test_convergence_matches_per_cell_oracle(n, p, k, m_list, shear):
+    rows = run_convergence(n, p, k, m_list, shear=shear)
+    want = sup_errors_by_cell(n, p, k, m_list, shear=shear)
+    for row, err in zip(rows, want):
+        assert abs(row.sup_error - err) <= 1e-12 * err
+
+
+def test_convergence_prints_the_oracle_order(capsys):
+    argv = ["convergence", "--n", "3", "--p", "1", "--k", "2", "--m-list", "2,4"]
+    assert main(argv + ["--shear", "0.3"]) == EXIT_OK
+    e2, e4 = sup_errors_by_cell(3, 1, 2, [2, 4], shear=0.3)
+    assert f"final EOC {log(e2 / e4) / log(2):.4f}," in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])

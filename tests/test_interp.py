@@ -6,6 +6,7 @@ and the discrete Stokes identity checked against independently
 assembled incidence matrices.
 """
 
+import hashlib
 import re
 from itertools import product
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubeforms import interp
 from cubeforms.catalog import get_form, list_forms
 from cubeforms.forms import PolyForm, basis_grid_stack, exterior_derivative
 from cubeforms.interp import (
@@ -331,6 +333,42 @@ class _PhysicalOnly:
     def __init__(self, form):
         self.degree = form.degree
         self.evaluate = form.evaluate
+
+
+# Recorded from the cell-by-cell integration: mapping and evaluating all
+# cells at once must reproduce every cochain bit for bit, including which
+# owner writes a shared cube last on scrambled meshes.
+@pytest.mark.parametrize(
+    "n,k,scrambled,digest",
+    [
+    (2, 1, False, "072219c560edc5632d83c74c9f566a0a42477a1c0abaa4e5f1a5d955205ca68d"),
+    (2, 1, True, "fe340254d42915d0e36fbf4e20b28d8225c962a28b2e1da9874cc1e390be966c"),
+    (2, 2, False, "494bc5c0e534ff7a865e312c32f3869ca280442cd8c955c4304b6ac619ead0fd"),
+    (2, 2, True, "a561f0a7e5113538c3b7d0321c3aef6f797c1c30f33e57a6ed9c232f70c4c8fa"),
+    (2, 3, False, "7de35658b2665e1491c0cfb40fb61ad8d54b333d42d56cc1d1c0cb1ef7349675"),
+    (2, 3, True, "d1106f9cd64d5d2c3d71f753d000126b2f5eaeab244d7b8dac7bd2425debea48"),
+    (3, 1, False, "d95d1bf3b99849e239492c906c3ff8a7705af63182ed0fb5d344a66a33f7a481"),
+    (3, 1, True, "cc5ad6e8e97825dbe8e71563314dfe53f3659457575b42312dc6ce8cbde07b50"),
+    (3, 2, False, "5257b08aaf7d0f73d0aab85b8160bafaffc1c68239a79cd162595a6ff9ecff7e"),
+    (3, 2, True, "c43008da50bc8b2a600f3dd2e2becd98e48bace3820fa1ef0e3b753bc891ee4e"),
+    (3, 3, False, "3c20bf943cb93712b322e045f5e202df1475912cd61c1d9f20d05683db929ea2"),
+    (3, 3, True, "e3f1133ffbfc3b0ee123b89c0395c3963a133490b9a0b2d5d361a2702bf128d4"),
+    ],
+)
+@pytest.mark.parametrize("batch_points", [None, 1, 100])
+def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_points, monkeypatch):
+    if batch_points is not None:
+        # one cell, or a few cells, per batch must not change a bit either
+        monkeypatch.setattr(interp, "DE_RHAM_BATCH_POINTS", batch_points)
+    mesh = structured_mesh(n, 2, shear=0.3)
+    if scrambled:
+        mesh = scramble_corners(mesh, np.random.default_rng([n, k]))
+    refined = refine(mesh, k)
+    h = hashlib.sha256()
+    for p in range(n + 1):
+        values = de_rham(get_form(f"sin{n}d-{p}"), refined).values
+        h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])

@@ -12,9 +12,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cubeforms.forms import PolyForm, basis_form
 from cubeforms.mesh import (
+    EDGE_SNAP_TOL,
     AffineMap,
     CubicalMesh,
     MeshValidationError,
@@ -25,6 +29,8 @@ from cubeforms.mesh import (
     refine,
     save_mesh,
     structured_mesh,
+    _canonical_orientations,
+    _unique_rows,
 )
 from cubeforms.smallcubes import (
     enumerate_small_cubes,
@@ -32,7 +38,7 @@ from cubeforms.smallcubes import (
     small_cube_from_geometry,
 )
 
-from helpers import scramble_corners
+from helpers import canonical_orientation, scramble_corners
 
 
 def _corner_bits(j, n):
@@ -382,6 +388,107 @@ def test_refinement_outputs_are_pinned(n, k, scrambled, digest):
         ids = np.arange(refined.count(p))
         assert np.array_equal(flat[np.sort(first)], ids)
         assert np.array_equal(refined.cell_tables[p][cells, local], ids)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.integers(1, 8)),
+        elements=st.integers(-2, 2) | st.sampled_from([_INT64.min, -1, _INT64.max]),
+    )
+)
+@example(np.zeros((0, 8), dtype=np.int64))
+@example(np.array([[5, -1, 3]], dtype=np.int64))
+@example(np.full((7, 4), 9, dtype=np.int64))
+def test_unique_rows_match_numpy_unique(rows):
+    first, inverse = _unique_rows(rows)
+    _, want_first, want_inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+
+def _oracle_orientations(edges, wedges):
+    return np.array([canonical_orientation(e, w) for e, w in zip(edges, wedges)])
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 4)])
+def test_batched_orientations_match_scalar_oracle(n, p):
+    rng = np.random.default_rng([n, p])
+    pairs = 600
+    edges = rng.standard_normal((pairs, n, p))
+    # small integers: edges tie on leading components, or entirely
+    edges[::3] = rng.integers(-2, 3, (pairs, n, p))[::3]
+    # a leading component just below or above the snap threshold, then a
+    # negative one: owners must agree on which one leads
+    near = rng.random((pairs, p)) < 0.4
+    if n > 1:
+        edges[:, 1][near] = -np.abs(edges[:, 1][near]) - 0.5
+        rest = np.linalg.norm(edges[:, 1:], axis=1)
+        factor = rng.choice([0.5, 0.99, 1.01, 2.0], (pairs, p)) * rng.choice([-1, 1], (pairs, p))
+        edges[:, 0] = np.where(near, factor * EDGE_SNAP_TOL * rest, edges[:, 0])
+    # the span is passed in: nonzero, so the edge order alone decides
+    wedges = rng.standard_normal((pairs, len(list(combinations(range(n), p)))))
+    usable = np.linalg.norm(edges, axis=1).min(axis=1) > 0
+    edges, wedges = edges[usable], wedges[usable]
+    got = _canonical_orientations(edges, wedges)
+    want = _oracle_orientations(edges, wedges)
+    assert np.array_equal(np.sign(got), np.sign(want))
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+def test_orientations_of_degree_zero_are_ones():
+    wedges = np.ones((5, 1))
+    assert np.array_equal(_canonical_orientations(np.zeros((5, 3, 0)), wedges), wedges)
+
+
+# (edge columns, span minors) of n=3, p=2 pairs, each failing in one way
+# (or not at all); a span that does not matter is left at (1, 0, 0).
+_PAIRS = {
+    "good": ([[1.0, 0.0], [0.5, 2.0], [0.0, 1.0]], [2.0, 1.0, 0.5]),
+    "zero": ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [1.0, 0.0, 0.0]),
+    "vanishing": ([[np.inf, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 0.0, 0.0]),
+    "degenerate": ([[1.0, 2.0], [0.0, 0.0], [-1.0, -2.0]], [0.0, 0.0, 0.0]),
+    "vanishing then zero": ([[np.nan, 0.0], [1.0, 0.0], [0.0, 0.0]], [1.0, 0.0, 0.0]),
+    "zero and degenerate": ([[0.0, 0.0], [0.0, 3.0], [0.0, 0.0]], [0.0, 0.0, 0.0]),
+}
+
+
+def _first_oracle_failure(edges, wedges):
+    for e, w in zip(edges, wedges):
+        try:
+            canonical_orientation(e, w)
+        except MeshValidationError as exc:
+            return str(exc)
+    return None
+
+
+def test_orientation_errors_name_the_earliest_failing_pair():
+    rng = np.random.default_rng(11)
+    names = list(_PAIRS)
+    seen = set()
+    for _ in range(60):
+        chosen = rng.choice(names, size=rng.integers(1, 6))
+        edges = np.array([_PAIRS[name][0] for name in chosen])
+        wedges = np.array([_PAIRS[name][1] for name in chosen])
+        want = _first_oracle_failure(edges, wedges)
+        if want is None:
+            _canonical_orientations(edges, wedges)
+            continue
+        with pytest.raises(MeshValidationError) as info:
+            _canonical_orientations(edges, wedges)
+        assert str(info.value) == want
+        seen.add(want)
+    assert seen == {
+        "small cube has a zero edge vector",
+        "small cube has a vanishing edge vector",
+        "small cube spans a degenerate plane",
+    }
 
 
 def test_refine_empty_mesh_gives_empty_levels():
