@@ -13,6 +13,7 @@ from cubeforms import (
     assemble_dof_matrix,
     check_unisolvence,
     dof_value_exact,
+    enumerate_small_cubes,
 )
 
 N, P, K = 2, 1, 2
@@ -24,8 +25,10 @@ print(f"n={N}, p={P}, k={K}: {dm.size} x {dm.size} matrix, "
 with np.printoptions(precision=4, suppress=True):
     print(dm.block((0,)))
 
-# exact rational entries are available too
-a, b = dm.cubes[0], dm.cubes[3]
+# exact rational entries are available too; rows and columns follow
+# the canonical small-cube order
+cubes = enumerate_small_cubes(N, P, K)
+a, b = cubes[0], cubes[3]
 print(f"\nentry (0, 3) exactly: {dof_value_exact(a, b)}")
 
 report = check_unisolvence(N, P, K)

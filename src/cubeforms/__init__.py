@@ -24,10 +24,8 @@ from .dof import (
     assemble_dof_matrix,
     average_over_small_cube,
     check_unisolvence,
-    dof_value,
     dof_value_exact,
     integral_1d,
-    solve_reference_coefficients,
 )
 from .mesh import (
     AffineMap,
@@ -46,7 +44,6 @@ from .interp import (
     PiecewiseForm,
     coboundary,
     de_rham,
-    evaluate_piecewise,
     interpolate,
     verify_identities,
 )
@@ -76,12 +73,10 @@ __all__ = [
     "check_unisolvence",
     "coboundary",
     "de_rham",
-    "dof_value",
     "dof_value_exact",
     "enumerate_faces",
     "enumerate_multi_indices",
     "enumerate_small_cubes",
-    "evaluate_piecewise",
     "exterior_derivative",
     "get_form",
     "integral_1d",
@@ -97,7 +92,6 @@ __all__ = [
     "small_cube_from_geometry",
     "small_cube_map",
     "span_membership",
-    "solve_reference_coefficients",
     "structured_mesh",
     "verify_identities",
 ]

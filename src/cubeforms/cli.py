@@ -2,9 +2,9 @@
 
 Subcommands: ``dims`` (dimension table of the discrete spaces),
 ``check-unisolvence`` (DOF matrix invertibility certificate),
-``dof-matrix`` (CSV dump of the reference DOF matrix), ``interpolate``
-(evaluate the interpolant of a cochain on a mesh) and ``convergence``
-(interpolation-error study on refined structured meshes).
+``dof-matrix`` (CSV dump of the reference DOF matrix, block by block),
+``interpolate`` (evaluate the interpolant of a cochain on a mesh) and
+``convergence`` (interpolation-error study on refined structured meshes).
 
 Exit codes: 0 on success, 1 when a checked property fails (singular
 matrix, mismatched counts, convergence rate outside its window), 2 on
@@ -212,13 +212,13 @@ def _cmd_check_unisolvence(args) -> int:
     _check_range("--k", args.k, 1, 4)
     _check_degree(args.n, args.p)
     report = check_unisolvence(args.n, args.p, args.k)
+    blocks = assemble_dof_matrix(args.n, args.p, args.k).blocks
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "size", "condition"])
         for dirs, cond in report.block_conditions.items():
             label = "scalar" if not dirs else "d" + "d".join(str(d) for d in dirs)
-            size = assemble_dof_matrix(args.n, args.p, args.k).blocks[dirs]
-            writer.writerow([label, size.stop - size.start, repr(cond)])
+            writer.writerow([label, blocks[dirs].stop - blocks[dirs].start, repr(cond)])
         writer.writerow(["all", report.size, repr(report.condition_estimate)])
     print(
         f"n={args.n} p={args.p} k={args.k}: {report.size} degrees of freedom, "
@@ -237,10 +237,9 @@ def _cmd_dof_matrix(args) -> int:
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
-        for sl in dm.blocks.values():
-            for r in range(sl.start, sl.stop):
-                for c in range(sl.start, sl.stop):
-                    writer.writerow([r, c, f"{dm.matrix[r, c]:.12e}"])
+        for dirs, sl in dm.blocks.items():
+            for (r, c), value in np.ndenumerate(dm.block(dirs)):
+                writer.writerow([sl.start + r, sl.start + c, f"{value:.12e}"])
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .combinatorics import FaceId
-from .smallcubes import SmallCube
+from .smallcubes import SmallCube, pattern_shape
 
 _OUTSIDE_TOL = 1e-12
 
@@ -257,13 +257,6 @@ def exterior_derivative(form: PolyForm) -> PolyForm:
 def direction_tuples(dimension: int, degree: int) -> list[tuple[int, ...]]:
     """All increasing direction tuples, lexicographically."""
     return list(combinations(range(dimension), degree))
-
-
-def pattern_shape(dimension: int, degree_dirs: tuple[int, ...], order: int) -> tuple[int, ...]:
-    """Monomial grid shape of the order-k degree pattern for one term."""
-    return tuple(
-        order if axis in degree_dirs else order + 1 for axis in range(dimension)
-    )
 
 
 @lru_cache(maxsize=None)

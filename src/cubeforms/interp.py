@@ -20,9 +20,10 @@ from itertools import combinations
 import numpy as np
 
 from .dof import reference_solver
-from .forms import pattern_shape, wedge_insert
+from .forms import wedge_insert
 from .mesh import LOCATE_TOL, RefinedMesh, compound_matrix  # noqa: F401 (re-exported)
 from .quadrature import gauss_unit_cube
+from .smallcubes import anchor_runs, pattern_shape
 
 
 @dataclass
@@ -76,16 +77,6 @@ class Cochain:
         return cls(degree, np.array([pairs[i] for i in range(len(pairs))]))
 
 
-def _direction_runs(dimension: int, degree: int, order: int):
-    """Per direction tuple: its run of the canonical local order and anchors."""
-    runs, start = [], 0
-    for dirs in combinations(range(dimension), degree):
-        anchors = np.indices(pattern_shape(dimension, dirs, order)).reshape(dimension, -1).T
-        runs.append((dirs, slice(start, start + len(anchors)), anchors.astype(float)))
-        start += len(anchors)
-    return runs
-
-
 #: Quadrature points that ``de_rham`` maps and evaluates per batch of
 #: cells: enough to make the per-batch overhead negligible, few enough
 #: that the form's temporaries stay a few megabytes however large the mesh.
@@ -127,7 +118,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     values = np.empty(refined.count(p))
-    for t, (dirs, sl, anchors) in enumerate(_direction_runs(n, p, k)):
+    for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
         x = np.zeros((len(anchors), nq, n))
         x += anchors[:, None, :]
         for j, axis in enumerate(dirs):
@@ -279,11 +270,6 @@ class PiecewiseForm:
                 term = np.moveaxis(np.tensordot(diff, block, ([1], [axis + 1])), 0, axis + 1)
                 terms[new_dirs] = terms.get(new_dirs, 0) + sign * term
         return PiecewiseForm(self.refined, self.degree + 1, dict(sorted(terms.items())))
-
-
-def evaluate_piecewise(form: PiecewiseForm, points, cell: int | None = None):
-    """Module-level alias for :meth:`PiecewiseForm.evaluate`."""
-    return form.evaluate(points, cell=cell)
 
 
 def _reference_values(form: PiecewiseForm, cells, spanned, fixed) -> np.ndarray:

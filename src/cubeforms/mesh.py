@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from .forms import PolyForm, exterior_derivative
-from .smallcubes import SmallCube, enumerate_small_cubes, small_cube_positions
+from .smallcubes import SmallCube, anchor_runs, enumerate_small_cubes, pattern_shape
 
 #: Relative tolerance for the parallelotope shape check.
 SHAPE_TOL = 1e-12
@@ -555,16 +555,9 @@ def _reference_pattern(dimension: int, degree: int, order: int):
     ones), so the weights are integers over (2k)^n.
     """
     n, k = dimension, order
-    local = enumerate_small_cubes(n, degree, k)
-    tuples = {dirs: t for t, dirs in enumerate(combinations(range(n), degree))}
-    direction = np.array([tuples[sc.directions] for sc in local], dtype=np.int64)
-    centre = np.array(
-        [
-            [2 * a + (axis in sc.directions) for axis, a in enumerate(sc.anchor_numerators)]
-            for sc in local
-        ],
-        dtype=np.int64,
-    )
+    runs = anchor_runs(n, degree, k)
+    direction = np.repeat(np.arange(len(runs)), [len(anchors) for _, _, anchors in runs])
+    centre = np.concatenate([2 * anchors + np.isin(np.arange(n), dirs) for dirs, _, anchors in runs])
     bits = _corner_shifts(n).astype(bool)
     weights = np.where(bits, centre[:, None, :], 2 * k - centre[:, None, :]).prod(axis=2)
     return _frozen(direction), _frozen(weights)
@@ -576,23 +569,24 @@ def _reference_incidence(dimension: int, degree: int, order: int):
 
     Returns (faces, signs), one row per local (p+1)-cube in canonical
     order: the face fixing the j-th spanned direction enters with
-    (-1)^j, positive on the far side and negative on the near side.
+    (-1)^j, positive on the far side and negative on the near side.  A
+    face's position is its run's start plus its anchor's flat index.
     """
-    positions = small_cube_positions(dimension, degree, order)
-    faces, signs = [], []
-    for sc in enumerate_small_cubes(dimension, degree + 1, order):
-        for j, axis in enumerate(sc.directions):
-            face_dirs = tuple(d for d in sc.directions if d != axis)
+    n, k = dimension, order
+    starts = {dirs: sl.start for dirs, sl, _ in anchor_runs(n, degree, k)}
+    faces = []
+    for dirs, _, anchors in anchor_runs(n, degree + 1, k):
+        columns = []
+        for j, axis in enumerate(dirs):
+            face_dirs = dirs[:j] + dirs[j + 1 :]
+            shape = pattern_shape(n, face_dirs, k)
             for side in (0, 1):
-                nums = list(sc.anchor_numerators)
-                nums[axis] += side
-                faces.append(positions[face_dirs, tuple(nums)])
-                signs.append((-1) ** j * (1 if side else -1))
-    shape = (-1, 2 * (degree + 1))
-    return (
-        _frozen(np.array(faces, dtype=np.int64).reshape(shape)),
-        _frozen(np.array(signs, dtype=np.int64).reshape(shape)),
-    )
+                nums = anchors + side * (np.arange(n) == axis)
+                columns.append(starts[face_dirs] + np.ravel_multi_index(nums.T, shape))
+        faces.append(np.stack(columns, axis=1))
+    faces = np.concatenate(faces)
+    signs = [(-1) ** j * (2 * side - 1) for j in range(degree + 1) for side in (0, 1)]
+    return _frozen(faces), _frozen(np.tile(np.array(signs, dtype=np.int64), (len(faces), 1)))
 
 
 @dataclass
@@ -690,14 +684,13 @@ class RefinedMesh:
 
     def to_csv(self, path, degree: int) -> None:
         """Debug dump: one line per global cube with owners and anchor."""
-        local = self.local_cubes(degree)
+        runs = anchor_runs(self.dimension, degree, self.order)
+        local = np.concatenate([anchors for _, _, anchors in runs]) / self.order
         owner_counts = self.owner_counts(degree)
         with open(path, "w") as fh:
             fh.write("id,degree,n_owners,first_cell,anchor\n")
             for g, (cell, li) in enumerate(self.first_owners[degree].tolist()):
-                anchor = self.maps[cell](
-                    np.array([float(a) for a in local[li].anchor])
-                )
+                anchor = self.maps[cell](local[li])
                 coords = " ".join(f"{x:.6g}" for x in anchor)
                 fh.write(f"{g},{degree},{owner_counts[g]},{cell},{coords}\n")
 

@@ -6,8 +6,11 @@ On its free axes it spans an interval of length 1/k; on the remaining
 axes it sits at a grid value j/k.  Distinct generator pairs (m, face)
 can produce the same point set, so cubes are listed by exact geometry
 instead: per direction tuple, every anchor (integer numerators over k,
-0..k-1 on free axes and 0..k on fixed ones) in lexicographic order, each
-built with its canonical generator by :func:`small_cube_from_geometry`.
+0..k-1 on free axes and 0..k on fixed ones) in lexicographic order.
+:func:`anchor_runs` holds that order as integer tables, which is all
+the reference solve, refinement and interpolation read;
+:func:`enumerate_small_cubes` builds each entry as a :class:`SmallCube`
+with its canonical generator (:func:`small_cube_from_geometry`).
 
 The order k is part of a small cube's identity: the same multi-index
 denotes different translates for different k, so k is stored explicitly
@@ -21,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 from .combinatorics import FaceId, MultiIndex
 
@@ -164,14 +169,38 @@ def small_cube_from_geometry(
     return SmallCube(order, MultiIndex(tuple(mi)), face)
 
 
+def pattern_shape(dimension: int, directions: tuple[int, ...], order: int) -> tuple[int, ...]:
+    """Anchor (and exponent) grid of one direction tuple: k on its axes, k + 1 elsewhere."""
+    return tuple(order if axis in directions else order + 1 for axis in range(dimension))
+
+
+@lru_cache(maxsize=None)
+def anchor_runs(dimension: int, degree: int, order: int):
+    """The canonical small-cube order as integer tables.
+
+    One entry per direction tuple, in ``combinations`` order: the tuple,
+    its slice of the canonical order, and its anchor numerators, a
+    read-only (count, n) int array in lexicographic order, axis 0 slowest.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not 0 <= degree <= dimension:
+        raise ValueError(f"degree {degree} out of range for dimension {dimension}")
+    runs, start = [], 0
+    for dirs in combinations(range(dimension), degree):
+        anchors = np.indices(pattern_shape(dimension, dirs, order)).reshape(dimension, -1).T
+        anchors.setflags(write=False)
+        runs.append((dirs, slice(start, start + len(anchors)), anchors))
+        start += len(anchors)
+    return tuple(runs)
+
+
 @lru_cache(maxsize=None)
 def _enumerate_small_cubes(dimension: int, degree: int, order: int):
     return tuple(
-        small_cube_from_geometry(order, dirs, anchor)
-        for dirs in combinations(range(dimension), degree)
-        for anchor in product(
-            *(range(order) if axis in dirs else range(order + 1) for axis in range(dimension))
-        )
+        small_cube_from_geometry(order, dirs, tuple(anchor))
+        for dirs, _, anchors in anchor_runs(dimension, degree, order)
+        for anchor in anchors.tolist()
     )
 
 
@@ -182,10 +211,6 @@ def enumerate_small_cubes(dimension: int, degree: int, order: int) -> list[Small
     smallest generator; the result is ordered by (directions, anchor)
     and has exactly C(n, p) * k^p * (k+1)^(n-p) entries.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if not 0 <= degree <= dimension:
-        raise ValueError(f"degree {degree} out of range for dimension {dimension}")
     return list(_enumerate_small_cubes(dimension, degree, order))
 
 
@@ -196,13 +221,6 @@ def small_cube_count(dimension: int, degree: int, order: int) -> int:
         * order**degree
         * (order + 1) ** (dimension - degree)
     )
-
-
-@lru_cache(maxsize=None)
-def small_cube_positions(dimension: int, degree: int, order: int):
-    """Map geometry key -> position in the canonical enumeration."""
-    cubes = _enumerate_small_cubes(dimension, degree, order)
-    return {sc.geometry_key(): i for i, sc in enumerate(cubes)}
 
 
 def pave_check(dimension: int, order: int) -> bool:

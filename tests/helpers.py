@@ -17,6 +17,14 @@ from cubeforms.mesh import (
 )
 
 
+def dense_dof_matrix(dm):
+    """The whole reference DOF matrix: the block-diagonal join of ``dm.block``."""
+    dense = np.zeros((dm.size, dm.size))
+    for dirs, sl in dm.blocks.items():
+        dense[sl, sl] = dm.block(dirs)
+    return dense
+
+
 def scramble_corners(mesh, rng):
     """The same mesh with each cell's corners relabelled by a random
     symmetry of the cube: an axis permutation followed by axis flips.

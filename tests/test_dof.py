@@ -6,6 +6,8 @@ quadrature applied to the raw generator products, which shares no code
 with the Fraction pipeline.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,18 +15,19 @@ import pytest
 from scipy.integrate import quad
 
 from cubeforms.dof import (
+    RANK_TOL,
     DofMatrix,
     ReferenceSolver,
     assemble_dof_matrix,
     average_over_small_cube,
     check_unisolvence,
-    dof_value,
     dof_value_exact,
     integral_1d,
     reference_solver,
-    solve_reference_coefficients,
 )
 from cubeforms.smallcubes import enumerate_small_cubes, small_cube_from_geometry
+
+from helpers import dense_dof_matrix
 
 # sympy.integrate((z + x)**n * (y + 1 - x)**m, (x, 0, 1)) for (m, n, y, z)
 INTEGRAL_1D_CASES = {
@@ -92,7 +95,7 @@ def test_dof_value_frozen_cases():
         cube = small_cube_from_geometry(k, cd, ca)
         basis = small_cube_from_geometry(k, bd, ba)
         assert dof_value_exact(cube, basis) == want
-        assert dof_value(cube, basis) == float(want)
+        assert float(dof_value_exact(cube, basis)) == float(want)
 
 
 def test_dof_value_rejects_mismatched_spaces():
@@ -141,7 +144,7 @@ def test_dof_value_against_quadrature(n, p, k):
             if cube.directions != basis.directions:
                 assert dof_value_exact(cube, basis) == 0
                 continue
-            got = dof_value(cube, basis)
+            got = float(dof_value_exact(cube, basis))
             ref = quad_dof(cube, basis)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -165,18 +168,18 @@ def test_matrix_block_structure(n, p, k, size, blocks):
     assert isinstance(dm, DofMatrix)
     assert dm.size == size
     assert set(dm.blocks) == blocks
-    covered = np.zeros_like(dm.matrix, dtype=bool)
-    for sl in dm.blocks.values():
-        covered[sl, sl] = True
-    assert np.all(dm.matrix[~covered] == 0.0)
-    cubes = dm.cubes
+    # the blocks tile the canonical order, in combinations order
+    slices = list(dm.blocks.values())
+    assert slices[0].start == 0 and slices[-1].stop == size
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    cubes = enumerate_small_cubes(n, p, k)
     for dirs, sl in dm.blocks.items():
         assert all(cubes[i].directions == dirs for i in range(sl.start, sl.stop))
         block = dm.block(dirs)
         assert block.shape == (sl.stop - sl.start, sl.stop - sl.start)
         for r in range(sl.start, sl.stop):
             for c in range(sl.start, sl.stop):
-                assert dm.matrix[r, c] == float(
+                assert block[r - sl.start, c - sl.start] == float(
                     dof_value_exact(cubes[r], cubes[c])
                 )
 
@@ -184,55 +187,96 @@ def test_matrix_block_structure(n, p, k, size, blocks):
 def test_matrix_is_read_only_and_cached():
     dm = assemble_dof_matrix(2, 1, 2)
     assert assemble_dof_matrix(2, 1, 2) is dm
-    with pytest.raises(ValueError):
-        dm.matrix[0, 0] = 3.0
+    for table in (dm.spanned, dm.fixed):
+        with pytest.raises(ValueError):
+            table[0, 0] = 3.0
+    with pytest.raises(KeyError):
+        dm.block((0, 1))
 
 
 def test_order_one_vertices_give_identity():
     for n in (1, 2, 3):
         dm = assemble_dof_matrix(n, 0, 1)
-        assert np.array_equal(dm.matrix, np.eye(dm.size))
+        assert np.array_equal(dense_dof_matrix(dm), np.eye(dm.size))
 
 
 def test_order_one_volume_form_is_unit():
     dm = assemble_dof_matrix(2, 2, 1)
-    assert dm.matrix.shape == (1, 1)
-    assert dm.matrix[0, 0] == 1.0
+    block = dm.block((0, 1))
+    assert block.shape == (1, 1)
+    assert block[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("n,k", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)])
 def test_unisolvence_small_sweep(n, k):
     for p in range(n + 1):
+        dm = assemble_dof_matrix(n, p, k)
         report = check_unisolvence(n, p, k)
         assert report.invertible
         assert report.condition_estimate >= 1.0
         assert 0 < report.min_singular <= report.max_singular
-        assert set(report.block_conditions) == set(
-            assemble_dof_matrix(n, p, k).blocks
-        )
+        assert set(report.block_conditions) == set(dm.blocks)
+        # the factor-product certificate against a dense SVD of each block
+        for dirs in dm.blocks:
+            s = np.linalg.svd(dm.block(dirs), compute_uv=False)
+            assert report.block_conditions[dirs] == pytest.approx(s[0] / s[-1], rel=1e-10)
+            assert report.min_singular == pytest.approx(s[-1], rel=1e-10)
+            assert report.max_singular == pytest.approx(s[0], rel=1e-10)
+            assert s[-1] > RANK_TOL * s[0]
 
 
 def test_reference_solver_round_trip():
     rng = np.random.default_rng(17)
     n, p, k = 2, 1, 3
     dm = assemble_dof_matrix(n, p, k)
+    dense = dense_dof_matrix(dm)
     solver = reference_solver(n, p, k)
     assert isinstance(solver, ReferenceSolver)
     assert reference_solver(n, p, k) is solver
     coeffs = rng.standard_normal(dm.size)
-    values = dm.matrix @ coeffs
+    values = dense @ coeffs
     back = solver.solve(values)
     assert np.abs(back - coeffs).max() < 1e-10
     # batched right-hand sides
     many = rng.standard_normal((dm.size, 5))
     out = solver.solve(many)
     assert out.shape == many.shape
-    assert np.abs(dm.matrix @ out - many).max() < 1e-10
-    # convenience wrapper
-    again = solve_reference_coefficients(n, p, k, values)
+    assert np.abs(dense @ out - many).max() < 1e-10
+    # the cached solver gives the same answer again
+    again = reference_solver(n, p, k).solve(values)
     assert np.array_equal(again, back)
 
 
 def test_reference_solver_rejects_wrong_length():
     with pytest.raises(ValueError):
         reference_solver(2, 1, 2).solve(np.ones(3))
+
+
+def test_residual_check_uses_the_blocks_not_the_inverses():
+    # a fresh solver, so the cached one stays intact
+    solver = ReferenceSolver(assemble_dof_matrix(2, 1, 3))
+    values = np.random.default_rng(3).standard_normal(solver.matrix.size)
+    solver.solve(values)
+    solver._inverses[1][0, 0] *= 1 + 1e-6
+    with pytest.raises(RuntimeError, match="residual"):
+        solver.solve(values)
+
+
+def test_reference_solver_envelope_in_3d():
+    # k = 6 is the last order admitted for every degree
+    for p in range(4):
+        reference_solver(3, p, 6)
+    for p in range(3):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            reference_solver(3, p, 7)
+    reference_solver(3, 3, 7)
+    for p in range(4):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            reference_solver(3, p, 8)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, cubeforms; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

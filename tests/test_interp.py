@@ -25,7 +25,6 @@ from cubeforms.interp import (
     _locate_cells,
     coboundary,
     de_rham,
-    evaluate_piecewise,
     interpolate,
     verify_identities,
 )
@@ -193,7 +192,7 @@ def test_piecewise_point_location_and_hints():
     assert all(np.isfinite(np.asarray(v)).all() for v in on_edge.values())
     with pytest.raises(ValueError, match="no mesh cell"):
         approx.evaluate(np.array([[1.7, 0.1]]))
-    single = evaluate_piecewise(approx, np.array([0.2, 0.3]))
+    single = approx.evaluate(np.array([0.2, 0.3]))
     assert single[(0,)] == pytest.approx(float(np.asarray(auto[(0,)])[0]))
 
 

@@ -4,17 +4,19 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from cubeforms.combinatorics import MultiIndex, enumerate_faces, enumerate_multi_indices
 from cubeforms.smallcubes import (
     SmallCube,
+    anchor_runs,
     enumerate_small_cubes,
     pave_check,
     small_cube_count,
     small_cube_from_geometry,
     small_cube_map,
-    small_cube_positions,
+    pattern_shape,
 )
 
 
@@ -118,10 +120,16 @@ def test_paving(n, k):
 
 
 def test_positions_agree_with_enumeration():
-    pos = small_cube_positions(2, 1, 3)
-    cubes = enumerate_small_cubes(2, 1, 3)
-    for i, sc in enumerate(cubes):
-        assert pos[sc.geometry_key()] == i
+    # a cube's position is its run's start plus its anchor's flat index
+    for n, p, k in [(2, 1, 3), (3, 1, 2), (3, 2, 3)]:
+        cubes = enumerate_small_cubes(n, p, k)
+        runs = anchor_runs(n, p, k)
+        assert runs[-1][1].stop == len(cubes)
+        for dirs, sl, anchors in runs:
+            assert len(anchors) == sl.stop - sl.start
+            for anchor in anchors:
+                i = sl.start + np.ravel_multi_index(tuple(anchor), pattern_shape(n, dirs, k))
+                assert cubes[i].geometry_key() == (dirs, tuple(anchor.tolist()))
 
 
 def test_enumeration_grouped_by_directions():
