@@ -284,6 +284,8 @@ class ReferenceSolver:
 
         The residual is taken against the blocks themselves, applied
         through F_k and P_k axis by axis, never through the inverses.
+        Raises RuntimeError when it is above ``RESIDUAL_TOL`` times the
+        values' norm or not finite (from NaN or infinite values).
         """
         dm = self.matrix
         v = np.asarray(values, dtype=float)
@@ -296,7 +298,7 @@ class ReferenceSolver:
             applied[sl] = _apply_per_axis(dm.dimension, dirs, dm.spanned, dm.fixed, out[sl])
         residual = np.linalg.norm(applied - v)
         scale = max(1.0, float(np.linalg.norm(v)))
-        if residual > RESIDUAL_TOL * scale:
+        if not residual <= RESIDUAL_TOL * scale:
             raise RuntimeError(
                 f"reference solve residual {residual:.3e} exceeds "
                 f"{RESIDUAL_TOL:.1e} * {scale:.3e}"

@@ -22,19 +22,26 @@ import numpy as np
 from .dof import reference_solver
 from .forms import wedge_insert
 from .mesh import LOCATE_TOL, RefinedMesh, compound_matrix  # noqa: F401 (re-exported)
-from .quadrature import gauss_unit_cube
+from .quadrature import gauss_unit_cube, gauss_unit_interval
 from .smallcubes import anchor_runs, pattern_shape
 
 
 @dataclass
 class Cochain:
-    """A real value per global small cube of one degree."""
+    """A real value per global small cube of one degree.
+
+    Raises ValueError naming the first id whose value is not finite.
+    """
 
     degree: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float).reshape(-1)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(f"cochain id {first} has a non-finite value ({vals[first]})")
         vals.setflags(write=False)
         self.values = vals
 
@@ -78,8 +85,12 @@ class Cochain:
 
 
 #: Quadrature points that ``de_rham`` maps and evaluates per batch of
-#: cells: enough to make the per-batch overhead negligible, few enough
-#: that the form's temporaries stay a few megabytes however large the mesh.
+#: cells when integrating a form at physical points (analytic forms, or
+#: a piecewise form on another mesh): enough to make the per-batch
+#: overhead negligible, few enough that the form's temporaries stay a few
+#: megabytes however large the mesh.  An interpolant on its own mesh is
+#: integrated by per-axis tables and never evaluated point by point, so
+#: this bound does not apply to it.
 DE_RHAM_BATCH_POINTS = 1 << 16
 
 
@@ -98,11 +109,21 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     with more than :data:`DE_RHAM_BATCH_POINTS` such points go in batches
     of consecutive cells, to bound the temporaries); the integrands then
     meet the weights in one product and are scattered to the global
-    cubes in one assignment.  A :class:`PiecewiseForm` on the same mesh
-    is instead evaluated at the reference points directly, cell by cell,
-    from factor tables built once per direction tuple.  Where owners of
-    a cube disagree in the last bit, the last owner in (tuple, cell)
-    order wins.
+    cubes in one assignment.
+
+    A :class:`PiecewiseForm` on the same mesh is, on every cell, a sum of
+    products of 1-D factors, and the Gauss rule is a tensor product too,
+    so its integrals are sum-factorised instead: per axis, each factor
+    is integrated by the 1-D rule over the k segments [b/k, (b+1)/k]
+    (axes in the tuple) or evaluated at the k + 1 nodes b/k (other
+    axes), and all cells' coefficient blocks are contracted with these
+    tables one axis at a time.  The reference components are then
+    pushed forward and paired with each small cube's span by one p-by-p
+    minor product per cell.  No quadrature point is formed, so this path
+    needs no batching.
+
+    Where owners of a cube disagree in the last bit, the last owner in
+    (tuple, cell) order wins.
     """
     n = refined.dimension
     p = form.degree
@@ -118,23 +139,29 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     values = np.empty(refined.count(p))
+    if on_reference:
+        order = form.refined.order
+        nodes = _axis_tables(order, k, k + 1, np.zeros(1), np.ones(1))
+        # point values (p = 0) span no axis, so they need no rule
+        edges = _axis_tables(order, k, k, *gauss_unit_interval(q)) if p else None
+        # mix[c, r, t]: reference component r's weight in the integral over tuple t
+        mix = compound_matrix(form.refined.inverse_linears, p) @ spans
     for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
+        if on_reference:
+            cube_vals = np.zeros((n_cells, len(anchors)))
+            for r, comp in enumerate(combos):
+                block = form.coefficients[comp]
+                for j in range(n):  # each step sums out the leading anchor axis
+                    spanned, fixed = edges if j in dirs else nodes
+                    block = np.tensordot(block, spanned if j in comp else fixed, ([1], [0]))
+                cube_vals += mix[:, r, t, None] * block.reshape(cube_vals.shape)
+            values[table[:, sl].ravel()] = (signs[:, sl] * cube_vals).ravel()
+            continue
         x = np.zeros((len(anchors), nq, n))
         x += anchors[:, None, :]
         for j, axis in enumerate(dirs):
             x[:, :, axis] += tpts[None, :, j]
         x = x.reshape(-1, n) / k
-        if on_reference:
-            # cell by cell, so the temporaries stay one cell's
-            factors = _factor_tables(x, form.refined.order)
-            for ci in range(n_cells):
-                comps = _reference_values(form, ci, *factors)
-                integrand = np.zeros(len(x))
-                for minor, vals in zip(spans[ci, :, t], comps):
-                    if minor != 0.0:
-                        integrand += minor * vals
-                values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
-            continue
         size = max(1, DE_RHAM_BATCH_POINTS // len(x))
         for lo in range(0, n_cells, size):
             batch = slice(lo, lo + size)
@@ -150,6 +177,19 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
             cube_vals = integrand.reshape(len(minors), -1, nq) @ twts
             values[table[batch, sl].ravel()] = (signs[batch, sl] * cube_vals).ravel()
     return Cochain(p, values)
+
+
+def _axis_tables(order: int, k: int, count: int, pts, wts) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's 1-D rule applied to the product factors of a basis order.
+
+    Entry [a, b] is sum_i wts[i] * factor_a((b + pts[i]) / k) for b in
+    0..count-1, for the spanned factors (shape (order, count)) and the
+    fixed ones (shape (order + 1, count)) of :func:`_factor_tables`.
+    """
+    x = (np.arange(count)[:, None] + pts) / k
+    factors = _factor_tables(x.reshape(-1, 1), order)
+    spanned, fixed = (f.reshape(len(f), count, len(wts)) @ wts for f in factors)
+    return spanned, fixed
 
 
 def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
@@ -186,7 +226,7 @@ def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         rise[a] = rise[a - 1] * x.T
         fall[a] = fall[a - 1] * (1 - x.T)
     spanned = rise[:order] * fall[order - 1 :: -1]
-    rise *= fall[::-1]  # in place: de_rham holds these tables for many points
+    rise *= fall[::-1]  # in place: evaluate builds these tables for whole point batches
     return spanned, rise
 
 

@@ -6,15 +6,18 @@ import numpy as np
 
 from cubeforms.catalog import get_form
 from cubeforms.cli import _sample_grid
-from cubeforms.interp import de_rham, interpolate
+from cubeforms.interp import Cochain, _factor_tables, _reference_values, de_rham, interpolate
 from cubeforms.mesh import (
     EDGE_SNAP_TOL,
     LOCATE_TOL,
     CubicalMesh,
     MeshValidationError,
+    compound_matrix,
     refine,
     structured_mesh,
 )
+from cubeforms.quadrature import gauss_unit_cube
+from cubeforms.smallcubes import anchor_runs
 
 
 def dense_dof_matrix(dm):
@@ -148,6 +151,40 @@ def sup_errors_by_cell(dimension, degree, order, m_list, *, shear=0.0, samples=6
                 err = max(err, float(np.abs(values - np.asarray(want.get(dirs, 0.0))).max()))
         errors.append(err)
     return errors
+
+
+def de_rham_by_cell(form, refined, quad_order=None):
+    """Integrals of a piecewise form over the small cubes of its own mesh, cell by cell.
+
+    The oracle for the sum-factorised same-mesh path of ``de_rham``: each
+    cell evaluates the form at the tensor Gauss points of every small
+    cube, at their reference coordinates, and sums the integrands
+    against the tensor weights.  As in ``de_rham``, the last owner of a
+    cube in (tuple, cell) order writes its value.
+    """
+    n, p, k = refined.dimension, form.degree, refined.order
+    q = quad_order if quad_order is not None else 2 * k + 2
+    tpts, twts = gauss_unit_cube(p, q)
+    nq = len(twts)
+    spans = compound_matrix(refined.linears / k, p)
+    table = refined.cell_tables[p]
+    signs = refined.cell_signs[p]
+    values = np.empty(refined.count(p))
+    for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
+        x = np.zeros((len(anchors), nq, n))
+        x += anchors[:, None, :]
+        for j, axis in enumerate(dirs):
+            x[:, :, axis] += tpts[None, :, j]
+        x = x.reshape(-1, n) / k
+        factors = _factor_tables(x, form.refined.order)
+        for ci in range(refined.mesh.n_cells):
+            comps = _reference_values(form, ci, *factors)
+            integrand = np.zeros(len(x))
+            for minor, vals in zip(spans[ci, :, t], comps):
+                if minor != 0.0:
+                    integrand += minor * vals
+            values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
+    return Cochain(p, values)
 
 
 def coefficient_norms(form):

@@ -166,6 +166,26 @@ def test_interpolate_rejects_cochain_row_without_value(tmp_path, capsys):
     assert f"{cochain_path} line 3" in err
 
 
+def test_interpolate_rejects_non_finite_cochain_value(tmp_path, capsys):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(2, 1), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    cochain_path.write_text("id,value\n0,1.0\n1,0.5\n2,nan\n3,0.0\n")
+    code = main(
+        [
+            "interpolate",
+            "--mesh", str(mesh_path),
+            "--cochain", str(cochain_path),
+            "--p", "0",
+            "--k", "1",
+        ]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cochain id 2 has a non-finite value (nan)\n"
+
+
 def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
     # --k allows 8, but in 3D the reference solve is singular from k = 7 at p = 0
     mesh_path = tmp_path / "mesh.json"

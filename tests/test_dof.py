@@ -262,6 +262,14 @@ def test_residual_check_uses_the_blocks_not_the_inverses():
         solver.solve(values)
 
 
+def test_residual_check_rejects_non_finite_values():
+    # NaN compares false against any bound, so the check must not read it as small
+    values = np.ones(reference_solver(2, 1, 2).matrix.size)
+    values[3] = np.nan
+    with pytest.raises(RuntimeError, match="residual nan exceeds"):
+        reference_solver(2, 1, 2).solve(values)
+
+
 def test_reference_solver_envelope_in_3d():
     # k = 6 is the last order admitted for every degree
     for p in range(4):

@@ -32,6 +32,7 @@ from cubeforms.mesh import CubicalMesh, PulledBackForm, refine, structured_mesh
 
 from helpers import (
     coefficient_norms,
+    de_rham_by_cell,
     graded_mesh,
     locate_by_scan,
     scramble_corners,
@@ -69,6 +70,12 @@ def test_cochain_csv_rejects_duplicates_and_gaps(tmp_path):
     gap.write_text("0,1.0\n2,2.0\n")
     with pytest.raises(ValueError, match="0..1"):
         Cochain.from_csv(gap, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cochain_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match=rf"cochain id 2 has a non-finite value \({bad}\)"):
+        Cochain(1, [0.5, 1.0, bad, 2.0, bad])
 
 
 def test_cochain_values_read_only():
@@ -372,17 +379,54 @@ def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_poin
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_de_rham_on_reference_points_matches_physical_evaluation(n, k):
-    # a piecewise form is integrated at reference points of each cell;
-    # hiding its type makes de_rham evaluate it at mapped physical points
+    # a piecewise form on its own mesh is integrated by per-axis tables;
+    # hiding its type makes de_rham evaluate it at mapped physical points.
+    # Both apply the same Gauss rule, so a one-point rule (far from exact
+    # at k = 3) only agrees if the tables use it too
     rng = np.random.default_rng(6)
     mesh = structured_mesh(n, 2, shear=0.3)
     for m in (mesh, scramble_corners(mesh, rng)):
         refined = refine(m, k)
         for p in range(n + 1):
             approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
-            got = de_rham(approx, refined).values
-            want = de_rham(_PhysicalOnly(approx), refined).values
-            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            for quad_order in (None, 1):
+                got = de_rham(approx, refined, quad_order).values
+                want = de_rham(_PhysicalOnly(approx), refined, quad_order).values
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), quad_order
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)])
+def test_de_rham_on_own_mesh_matches_per_cell_oracle(n, k):
+    # the sum-factorised integrals agree with evaluating every cell at the
+    # tensor Gauss points, for the default, a one-point and a high-order rule
+    rng = np.random.default_rng([7, n, k])
+    meshes = [structured_mesh(n, 2)]
+    if n >= 2:
+        sheared = structured_mesh(n, 2, shear=0.3)
+        meshes = [sheared, scramble_corners(sheared, rng)]
+    for mesh in meshes:
+        refined = refine(mesh, k)
+        for p in range(n + 1):
+            approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+            for quad_order in (None, 1, 2 * k + 5):
+                got = de_rham(approx, refined, quad_order).values
+                want = de_rham_by_cell(approx, refined, quad_order).values
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (p, quad_order)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_de_rham_on_own_mesh_at_other_orders_matches_per_cell_oracle(n):
+    # the same mesh refined to another order: the tables keep the form's
+    # own basis order while the small cubes follow the target's
+    rng = np.random.default_rng([8, n])
+    mesh = scramble_corners(structured_mesh(n, 2, shear=0.3), rng)
+    source = refine(mesh, 2)
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(source.count(p))), source)
+        for target in (refine(mesh, 1), refine(mesh, 3)):
+            got = de_rham(approx, target).values
+            want = de_rham_by_cell(approx, target).values
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (p, target.order)
 
 
 def test_piecewise_derivative_is_closed():
