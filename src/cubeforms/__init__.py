@@ -33,7 +33,6 @@ from .mesh import (
     MeshValidationError,
     RefinedMesh,
     load_mesh,
-    pullback_basis,
     refine,
     save_mesh,
     structured_mesh,
@@ -85,7 +84,6 @@ __all__ = [
     "lowest_order_form",
     "load_mesh",
     "pave_check",
-    "pullback_basis",
     "refine",
     "save_mesh",
     "small_cube_count",

@@ -91,10 +91,6 @@ class FaceId:
         """Fixed axes as a mapping axis -> value."""
         return dict(self.fixed_values)
 
-    def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Canonical ordering key: direction set, then fixed bits."""
-        return self.directions, tuple(v for _, v in self.fixed_values)
-
 
 def enumerate_multi_indices(dimension: int, bound: int) -> list[MultiIndex]:
     """All multi-indices with components in 0..bound, lexicographically.

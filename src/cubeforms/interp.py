@@ -135,7 +135,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     on_reference = isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh
     combos = list(combinations(range(n), p))
     # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
-    spans = compound_matrix(refined.linears / k, p)
+    spans = compound_matrix(refined.mesh.linears / k, p)
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     values = np.empty(refined.count(p))
@@ -145,7 +145,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
         # point values (p = 0) span no axis, so they need no rule
         edges = _axis_tables(order, k, k, *gauss_unit_interval(q)) if p else None
         # mix[c, r, t]: reference component r's weight in the integral over tuple t
-        mix = compound_matrix(form.refined.inverse_linears, p) @ spans
+        mix = compound_matrix(refined.mesh.inverse_linears, p) @ spans
     for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
         if on_reference:
             cube_vals = np.zeros((n_cells, len(anchors)))
@@ -165,10 +165,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
         size = max(1, DE_RHAM_BATCH_POINTS // len(x))
         for lo in range(0, n_cells, size):
             batch = slice(lo, lo + size)
-            # matmul maps cell by cell, with the same products as AffineMap.__call__
-            points = x @ np.swapaxes(refined.linears[batch], 1, 2)
-            points += refined.origins[batch, None, :]
-            comps = form.evaluate(points)
+            comps = form.evaluate(refined.mesh.map_points(x, batch))
             minors = spans[batch, :, t]
             integrand = np.zeros((len(minors), len(x)))
             for dirs_i, minor, used in zip(combos, minors.T, minors.any(axis=0)):
@@ -286,7 +283,8 @@ class PiecewiseForm:
         if cell is None:
             cells, x = _locate_cells(self.refined, flat)
         else:
-            cells, x = int(cell), self.refined.maps[cell].pull_to_reference(flat)
+            mesh = self.refined.mesh
+            cells, x = int(cell), (flat - mesh.origins[cell]) @ mesh.inverse_linears[cell].T
         out = _reference_values(self, cells, *_factor_tables(x, self.refined.order))
         combos = combinations(range(n), self.degree)
         if pts.ndim == 1:
@@ -337,7 +335,7 @@ def _reference_values(form: PiecewiseForm, cells, spanned, fixed) -> np.ndarray:
         for table in reversed(tables[:-1]):  # sum out the last anchor axis
             val = np.einsum("...as,as->...s", val, table)
         ref[r] = val
-    push = compound_matrix(form.refined.inverse_linears[cells], p)
+    push = compound_matrix(form.refined.mesh.inverse_linears[cells], p)
     if pinned:
         return push.T @ ref
     return np.einsum("sij,is->js", push, ref)
@@ -346,7 +344,7 @@ def _reference_values(form: PiecewiseForm, cells, spanned, fixed) -> np.ndarray:
 def _locate_cells(refined: RefinedMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lowest-index cell containing each point, and the point's reference coordinates.
 
-    Candidates come from the mesh's bucket grid (:meth:`RefinedMesh.cell_grid`):
+    Candidates come from the mesh's bucket grid (:attr:`CubicalMesh.cell_grid`):
     the cells whose bounding box, widened by ``LOCATE_TOL`` times the mesh
     scale, holds the point.  All (point, candidate) pairs are pulled back
     in one batch, a pair counts when every reference coordinate is within
@@ -357,10 +355,10 @@ def _locate_cells(refined: RefinedMesh, points: np.ndarray) -> tuple[np.ndarray,
     assign = np.full(len(points), -1)
     reference = np.empty_like(points)
     if refined.mesh.n_cells:
-        grid = refined.cell_grid()
+        grid = refined.mesh.cell_grid
         point, cell = grid.candidates(points)
-        offsets = points[point] - grid.origins[cell]
-        x = np.einsum("sj,sij->si", offsets, refined.inverse_linears[cell])
+        offsets = points[point] - refined.mesh.origins[cell]
+        x = np.einsum("sj,sij->si", offsets, refined.mesh.inverse_linears[cell])
         inside = np.all((x >= -grid.slack) & (x <= 1 + grid.slack), axis=1)
         # pairs run by point, then by cell: a point's first hit is its lowest cell
         hit, first = np.unique(point[inside], return_index=True)

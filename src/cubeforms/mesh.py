@@ -1,16 +1,17 @@
 """Cubical meshes of parallelotopes and their order-k refinements.
 
-A mesh stores vertices plus cells of 2^n vertex ids in binary-corner
-order: corner number c sits at reference coordinates whose j-th entry is
-bit j of c, so corner 0 is the cell origin, corner 1 its neighbour along
-reference axis 0, corner 2 along axis 1, and so on.  Every cell must be
-a parallelotope (the image of the unit cube under an invertible affine
-map) and cells may only meet along whole shared faces, which is checked
-on the shared vertex-id sets.
+A mesh is plain arrays: vertices, plus an int64 table of cells of 2^n
+vertex ids in binary-corner order (corner c sits at reference coordinates
+whose j-th entry is bit j of c, so corner 0 is the cell origin and corner
+2^j its neighbour along reference axis j).  Every cell must be a
+parallelotope (the image of the unit cube under an invertible affine map)
+and cells may only meet along whole shared faces, checked on the shared
+vertex-id sets.  The mesh alone owns the cell geometry: validation keeps
+the cell maps as stacked arrays, and the inverse Jacobians and the
+point-locating bucket grid are built from them once, for every refinement.
 
 Refinement glues the small p-cubes of all cells at once from one
-reference pattern per (n, p, k), with no loop over cells.  The cell maps
-are gathered once, as stacked origins and edge matrices.  A small cube
+reference pattern per (n, p, k), with no loop over cells.  A small cube
 is keyed exactly by the integer multilinear weights of its centre on the
 cell's vertex ids (denominator (2k)^n): the centre determines the cube,
 and its nonzero weights are intrinsic to the smallest face holding it,
@@ -20,8 +21,6 @@ spans of all (cell, direction tuple) pairs are oriented in one array
 pass; each owner records the sign relating its local direction order to
 the orientation of the cube's span at its first owner, and coboundaries
 scatter the reference boundary of each cube through that first owner.
-Points are located in cells through a bucket grid over the cells'
-bounding boxes, built once per refined mesh.
 """
 
 from __future__ import annotations
@@ -36,12 +35,14 @@ import numpy as np
 from scipy import sparse
 
 from .forms import PolyForm, exterior_derivative
-from .smallcubes import SmallCube, anchor_runs, enumerate_small_cubes, pattern_shape
+from .smallcubes import anchor_runs, pattern_shape
 
-#: Relative tolerance for the parallelotope shape check.
+#: Relative tolerance for the parallelotope shape check and for coincident vertices: on affine
+#: images of grids with coordinates of order 1 the shape check reads at most 4.5e-16.
 SHAPE_TOL = 1e-12
 
-#: Relative tolerance below which a cell map counts as degenerate.
+#: Relative |det| at or below which a cell map counts as degenerate: with coordinates of order
+#: 1, cells with edges dependent up to roundoff read <= 1.8e-16, sheared grids to 3D m=24 >= 7.2e-5.
 DEGENERACY_TOL = 1e-14
 
 
@@ -52,6 +53,11 @@ class MeshValidationError(ValueError):
 def _corner_shifts(dimension: int) -> np.ndarray:
     """Row c holds the reference coordinates of corner c: bit j of c."""
     return (np.arange(1 << dimension)[:, None] >> np.arange(dimension)) & 1
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -80,16 +86,19 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class CubicalMesh:
-    """Vertices and cells of a conforming parallelotope mesh.
+    """Vertices and cells of a conforming parallelotope mesh, as arrays.
 
-    Validation runs on construction and raises
-    :class:`MeshValidationError` with a description of the first problem
-    found.
+    ``cells`` (n_cells, 2^n) is read-only int64, from any integer rows.
+    Validation raises :class:`MeshValidationError` at the first problem
+    and keeps the cell maps, ``origins`` (n_cells, n) and ``linears``
+    (n_cells, n, n) with edges as columns; the rest is built on first use.
     """
 
     dimension: int
     vertices: np.ndarray
-    cells: tuple[tuple[int, ...], ...]
+    cells: np.ndarray
+    origins: np.ndarray = field(init=False, repr=False, compare=False)
+    linears: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = np.asarray(self.vertices, dtype=float)
@@ -100,12 +109,9 @@ class CubicalMesh:
             )
         if not np.all(np.isfinite(verts)):
             raise MeshValidationError("vertex coordinates must be finite")
-        verts = verts.copy()
-        verts.setflags(write=False)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(
-            self, "cells", tuple(tuple(int(v) for v in cell) for cell in self.cells)
-        )
+        object.__setattr__(self, "vertices", _frozen(verts.copy()))
+        cells = _cell_table(self.cells, self.dimension, self.n_vertices)
+        object.__setattr__(self, "cells", _frozen(cells))
         self._validate()
 
     @property
@@ -117,39 +123,36 @@ class CubicalMesh:
         return len(self.cells)
 
     def cell_map(self, index: int) -> AffineMap:
-        """Affine map of one cell, from its origin and edge corners."""
-        cell = self.cells[index]
-        origin = self.vertices[cell[0]]
-        linear = np.column_stack(
-            [self.vertices[cell[1 << j]] - origin for j in range(self.dimension)]
-        )
-        return AffineMap(origin=origin, linear=linear)
+        """Affine map of one cell: row ``index`` of the stacked maps."""
+        return AffineMap(origin=self.origins[index], linear=self.linears[index])
+
+    def map_points(self, reference_points, cells=slice(None)) -> np.ndarray:
+        """Reference points (..., s, n) mapped into the cells of a slice or index array.
+
+        Row c of the result is origins[c] + x @ linears[c].T, as in :class:`AffineMap`.
+        """
+        points = np.asarray(reference_points, dtype=float) @ np.swapaxes(self.linears[cells], 1, 2)
+        points += self.origins[cells, None, :]
+        return points
+
+    @cached_property
+    def inverse_linears(self) -> np.ndarray:
+        """The cell maps' inverse Jacobians, stacked: shape (n_cells, n, n)."""
+        return _frozen(np.linalg.inv(self.linears))
+
+    @cached_property
+    def cell_grid(self) -> "CellGrid":
+        """The bucket grid that locates points in cells."""
+        return CellGrid.build(self)
 
     # -- validation --------------------------------------------------
 
     def _validate(self) -> None:
-        n = self.dimension
-        nv = self.n_vertices
-        used: set[int] = set()
-        for ci, cell in enumerate(self.cells):
-            if len(cell) != 1 << n:
-                raise MeshValidationError(
-                    f"cell {ci} has {len(cell)} vertices, expected {1 << n} "
-                    f"in dimension {n}"
-                )
-            for v in cell:
-                if not 0 <= v < nv:
-                    raise MeshValidationError(
-                        f"cell {ci} references vertex {v}, valid ids are 0..{nv - 1}"
-                    )
-            if len(set(cell)) != len(cell):
-                raise MeshValidationError(f"cell {ci} repeats a vertex id: {cell}")
-            used.update(cell)
-        if len(used) != nv:
-            dangling = sorted(set(range(nv)) - used)
+        dangling = np.setdiff1d(np.arange(self.n_vertices), self.cells)
+        if dangling.size:
             raise MeshValidationError(
                 f"{len(dangling)} vertex ids are used by no cell "
-                f"(first few: {dangling[:5]})"
+                f"(first few: {dangling[:5].tolist()})"
             )
         self._check_duplicate_vertices()
         self._check_parallelotope()
@@ -169,28 +172,28 @@ class CubicalMesh:
             )
 
     def _check_parallelotope(self) -> None:
-        """Check every cell at once; report the lowest failing cell."""
+        """Check every cell at once, report the lowest failing cell, keep the maps."""
         n = self.dimension
-        cells = np.array(self.cells, dtype=np.intp).reshape(-1, 1 << n)
-        corners = self.vertices[cells]
+        corners = self.vertices[self.cells]
         edges = corners[:, 1 << np.arange(n)] - corners[:, :1]
-        # matmul sums the edges in the same order as AffineMap.__call__
         predicted = corners[:, :1] + _corner_shifts(n).astype(float) @ edges
         deviation = np.linalg.norm(corners - predicted, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0))
         skewed = deviation > SHAPE_TOL * scale[:, None] * (1 << n)
-        # edges as columns, as in cell_map, so the determinant matches it
-        determinant = np.linalg.det(edges.transpose(0, 2, 1))
+        linears = np.swapaxes(edges, 1, 2).copy()
+        determinant = np.linalg.det(linears)
         degenerate = np.abs(determinant) <= DEGENERACY_TOL * scale**n
         failing = np.flatnonzero(skewed.any(axis=1) | degenerate)
         if not failing.size:
+            object.__setattr__(self, "origins", _frozen(corners[:, 0].copy()))
+            object.__setattr__(self, "linears", _frozen(linears))
             return
         index = int(failing[0])
         if skewed[index].any():
             corner = int(np.argmax(skewed[index]))
             raise MeshValidationError(
                 f"cell {index} is not a parallelotope: corner {corner} "
-                f"(vertex {self.cells[index][corner]}) deviates by "
+                f"(vertex {self.cells[index, corner]}) deviates by "
                 f"{deviation[index, corner]:.3e} from the affine prediction "
                 f"{predicted[index, corner].tolist()}"
             )
@@ -208,8 +211,8 @@ class CubicalMesh:
         vary among them, so they form that face exactly when there are
         2^(number of varying bits) of them.
         """
-        n_cells, size = self.n_cells, 1 << self.dimension
-        cells = np.array(self.cells, dtype=np.intp).reshape(n_cells, size)
+        cells = self.cells
+        n_cells, size = cells.shape
         incidence = sparse.csr_matrix(
             (np.ones(cells.size), (np.repeat(np.arange(n_cells), size), cells.ravel())),
             shape=(n_cells, self.n_vertices),
@@ -224,12 +227,55 @@ class CubicalMesh:
             return
         i = int(failing[0])
         pair = (int(a[i]), int(b[i]))
-        shared = set(self.cells[pair[0]]) & set(self.cells[pair[1]])
+        shared = np.intersect1d(cells[pair[0]], cells[pair[1]])
         raise MeshValidationError(
-            f"cells {pair[0]} and {pair[1]} share vertex ids {sorted(shared)} "
+            f"cells {pair[0]} and {pair[1]} share vertex ids {shared.tolist()} "
             f"which do not form a whole face of cell {pair[int(np.argmin(whole[i]))]}; "
             "cells must meet along complete shared faces"
         )
+
+
+def _cell_table(cells, dimension: int, n_vertices: int) -> np.ndarray:
+    """Rows of ids, converted as ``int()`` does, as an int64 array (n_cells, 2^n).
+
+    The lowest failing row is reported: its length, then an id out of range, then a repeat.
+    """
+    size = 1 << dimension
+    try:
+        table = np.asarray(cells, dtype=np.int64)
+    except OverflowError:  # ids beyond 64 bits stay Python integers, out of range
+        table = np.asarray(cells, dtype=object)
+    except ValueError:  # ragged rows, or an entry that is no integer
+        table = None
+        lengths = np.fromiter(map(len, cells), dtype=np.int64)
+        if np.all(lengths == size):
+            raise
+    if table is not None:
+        if table.ndim == 1 and not table.size:
+            table = table.reshape(0, size)
+        if table.ndim != 2:
+            raise MeshValidationError(f"cells must be rows of vertex ids, got shape {table.shape}")
+        lengths = np.full(len(table), table.shape[1])
+    short = np.flatnonzero(lengths != size)
+    if short.size:
+        row = int(short[0])
+        _cell_table(cells[:row], dimension, n_vertices)  # the rows before it come first
+        raise MeshValidationError(
+            f"cell {row} has {lengths[row]} vertices, expected {size} in dimension {dimension}"
+        )
+    outside = (table < 0) | (table >= n_vertices)
+    ordered = np.sort(table, axis=1)
+    repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    failing = np.flatnonzero(outside.any(axis=1) | repeated)
+    if failing.size:
+        row = int(failing[0])
+        if outside[row].any():
+            raise MeshValidationError(
+                f"cell {row} references vertex {table[row, np.argmax(outside[row])]}, "
+                f"valid ids are 0..{n_vertices - 1}"
+            )
+        raise MeshValidationError(f"cell {row} repeats a vertex id: {tuple(table[row].tolist())}")
+    return table
 
 
 def _whole_faces(members: np.ndarray) -> np.ndarray:
@@ -267,23 +313,23 @@ def structured_mesh(dimension: int, subdivisions: int, shear: float = 0.0) -> Cu
     base = np.array(list(product(range(m), repeat=n)))
     corner_index = base[:, None, :] + _corner_shifts(n)
     cells = np.ravel_multi_index(tuple(np.moveaxis(corner_index, -1, 0)), shape)
-    return CubicalMesh(n, verts, tuple(map(tuple, cells.tolist())))
+    return CubicalMesh(n, verts, cells)
 
 
 def load_mesh(path) -> CubicalMesh:
     """Read a mesh from JSON: {"dimension", "vertices", "cells"}.
 
-    Cells list vertex ids in binary-corner order, 0-based.
+    Cells list vertex ids in binary-corner order, 0-based; a bad entry is a malformed file.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
         dimension = int(data["dimension"])
-        vertices = np.asarray(data["vertices"], dtype=float)
-        cells = tuple(tuple(int(v) for v in cell) for cell in data["cells"])
+        return CubicalMesh(dimension, np.asarray(data["vertices"], dtype=float), data["cells"])
+    except MeshValidationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MeshValidationError(f"malformed mesh file {path}: {exc}") from exc
-    return CubicalMesh(dimension, vertices, cells)
 
 
 def save_mesh(mesh: CubicalMesh, path) -> None:
@@ -291,7 +337,7 @@ def save_mesh(mesh: CubicalMesh, path) -> None:
     data = {
         "dimension": mesh.dimension,
         "vertices": mesh.vertices.tolist(),
-        "cells": [list(cell) for cell in mesh.cells],
+        "cells": mesh.cells.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -345,11 +391,6 @@ class PulledBackForm:
         return PulledBackForm(self.cell_map, exterior_derivative(self.reference))
 
 
-def pullback_basis(cell_map: AffineMap, reference: PolyForm) -> PulledBackForm:
-    """Wrap a reference form for evaluation in physical coordinates."""
-    return PulledBackForm(cell_map, reference)
-
-
 def compound_matrix(matrices, degree: int) -> np.ndarray:
     """All degree-by-degree minors of a stack of matrices.
 
@@ -388,7 +429,7 @@ class CellGrid:
     every box meets at most two buckets per axis (up to roundoff).  Only
     occupied buckets are stored, in CSR form: bucket ``keys[i]`` (its
     raveled grid index) holds ``cells[indptr[i]:indptr[i + 1]]`` in
-    increasing order.  The stacked cell origins serve batched pull-backs.
+    increasing order.
     """
 
     slack: float
@@ -400,13 +441,12 @@ class CellGrid:
     keys: np.ndarray
     indptr: np.ndarray
     cells: np.ndarray
-    origins: np.ndarray
 
     @classmethod
-    def build(cls, mesh: CubicalMesh, origins: np.ndarray) -> "CellGrid":
+    def build(cls, mesh: CubicalMesh) -> "CellGrid":
         n = mesh.dimension
         slack = LOCATE_TOL * max(1.0, float(np.abs(mesh.vertices).max(initial=0.0)))
-        corners = mesh.vertices[np.array(mesh.cells, dtype=np.intp).reshape(-1, 1 << n)]
+        corners = mesh.vertices[mesh.cells]
         lower = corners.min(axis=1) - slack
         upper = corners.max(axis=1) + slack
         start = lower.min(axis=0)
@@ -432,7 +472,6 @@ class CellGrid:
             keys=keys,
             indptr=np.append(starts, len(order)),
             cells=members[order],
-            origins=origins,
         )
 
     def candidates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,11 +578,6 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 @lru_cache(maxsize=None)
 def _reference_pattern(dimension: int, degree: int, order: int):
     """The local small p-cubes of one cell, as integer tables.
@@ -598,24 +632,19 @@ class RefinedMesh:
     the sign relating its local direction order to the global cube's
     orientation.  Ids follow first appearance, cells in order and local
     cubes in order within a cell; ``first_owners[p][g]`` is the
-    (cell, local index) where cube g first appears.  The cell maps are
-    kept stacked, ``origins`` (n_cells, n) and ``linears`` (n_cells, n, n)
-    with the edges as columns, and ``maps[c]`` is the map on their row c.
+    (cell, local index) where cube g first appears.  The cell geometry is
+    read from ``mesh``, shared by every refinement of it.
     """
 
     mesh: CubicalMesh
     order: int
     degrees: tuple[int, ...]
-    origins: np.ndarray
-    linears: np.ndarray
-    maps: tuple[AffineMap, ...]
     cell_tables: dict[int, np.ndarray]
     cell_signs: dict[int, np.ndarray]
     first_owners: dict[int, np.ndarray]
     _coboundaries: dict[int, sparse.csr_matrix] = field(
         default_factory=dict, init=False, repr=False
     )
-    _cell_grid: CellGrid | None = field(default=None, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -639,20 +668,10 @@ class RefinedMesh:
             self.cell_tables[degree].ravel(), minlength=self.count(degree)
         )
 
-    def local_cubes(self, degree: int) -> list[SmallCube]:
-        """Reference small cubes of one cell, canonical order."""
-        return enumerate_small_cubes(self.dimension, degree, self.order)
-
     @cached_property
-    def inverse_linears(self) -> np.ndarray:
-        """The cell maps' inverse Jacobians, stacked: shape (n_cells, n, n)."""
-        return np.linalg.inv(self.linears)
-
-    def cell_grid(self) -> CellGrid:
-        """The bucket grid that locates points in cells, built on first use."""
-        if self._cell_grid is None:
-            self._cell_grid = CellGrid.build(self.mesh, self.origins)
-        return self._cell_grid
+    def maps(self) -> tuple[AffineMap, ...]:
+        """One :class:`AffineMap` per cell, on the mesh's stacked rows."""
+        return tuple(map(AffineMap, self.mesh.origins, self.mesh.linears))
 
     def coboundary_matrix(self, degree: int) -> sparse.csr_matrix:
         """Sparse map from p-cochains to (p+1)-cochains, cached.
@@ -687,10 +706,11 @@ class RefinedMesh:
         runs = anchor_runs(self.dimension, degree, self.order)
         local = np.concatenate([anchors for _, _, anchors in runs]) / self.order
         owner_counts = self.owner_counts(degree)
+        cells, li = self.first_owners[degree].T
+        anchors = self.mesh.map_points(local[li, None, :], cells)[:, 0]
         with open(path, "w") as fh:
             fh.write("id,degree,n_owners,first_cell,anchor\n")
-            for g, (cell, li) in enumerate(self.first_owners[degree].tolist()):
-                anchor = self.maps[cell](local[li])
+            for g, (cell, anchor) in enumerate(zip(cells.tolist(), anchors)):
                 coords = " ".join(f"{x:.6g}" for x in anchor)
                 fh.write(f"{g},{degree},{owner_counts[g]},{cell},{coords}\n")
 
@@ -710,13 +730,7 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         wanted = tuple(sorted(set(int(p) for p in degrees)))
         if any(not 0 <= p <= n for p in wanted):
             raise ValueError(f"degrees {wanted} outside 0..{n}")
-    cells = np.array(mesh.cells, dtype=np.int64).reshape(mesh.n_cells, 1 << n)
-    # every cell map from one gather of the corners: edges as columns, as in cell_map
-    corners = mesh.vertices[cells]
-    origins = _frozen(corners[:, 0].copy())
-    linears = _frozen(np.swapaxes(corners[:, 1 << np.arange(n)] - corners[:, :1], 1, 2).copy())
-    maps = tuple(AffineMap(origin=o, linear=a) for o, a in zip(origins, linears))
-    edges = linears / order
+    edges = mesh.linears / order
     tables: dict[int, np.ndarray] = {}
     signs: dict[int, np.ndarray] = {}
     owners: dict[int, np.ndarray] = {}
@@ -725,7 +739,7 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         n_local = len(direction)
         # key: the centre's nonzero (vertex id, weight) pairs, packed into
         # one integer each and sorted; zero weights become -1
-        packed = cells[:, None, :] * ((2 * order) ** n + 1) + weights
+        packed = mesh.cells[:, None, :] * ((2 * order) ** n + 1) + weights
         keys = np.sort(np.where(weights > 0, packed, -1), axis=2)
         # one lexsort groups equal keys; ids are then handed out by first appearance
         first, inverse = _unique_rows(keys.reshape(-1, 1 << n))
@@ -759,9 +773,6 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         mesh=mesh,
         order=order,
         degrees=wanted,
-        origins=origins,
-        linears=linears,
-        maps=maps,
         cell_tables=tables,
         cell_signs=signs,
         first_owners=owners,

@@ -166,7 +166,7 @@ def de_rham_by_cell(form, refined, quad_order=None):
     q = quad_order if quad_order is not None else 2 * k + 2
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
-    spans = compound_matrix(refined.linears / k, p)
+    spans = compound_matrix(refined.mesh.linears / k, p)
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     values = np.empty(refined.count(p))

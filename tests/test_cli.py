@@ -12,6 +12,7 @@ from cubeforms.dof import assemble_dof_matrix
 from cubeforms.interp import Cochain, de_rham
 from cubeforms.catalog import get_form
 from cubeforms.mesh import refine, save_mesh, structured_mesh
+from cubeforms.smallcubes import small_cube_count
 
 from helpers import dense_dof_matrix, sup_errors_by_cell
 
@@ -187,7 +188,7 @@ def test_interpolate_rejects_non_finite_cochain_value(tmp_path, capsys):
 
 
 def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
-    # --k allows 8, but in 3D the reference solve is singular from k = 7 at p = 0
+    # in 3D the reference solve is singular from k = 7 at p = 0; --k stops at 6 there
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(3, 1), mesh_path)
     cochain_path = tmp_path / "cochain.csv"
@@ -204,7 +205,30 @@ def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "(n=3, p=0, k=7) is numerically singular" in err
+    assert err == "error: --k must be in 1..6, got 7\n"
+
+
+def test_interpolate_caps_3d_order_at_six(tmp_path, capsys):
+    # (n, p, k) = (3, 3, 7) passes the rank gate but misses the default
+    # identity tolerance, so the cap is checked before any solve
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(3, 1, shear=0.3), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    Cochain(3, np.zeros(small_cube_count(3, 3, 7))).to_csv(cochain_path)
+    argv = ["interpolate", "--mesh", str(mesh_path), "--cochain", str(cochain_path)]
+    assert main(argv + ["--p", "3", "--k", "7"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --k must be in 1..6, got 7\n"
+
+
+def test_interpolate_accepts_order_eight_in_2d(tmp_path, capsys):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(2, 1, shear=0.3), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    Cochain(1, np.ones(small_cube_count(2, 1, 8))).to_csv(cochain_path)
+    argv = ["interpolate", "--mesh", str(mesh_path), "--cochain", str(cochain_path)]
+    assert main(argv + ["--p", "1", "--k", "8"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x0,x1,w0,w1" and len(lines) == 2
 
 
 def test_interpolate_rejects_malformed_mesh(tmp_path, capsys):

@@ -29,6 +29,7 @@ from cubeforms.interp import (
     verify_identities,
 )
 from cubeforms.mesh import CubicalMesh, PulledBackForm, refine, structured_mesh
+from cubeforms.smallcubes import enumerate_small_cubes
 
 from helpers import (
     coefficient_norms,
@@ -92,7 +93,7 @@ def test_degree_zero_integrals_are_point_values():
     refined = refine(mesh, 1)
     form = get_form("sin2d-0")
     cochain = de_rham(form, refined)
-    local = refined.local_cubes(0)
+    local = enumerate_small_cubes(refined.dimension, 0, refined.order)
     for g, (cell, li) in enumerate(refined.first_owners[0]):
         pos = refined.maps[cell](np.array(local[li].anchor, dtype=float))
         want = form.evaluate(pos)[()]

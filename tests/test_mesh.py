@@ -25,7 +25,6 @@ from cubeforms.mesh import (
     PulledBackForm,
     compound_matrix,
     load_mesh,
-    pullback_basis,
     refine,
     save_mesh,
     structured_mesh,
@@ -124,6 +123,60 @@ def test_rejects_dangling_vertex():
         )
 
 
+_SEVEN = [[0, 0], [1, 0], [0, 1], [1, 1], [0, 2], [1, 2], [2, 2]]
+
+
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        # the lowest failing cell wins, whatever the kinds of failure
+        (((0, 1, 2, 3), (2, 3, 4, 9), (0, 1, 2)), "cell 1 references vertex 9, valid ids are 0..6"),
+        (((0, 1, 2, 3), (2, 3, 4, 4), (0, 1, 2, 9)), "cell 1 repeats a vertex id: (2, 3, 4, 4)"),
+        # within one cell: length, then id range, then a repeated id
+        (((0, 9, 9),), "cell 0 has 3 vertices, expected 4 in dimension 2"),
+        (((0, 9, 9, 1),), "cell 0 references vertex 9, valid ids are 0..6"),
+        (((0, 1, 1, -1),), "cell 0 references vertex -1, valid ids are 0..6"),
+        (((0, 1, 1, 3),), "cell 0 repeats a vertex id: (0, 1, 1, 3)"),
+        # an id beyond 64 bits is out of range, not an overflow
+        (((0, 1, 2, 2**70),), f"cell 0 references vertex {2**70}, valid ids are 0..6"),
+        # a table of one row length, all of it wrong
+        (((0, 1, 2, 3, 4), (2, 3, 4, 5, 6)), "cell 0 has 5 vertices, expected 4 in dimension 2"),
+        # ragged tables: the rows before the first of the wrong length come first
+        (((0, 1, 2, 3), (4, 5, 6)), "cell 1 has 3 vertices, expected 4 in dimension 2"),
+        (((0, 1, 2, 3), (2, 3, 4, 5, 6)), "cell 1 has 5 vertices, expected 4 in dimension 2"),
+        (((0, 1, 2, 9), (4, 5, 6)), "cell 0 references vertex 9, valid ids are 0..6"),
+        (((0, 1, 2, 3), (2, 3, 3, 5), (6,)), "cell 1 repeats a vertex id: (2, 3, 3, 5)"),
+        # every row sound: the unused ids come next
+        (((0, 1, 2, 3),), "3 vertex ids are used by no cell (first few: [4, 5, 6])"),
+    ],
+)
+def test_cell_table_reports_the_first_failure(tmp_path, cells, message):
+    with pytest.raises(MeshValidationError) as err:
+        _square(_SEVEN, cells)
+    assert str(err.value) == message
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": _SEVEN, "cells": cells}))
+    with pytest.raises(MeshValidationError) as err:
+        load_mesh(path)
+    assert str(err.value) == message
+
+
+def test_cell_table_is_a_read_only_int64_array(tmp_path):
+    mesh = _square(_SEVEN[:4], [[0, 1, 2, 3]])
+    assert mesh.cells.dtype == np.int64 and mesh.cells.shape == (1, 4)
+    assert not mesh.cells.flags.writeable
+    for stacked in (mesh.origins, mesh.linears, mesh.inverse_linears):
+        assert not stacked.flags.writeable
+    assert np.array_equal(mesh.linears[0], np.eye(2))
+    # a table of non-integers fails as int() does, in the file as a malformed entry
+    with pytest.raises(TypeError, match="NoneType"):
+        _square(_SEVEN[:4], [[0, 1, 2, None]])
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": _SEVEN[:4], "cells": [[0, 1, 2, None]]}))
+    with pytest.raises(MeshValidationError, match=r"^malformed mesh file .*NoneType"):
+        load_mesh(path)
+
+
 def test_rejects_duplicate_vertex_coordinates():
     with pytest.raises(MeshValidationError, match="coincide"):
         _square(
@@ -211,7 +264,9 @@ def test_mesh_json_round_trip(tmp_path):
     loaded = load_mesh(path)
     assert loaded.dimension == mesh.dimension
     assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert loaded.cells == mesh.cells
+    assert loaded.cells.dtype == np.int64
+    assert loaded.cells.shape == mesh.cells.shape == (mesh.n_cells, 4)
+    assert np.array_equal(loaded.cells, mesh.cells)
 
 
 def test_load_mesh_malformed_file(tmp_path):
@@ -545,7 +600,7 @@ def test_compound_matrix_entries_are_minors(n):
 def test_pullback_through_identity_map_is_transparent():
     amap = AffineMap(origin=np.zeros(2), linear=np.eye(2))
     ref = basis_form(small_cube_from_geometry(2, (0,), (1, 0)))
-    pulled = pullback_basis(amap, ref)
+    pulled = PulledBackForm(amap, ref)
     assert isinstance(pulled, PulledBackForm)
     pts = np.random.default_rng(3).random((15, 2))
     got = pulled.evaluate(pts)
@@ -560,7 +615,7 @@ def test_pullback_scales_components_by_inverse_edge_lengths():
     # becomes 1/2 along physical axis 0
     amap = AffineMap(origin=np.zeros(2), linear=np.diag([2.0, 3.0]))
     ref = PolyForm(2, 1, {(0,): np.ones((1, 1))})
-    pulled = pullback_basis(amap, ref)
+    pulled = PulledBackForm(amap, ref)
     got = pulled.evaluate(np.array([[1.0, 1.5]]))
     # vanishing components are dropped from the result
     assert set(got) == {(0,)}
@@ -574,7 +629,7 @@ def test_pullback_derivative_matches_finite_differences():
         linear=np.array([[1.0, 0.7], [0.0, 2.0]]),
     )
     ref = basis_form(small_cube_from_geometry(2, (), (1, 2)))
-    pulled = pullback_basis(amap, ref)
+    pulled = PulledBackForm(amap, ref)
     derived = pulled.exterior_derivative()
     assert derived.degree == 1
     rng = np.random.default_rng(5)
