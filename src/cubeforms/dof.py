@@ -25,7 +25,7 @@ import numpy as np
 from .smallcubes import SmallCube, anchor_runs
 
 #: Singular-value ratio below which a block counts as singular: 3D passes k <= 6 (cond <= 1.6e9,
-#: identity errors <= 6.9e-10) and stops p <= 2 at k = 7 (cond >= 2.0e10, errors up to 2.8e-8).
+#: identity errors <= 5.6e-10) and stops p <= 2 at k = 7 (cond >= 2.0e10, errors up to 2.3e-8).
 RANK_TOL = 1e-10
 
 #: Relative residual bound of reference solves; per-axis solves stay <= 3.0e-12 (n <= 3, k <= 7).

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -109,18 +110,22 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     with more than :data:`DE_RHAM_BATCH_POINTS` such points go in batches
     of consecutive cells, to bound the temporaries); the integrands then
     meet the weights in one product and are scattered to the global
-    cubes in one assignment.
+    cubes in one assignment.  Raises KeyError if the form's degree was
+    not refined.
 
-    A :class:`PiecewiseForm` on the same mesh is, on every cell, a sum of
-    products of 1-D factors, and the Gauss rule is a tensor product too,
-    so its integrals are sum-factorised instead: per axis, each factor
-    is integrated by the 1-D rule over the k segments [b/k, (b+1)/k]
-    (axes in the tuple) or evaluated at the k + 1 nodes b/k (other
-    axes), and all cells' coefficient blocks are contracted with these
-    tables one axis at a time.  The reference components are then
-    pushed forward and paired with each small cube's span by one p-by-p
-    minor product per cell.  No quadrature point is formed, so this path
-    needs no batching.
+    A :class:`PiecewiseForm` on the same mesh is integrated on the
+    reference cube instead.  Integrating it over the image of a
+    reference small cube gives the integral of its reference form over
+    that small cube, so the cell geometry cancels: only the reference
+    component dx_I of the cube's own directions I contributes, scaled by
+    k^-p for the small cube's size, and no minor of the cell map is
+    formed.  That component is a sum of products of 1-D factors, and the
+    Gauss rule is a tensor product too, so the integrals are
+    sum-factorised: per axis, each factor is integrated by the 1-D rule
+    over the k segments [b/k, (b+1)/k] (axes in I) or evaluated at the
+    k + 1 nodes b/k (other axes), and all cells' coefficient blocks are
+    contracted with these tables one axis at a time.  No quadrature point
+    is formed, so this path needs no batching.
 
     Where owners of a cube disagree in the last bit, the last owner in
     (tuple, cell) order wins.
@@ -129,34 +134,26 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     p = form.degree
     k = refined.order
     n_cells = refined.mesh.n_cells
+    values = np.empty(refined.count(p))
+    table = refined.cell_tables[p]
+    signs = refined.cell_signs[p]
     q = quad_order if quad_order is not None else 2 * k + 2
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
-    on_reference = isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh
+    if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
+        # point values (p = 0) span no axis, so they need no rule
+        edges, nodes = _own_mesh_tables(form.refined.order, k, q if p else 1)
+        for dirs, sl, anchors in anchor_runs(n, p, k):
+            block = form.coefficients[dirs]
+            for j in range(n):  # each step sums out the leading anchor axis
+                block = np.tensordot(block, edges if j in dirs else nodes, ([1], [0]))
+            cube_vals = k**-p * block.reshape(n_cells, len(anchors))
+            values[table[:, sl].ravel()] = (signs[:, sl] * cube_vals).ravel()
+        return Cochain(p, values)
     combos = list(combinations(range(n), p))
     # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
     spans = compound_matrix(refined.mesh.linears / k, p)
-    table = refined.cell_tables[p]
-    signs = refined.cell_signs[p]
-    values = np.empty(refined.count(p))
-    if on_reference:
-        order = form.refined.order
-        nodes = _axis_tables(order, k, k + 1, np.zeros(1), np.ones(1))
-        # point values (p = 0) span no axis, so they need no rule
-        edges = _axis_tables(order, k, k, *gauss_unit_interval(q)) if p else None
-        # mix[c, r, t]: reference component r's weight in the integral over tuple t
-        mix = compound_matrix(refined.mesh.inverse_linears, p) @ spans
     for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
-        if on_reference:
-            cube_vals = np.zeros((n_cells, len(anchors)))
-            for r, comp in enumerate(combos):
-                block = form.coefficients[comp]
-                for j in range(n):  # each step sums out the leading anchor axis
-                    spanned, fixed = edges if j in dirs else nodes
-                    block = np.tensordot(block, spanned if j in comp else fixed, ([1], [0]))
-                cube_vals += mix[:, r, t, None] * block.reshape(cube_vals.shape)
-            values[table[:, sl].ravel()] = (signs[:, sl] * cube_vals).ravel()
-            continue
         x = np.zeros((len(anchors), nq, n))
         x += anchors[:, None, :]
         for j, axis in enumerate(dirs):
@@ -176,17 +173,23 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     return Cochain(p, values)
 
 
-def _axis_tables(order: int, k: int, count: int, pts, wts) -> tuple[np.ndarray, np.ndarray]:
-    """One axis's 1-D rule applied to the product factors of a basis order.
+@lru_cache(maxsize=None)
+def _own_mesh_tables(order: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D tables that integrate a basis order on the small cubes of order k.
 
-    Entry [a, b] is sum_i wts[i] * factor_a((b + pts[i]) / k) for b in
-    0..count-1, for the spanned factors (shape (order, count)) and the
-    fixed ones (shape (order + 1, count)) of :func:`_factor_tables`.
+    ``edges[a, b]`` (shape (order, k)) is the q-point Gauss rule's
+    integral of spanned factor a over the unit parameter of segment
+    [b/k, (b+1)/k], and ``nodes[a, b]`` (shape (order + 1, k + 1)) is
+    fixed factor a at node b/k, for the factors of :func:`_factor_tables`.
+    Both are read-only.
     """
-    x = (np.arange(count)[:, None] + pts) / k
-    factors = _factor_tables(x.reshape(-1, 1), order)
-    spanned, fixed = (f.reshape(len(f), count, len(wts)) @ wts for f in factors)
-    return spanned, fixed
+    pts, wts = gauss_unit_interval(q)
+    x = (np.arange(k)[:, None] + pts) / k
+    edges = _factor_tables(x.reshape(-1, 1), order)[0].reshape(order, k, q) @ wts
+    nodes = _factor_tables(np.arange(k + 1)[:, None] / k, order)[1][:, 0]
+    edges.setflags(write=False)
+    nodes.setflags(write=False)
+    return edges, nodes
 
 
 def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
@@ -280,12 +283,14 @@ class PiecewiseForm:
         if cell is not None and not (isinstance(cell, (int, np.integer)) and 0 <= cell < n_cells):
             raise ValueError(f"cell must be an integer in 0..{n_cells - 1}, got {cell!r}")
         flat = pts.reshape(-1, n)
+        mesh = self.refined.mesh
         if cell is None:
             cells, x = _locate_cells(self.refined, flat)
         else:
-            mesh = self.refined.mesh
             cells, x = int(cell), (flat - mesh.origins[cell]) @ mesh.inverse_linears[cell].T
-        out = _reference_values(self, cells, *_factor_tables(x, self.refined.order))
+        push = compound_matrix(mesh.inverse_linears[cells], self.degree)
+        tables = _factor_tables(x, self.refined.order)
+        out = _reference_values(self.coefficients, self.degree, cells, push, *tables)
         combos = combinations(range(n), self.degree)
         if pts.ndim == 1:
             return {dirs: float(v[0]) for dirs, v in zip(combos, out)}
@@ -310,24 +315,28 @@ class PiecewiseForm:
         return PiecewiseForm(self.refined, self.degree + 1, dict(sorted(terms.items())))
 
 
-def _reference_values(form: PiecewiseForm, cells, spanned, fixed) -> np.ndarray:
+def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.ndarray:
     """Physical components of a piecewise form at reference points of cells.
 
-    ``spanned`` and ``fixed`` are the points' factor tables from
-    :func:`_factor_tables`.  ``cells`` is one cell index holding every
-    point, whose coefficient blocks then meet the last axis's table in one
-    matrix product, or one index per point, each point gathering its own
-    block.  The remaining axes are summed out point by point, and the
-    result, one row per direction tuple in ``combinations`` order, is
-    pushed forward with the p-by-p minors of the inverse Jacobians.
+    ``coefficients`` holds the blocks of a ``degree``-form, one row per
+    cell as in :attr:`PiecewiseForm.coefficients`, and ``spanned`` and
+    ``fixed`` are the points' factor tables from :func:`_factor_tables`.
+    ``cells`` is one row index holding every point, whose coefficient
+    blocks then meet the last axis's table in one matrix product, or one
+    index per point, each point gathering its own block.  The remaining
+    axes are summed out point by point, and the result, one row per
+    direction tuple in ``combinations`` order, is pushed forward with
+    ``push``: the p-by-p minors of the inverse Jacobian
+    (:func:`compound_matrix`), one matrix for a single cell or one per
+    point.
     """
-    n, p = form.dimension, form.degree
+    n, p = spanned.shape[1], degree
     pinned = np.ndim(cells) == 0
     combos = list(combinations(range(n), p))
     ref = np.empty((len(combos), spanned.shape[-1]))
     for r, dirs in enumerate(combos):
         tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
-        block = form.coefficients[dirs][cells]
+        block = coefficients[dirs][cells]
         if pinned:
             val = block @ tables[-1]
         else:
@@ -335,7 +344,6 @@ def _reference_values(form: PiecewiseForm, cells, spanned, fixed) -> np.ndarray:
         for table in reversed(tables[:-1]):  # sum out the last anchor axis
             val = np.einsum("...as,as->...s", val, table)
         ref[r] = val
-    push = compound_matrix(form.refined.mesh.inverse_linears[cells], p)
     if pinned:
         return push.T @ ref
     return np.einsum("sij,is->js", push, ref)
@@ -394,10 +402,20 @@ class IdentityReport:
         return all(e <= self.tolerance for e in errs)
 
 
-def _pinned_gap(a: PiecewiseForm, b: PiecewiseForm, cells, ref_pts) -> float:
-    """Largest component difference at reference points of the given cells."""
-    tables = _factor_tables(ref_pts, a.refined.order)
-    gap = _reference_values(a, cells, *tables) - _reference_values(b, cells, *tables)
+def _pinned_gap(a: PiecewiseForm, b: PiecewiseForm, cells, rows, tables) -> float:
+    """Largest component difference of two forms at reference points of cells.
+
+    ``cells`` lists the distinct sampled cells and ``rows[i]`` is point
+    i's position in it; ``tables`` are the points' factor tables.
+    Evaluation is linear, so the difference a - b is taken on the
+    coefficients of the sampled cells and evaluated once, and the
+    push-forward minors are formed once per sampled cell.
+    """
+    diff = {
+        dirs: block[cells] - b.coefficients[dirs][cells] for dirs, block in a.coefficients.items()
+    }
+    push = compound_matrix(a.refined.mesh.inverse_linears[cells], a.degree)[rows]
+    gap = _reference_values(diff, a.degree, rows, push, *tables)
     return float(np.abs(gap).max(initial=0.0))
 
 
@@ -413,12 +431,20 @@ def verify_identities(
 ) -> IdentityReport:
     """Check the operator identities on random cochains.
 
-    Round trip: integrating an interpolated cochain returns the cochain.
-    Reconstruction: interpolating those integrals returns the same form,
-    compared pointwise at random interior points.  Commutation (skipped
-    at top degree): interpolating the coboundary equals differentiating
-    the interpolant.
+    Each of ``trials`` draws a standard normal cochain x.  Round trip:
+    integrating its interpolant returns x.  Reconstruction: interpolating
+    those integrals returns the same form.  Commutation (skipped at top
+    degree): interpolating the coboundary of x equals differentiating the
+    interpolant.  The two form identities are compared at ``samples``
+    random reference points of random cells, each gap evaluated once on
+    the difference of the two forms' coefficients.  Raises ValueError if
+    ``trials`` or ``samples`` is below 1, since no identity would be
+    checked.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(rng)
     n = refined.dimension
     p = degree
@@ -430,12 +456,13 @@ def verify_identities(
         y = de_rham(w, refined, quad_order)
         e_round = max(e_round, float(np.abs(y.values - x.values).max()))
         w2 = interpolate(y, refined)
-        cells = rng.integers(0, refined.mesh.n_cells, size=samples)
-        ref_pts = rng.random((samples, n))
-        e_recon = max(e_recon, _pinned_gap(w, w2, cells, ref_pts))
+        sampled = rng.integers(0, refined.mesh.n_cells, size=samples)
+        cells, rows = np.unique(sampled, return_inverse=True)
+        tables = _factor_tables(rng.random((samples, n)), refined.order)
+        e_recon = max(e_recon, _pinned_gap(w, w2, cells, rows, tables))
         if p < n:
             w_dx = interpolate(coboundary(x, refined), refined)
-            e_comm = max(e_comm, _pinned_gap(w_dx, w.exterior_derivative(), cells, ref_pts))
+            e_comm = max(e_comm, _pinned_gap(w_dx, w.exterior_derivative(), cells, rows, tables))
     return IdentityReport(
         degree=p,
         round_trip_error=e_round,

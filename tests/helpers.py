@@ -6,7 +6,15 @@ import numpy as np
 
 from cubeforms.catalog import get_form
 from cubeforms.cli import _sample_grid
-from cubeforms.interp import Cochain, _factor_tables, _reference_values, de_rham, interpolate
+from cubeforms.interp import (
+    Cochain,
+    IdentityReport,
+    _factor_tables,
+    _reference_values,
+    coboundary,
+    de_rham,
+    interpolate,
+)
 from cubeforms.mesh import (
     EDGE_SNAP_TOL,
     LOCATE_TOL,
@@ -178,13 +186,50 @@ def de_rham_by_cell(form, refined, quad_order=None):
         x = x.reshape(-1, n) / k
         factors = _factor_tables(x, form.refined.order)
         for ci in range(refined.mesh.n_cells):
-            comps = _reference_values(form, ci, *factors)
+            push = compound_matrix(form.refined.mesh.inverse_linears[ci], p)
+            comps = _reference_values(form.coefficients, p, ci, push, *factors)
             integrand = np.zeros(len(x))
             for minor, vals in zip(spans[ci, :, t], comps):
                 if minor != 0.0:
                     integrand += minor * vals
             values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
     return Cochain(p, values)
+
+
+def verify_identities_by_trial(
+    refined, degree, *, trials=3, samples=200, quad_order=None, tol=1e-9, rng=None
+):
+    """The identity check as a plain loop over trials, with nothing shared.
+
+    The oracle for ``verify_identities``: the same draws from ``rng`` in
+    the same order, the round trip integrated cell by cell through
+    :func:`de_rham_by_cell`, and each gap taken by evaluating both forms
+    at every sample point, with the push-forward minors formed per point.
+    """
+    rng = np.random.default_rng(rng)
+    n, p = refined.dimension, degree
+
+    def gap(a, b, cells, ref_pts):
+        tables = _factor_tables(ref_pts, refined.order)
+        push = compound_matrix(refined.mesh.inverse_linears[cells], a.degree)
+        va, vb = (_reference_values(f.coefficients, f.degree, cells, push, *tables) for f in (a, b))
+        return float(np.abs(va - vb).max(initial=0.0))
+
+    e_round = e_recon = 0.0
+    e_comm = 0.0 if p < n else None
+    for _ in range(trials):
+        x = Cochain(p, rng.standard_normal(refined.count(p)))
+        w = interpolate(x, refined)
+        y = de_rham_by_cell(w, refined, quad_order)
+        e_round = max(e_round, float(np.abs(y.values - x.values).max()))
+        w2 = interpolate(y, refined)
+        cells = rng.integers(0, refined.mesh.n_cells, size=samples)
+        ref_pts = rng.random((samples, n))
+        e_recon = max(e_recon, gap(w, w2, cells, ref_pts))
+        if p < n:
+            w_dx = interpolate(coboundary(x, refined), refined)
+            e_comm = max(e_comm, gap(w_dx, w.exterior_derivative(), cells, ref_pts))
+    return IdentityReport(p, e_round, e_recon, e_comm, tol)
 
 
 def coefficient_norms(form):

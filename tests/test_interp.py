@@ -38,6 +38,7 @@ from helpers import (
     locate_by_scan,
     scramble_corners,
     trace_mismatch,
+    verify_identities_by_trial,
 )
 
 
@@ -378,6 +379,52 @@ def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_poin
     assert h.hexdigest() == digest
 
 
+# Recorded before the same-mesh de_rham and the identity gaps were
+# reworked: interpolation, evaluation (unpinned and pinned to each cell)
+# and the exterior derivative must keep every bit.
+@pytest.mark.parametrize(
+    "n,k,scrambled,digest",
+    [
+    (2, 1, False, "38012126697ed6c1ae69af60cfb3c3630f10aa40d7a7fa5c5508480d65b43f8d"),
+    (2, 1, True, "81fe90f095ce033ca2d0bec8c0604ef67e47e88f324999fc646bb83070e8856d"),
+    (2, 2, False, "c8c9031339a34099af6a13875fc08072731058bcdf46e3542c6f91b1b47d261f"),
+    (2, 2, True, "a9cffbbbf19b6bb4a6cab4712b08afb120aa0b981063da85b96ca2ea0214331a"),
+    (2, 3, False, "5253cca50c33bf5361b3c566de3ce87d6996d62b8432cba00e4393fb27dd6dd9"),
+    (2, 3, True, "732add5c60b618c7c735d85d0de7c6a8a17972c82c1a09b5904f3424f3857f2e"),
+    (3, 1, False, "8f50f78c2f58d7049412f3906e0d825a25e96d836c15be8a1aa14669e96587e2"),
+    (3, 1, True, "a2b68b6a093bca1eb53418fc68ccd587ebe42ff8ff1ed308c1c4bf0286762697"),
+    (3, 2, False, "c2ba55ba9b2e090a65ced5b58d12d06b1abf40eb621ace697efffc93a5fb8aa5"),
+    (3, 2, True, "8ee59a34cc567280c94ef6b6ca1b4f656554d46a278be6fd2500147ca0a82b71"),
+    (3, 3, False, "1ab4054475ea1d4c7cf71936ad9c38c3b1b54836c304a989e77465902fe85577"),
+    (3, 3, True, "97aeb59fb2f84f9f98ed3bff2d9c7b36965f21970e73b392759cd2b04086128f"),
+    ],
+)
+def test_interpolants_and_their_values_are_pinned(n, k, scrambled, digest):
+    rng = np.random.default_rng([n, k, int(scrambled)])
+    mesh = structured_mesh(n, 2, shear=0.3)
+    if scrambled:
+        mesh = scramble_corners(mesh, rng)
+    refined = refine(mesh, k)
+    phys = mesh.map_points(rng.random((6, n)))
+    h = hashlib.sha256()
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+        for form in [approx] + ([approx.exterior_derivative()] if p < n else []):
+            arrays = list(form.coefficients.values())
+            arrays += form.evaluate(phys.reshape(-1, n)).values()
+            for c in range(mesh.n_cells):
+                arrays += form.evaluate(phys[c], cell=c).values()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_de_rham_rejects_a_degree_that_was_not_refined():
+    refined = refine(structured_mesh(3, 2), 2, degrees=(1,))
+    with pytest.raises(KeyError, match=re.escape("degree 2 was not refined; available: (1,)")):
+        de_rham(get_form("sin3d-2"), refined)
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_de_rham_on_reference_points_matches_physical_evaluation(n, k):
     # a piecewise form on its own mesh is integrated by per-axis tables;
@@ -484,6 +531,39 @@ def test_identity_report_passes(n, k, p):
         assert report.commutation_error is None
     else:
         assert report.commutation_error <= report.tolerance
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_report_matches_per_trial_oracle(n):
+    # the criterion-5 grid: sharing the factor tables, taking each gap on
+    # coefficient differences and integrating on the reference cube move
+    # the errors by roundoff only.  The bound, fixed beforehand, is a
+    # tenth of the default tolerance.  A one-point rule at k = 4 must
+    # fail on both sides, so the comparison is not between blind checks
+    meshes = [structured_mesh(n, 1), structured_mesh(n, 2), structured_mesh(n, 2, shear=0.5)]
+    for k, mesh in product((1, 2, 3, 4), meshes):
+        refined = refine(mesh, k)
+        for p, quad_order in product(range(n + 1), (None, 1) if k == 4 else (None,)):
+            kwargs = dict(trials=2, samples=60, quad_order=quad_order)
+            got = verify_identities(refined, p, rng=np.random.default_rng(0), **kwargs)
+            want = verify_identities_by_trial(refined, p, rng=np.random.default_rng(0), **kwargs)
+            where = (k, mesh.n_cells, p, quad_order)
+            assert got.passed == want.passed == (quad_order is None or p == 0), where
+            assert (got.commutation_error is None) == (want.commutation_error is None), where
+            for g, w in [
+                (got.round_trip_error, want.round_trip_error),
+                (got.reconstruction_error, want.reconstruction_error),
+                (got.commutation_error or 0.0, want.commutation_error or 0.0),
+            ]:
+                assert abs(g - w) <= 1e-10, where
+
+
+@pytest.mark.parametrize("trials,samples", [(0, 40), (-1, 40), (2, 0), (2, -3)])
+def test_identity_report_rejects_checking_nothing(trials, samples):
+    refined = refine(structured_mesh(2, 2), 1)
+    name, value = ("trials", trials) if trials < 1 else ("samples", samples)
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+        verify_identities(refined, 1, trials=trials, samples=samples)
 
 
 def test_catalog_is_complete():
