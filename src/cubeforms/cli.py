@@ -26,7 +26,7 @@ import numpy as np
 from .catalog import get_form, list_forms
 from .dof import assemble_dof_matrix, check_unisolvence
 from .interp import Cochain, _factor_tables, _reference_values, de_rham, interpolate
-from .mesh import MeshValidationError, compound_matrix, load_mesh, refine, structured_mesh
+from .mesh import MeshValidationError, load_mesh, refine, structured_mesh
 from .smallcubes import enumerate_small_cubes, small_cube_count
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def run_convergence(
         approx = interpolate(cochain, refined)
         cells = np.repeat(np.arange(mesh.n_cells), len(ref_grid))
         ref = np.tile(ref_grid, (mesh.n_cells, 1))
-        push = compound_matrix(mesh.inverse_linears, degree)[cells]
+        push = mesh.pushforward(degree)[cells]
         tables = _factor_tables(ref, order)
         got = _reference_values(approx.coefficients, degree, cells, push, *tables)
         want = form.evaluate(mesh.map_points(ref_grid).reshape(-1, dimension))

@@ -193,10 +193,6 @@ class PolyForm:
             np.sqrt(sum(float(np.sum(g * g)) for g in self.terms.values()))
         )
 
-    def axis_degrees(self, dirs: tuple[int, ...]) -> tuple[int, ...]:
-        """Per-axis polynomial degree of one term (grids are kept trimmed)."""
-        return tuple(s - 1 for s in self.terms[dirs].shape)
-
 
 def lowest_order_form(face: FaceId) -> PolyForm:
     """The first-order form attached to a face of the unit cube.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dof import reference_solver
 from .forms import wedge_insert
-from .mesh import LOCATE_TOL, RefinedMesh, compound_matrix  # noqa: F401 (re-exported)
+from .mesh import RefinedMesh, compound_matrix
 from .quadrature import gauss_unit_cube, gauss_unit_interval
 from .smallcubes import anchor_runs, pattern_shape
 
@@ -110,8 +110,8 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     with more than :data:`DE_RHAM_BATCH_POINTS` such points go in batches
     of consecutive cells, to bound the temporaries); the integrands then
     meet the weights in one product and are scattered to the global
-    cubes in one assignment.  Raises KeyError if the form's degree was
-    not refined.
+    cubes in one assignment.  Raises ValueError if the form declares another
+    ``dimension`` than the mesh's, and KeyError if its degree was not refined.
 
     A :class:`PiecewiseForm` on the same mesh is integrated on the
     reference cube instead.  Integrating it over the image of a
@@ -131,6 +131,8 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     (tuple, cell) order wins.
     """
     n = refined.dimension
+    if getattr(form, "dimension", n) != n:
+        raise ValueError(f"form lives in dimension {form.dimension}, mesh in dimension {n}")
     p = form.degree
     k = refined.order
     n_cells = refined.mesh.n_cells
@@ -263,32 +265,32 @@ class PiecewiseForm:
     def evaluate(self, points, cell: int | None = None) -> dict[tuple[int, ...], np.ndarray | float]:
         """Components at one point (n,) or a batch (..., n) of physical points.
 
-        Unpinned, the whole batch is located at once through the mesh's
-        bucket grid (the lowest cell index wins on shared faces) and
-        evaluated at once, each point gathering its cell's coefficients,
-        with no loop over cells.  With ``cell=`` every point is pulled back
-        through that cell's map and its coefficient blocks meet the factor
-        tables of all points in one matrix product.  Either way the
-        coefficients are summed against the product factors one axis at a
-        time and pushed forward with the p-by-p minors of the inverse
-        Jacobian.  Raises ValueError if the points do not have n
-        coordinates, if ``cell`` is not an integer in 0..n_cells-1, or
-        (unpinned) if a point lies in no cell.
+        Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
+        (the lowest cell index wins on shared faces) and evaluated at once, each
+        point gathering its cell's coefficients, with no loop over cells.  With
+        ``cell=`` every point is pulled back through that cell's map and its
+        coefficient blocks meet the factor tables of all points in one matrix
+        product.  Either way the coefficients are summed against the product
+        factors one axis at a time and pushed forward with the p-by-p minors of
+        the inverse Jacobian, gathered from :meth:`CubicalMesh.pushforward`.
+        Raises ValueError if the points do not have n coordinates, if ``cell``
+        is not an integer in 0..n_cells-1, or (unpinned) if a point lies in no cell.
         """
         n, n_cells = self.dimension, self.refined.mesh.n_cells
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (n,):
             got = pts.shape[-1] if pts.ndim else 0
             raise ValueError(f"points have {got} coordinates, form lives in dimension {n}")
-        if cell is not None and not (isinstance(cell, (int, np.integer)) and 0 <= cell < n_cells):
+        integer = isinstance(cell, (int, np.integer)) and not isinstance(cell, bool)
+        if cell is not None and not (integer and 0 <= cell < n_cells):
             raise ValueError(f"cell must be an integer in 0..{n_cells - 1}, got {cell!r}")
         flat = pts.reshape(-1, n)
         mesh = self.refined.mesh
         if cell is None:
-            cells, x = _locate_cells(self.refined, flat)
+            cells, x = mesh.locate(flat)
         else:
             cells, x = int(cell), (flat - mesh.origins[cell]) @ mesh.inverse_linears[cell].T
-        push = compound_matrix(mesh.inverse_linears[cells], self.degree)
+        push = mesh.pushforward(self.degree)[cells]
         tables = _factor_tables(x, self.refined.order)
         out = _reference_values(self.coefficients, self.degree, cells, push, *tables)
         combos = combinations(range(n), self.degree)
@@ -327,8 +329,8 @@ def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.n
     axes are summed out point by point, and the result, one row per
     direction tuple in ``combinations`` order, is pushed forward with
     ``push``: the p-by-p minors of the inverse Jacobian
-    (:func:`compound_matrix`), one matrix for a single cell or one per
-    point.
+    (:meth:`CubicalMesh.pushforward`), one matrix for a single cell or one
+    per point.
     """
     n, p = spanned.shape[1], degree
     pinned = np.ndim(cells) == 0
@@ -347,35 +349,6 @@ def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.n
     if pinned:
         return push.T @ ref
     return np.einsum("sij,is->js", push, ref)
-
-
-def _locate_cells(refined: RefinedMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest-index cell containing each point, and the point's reference coordinates.
-
-    Candidates come from the mesh's bucket grid (:attr:`CubicalMesh.cell_grid`):
-    the cells whose bounding box, widened by ``LOCATE_TOL`` times the mesh
-    scale, holds the point.  All (point, candidate) pairs are pulled back
-    in one batch, a pair counts when every reference coordinate is within
-    that slack of [0, 1], and the lowest counting cell index wins, so a
-    point on a shared face goes to the lower cell.  Raises ValueError
-    naming the first point that lies in no cell.
-    """
-    assign = np.full(len(points), -1)
-    reference = np.empty_like(points)
-    if refined.mesh.n_cells:
-        grid = refined.mesh.cell_grid
-        point, cell = grid.candidates(points)
-        offsets = points[point] - refined.mesh.origins[cell]
-        x = np.einsum("sj,sij->si", offsets, refined.mesh.inverse_linears[cell])
-        inside = np.all((x >= -grid.slack) & (x <= 1 + grid.slack), axis=1)
-        # pairs run by point, then by cell: a point's first hit is its lowest cell
-        hit, first = np.unique(point[inside], return_index=True)
-        assign[hit] = cell[inside][first]
-        reference[hit] = x[inside][first]
-    if np.any(assign < 0):
-        first = points[int(np.argmax(assign < 0))]
-        raise ValueError(f"point {first.tolist()} lies in no mesh cell")
-    return assign, reference
 
 
 def coboundary(cochain: Cochain, refined: RefinedMesh) -> Cochain:
@@ -408,13 +381,13 @@ def _pinned_gap(a: PiecewiseForm, b: PiecewiseForm, cells, rows, tables) -> floa
     ``cells`` lists the distinct sampled cells and ``rows[i]`` is point
     i's position in it; ``tables`` are the points' factor tables.
     Evaluation is linear, so the difference a - b is taken on the
-    coefficients of the sampled cells and evaluated once, and the
-    push-forward minors are formed once per sampled cell.
+    coefficients of the sampled cells and evaluated once, with the
+    push-forward minors gathered from the mesh's stack.
     """
     diff = {
         dirs: block[cells] - b.coefficients[dirs][cells] for dirs, block in a.coefficients.items()
     }
-    push = compound_matrix(a.refined.mesh.inverse_linears[cells], a.degree)[rows]
+    push = a.refined.mesh.pushforward(a.degree)[cells[rows]]
     gap = _reference_values(diff, a.degree, rows, push, *tables)
     return float(np.abs(gap).max(initial=0.0))
 

@@ -6,9 +6,10 @@ whose j-th entry is bit j of c, so corner 0 is the cell origin and corner
 2^j its neighbour along reference axis j).  Every cell must be a
 parallelotope (the image of the unit cube under an invertible affine map)
 and cells may only meet along whole shared faces, checked on the shared
-vertex-id sets.  The mesh alone owns the cell geometry: validation keeps
-the cell maps as stacked arrays, and the inverse Jacobians and the
-point-locating bucket grid are built from them once, for every refinement.
+vertex-id sets.  The mesh alone owns the cell geometry and the operations
+on it: validation keeps the cell maps as stacked arrays, and the inverse
+Jacobians, their push-forward minors per degree and the bucket grid of
+:meth:`CubicalMesh.locate` are built from them once, for every refinement.
 
 Refinement glues the small p-cubes of all cells at once from one
 reference pattern per (n, p, k), with no loop over cells.  A small cube
@@ -99,8 +100,11 @@ class CubicalMesh:
     cells: np.ndarray
     origins: np.ndarray = field(init=False, repr=False, compare=False)
     linears: np.ndarray = field(init=False, repr=False, compare=False)
+    _pushforwards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise MeshValidationError(f"dimension must be >= 1, got {self.dimension}")
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != self.dimension:
             raise MeshValidationError(
@@ -140,10 +144,54 @@ class CubicalMesh:
         """The cell maps' inverse Jacobians, stacked: shape (n_cells, n, n)."""
         return _frozen(np.linalg.inv(self.linears))
 
+    def pushforward(self, degree: int) -> np.ndarray:
+        """The minors ``compound_matrix(inverse_linears, degree)``, formed once and read-only."""
+        if degree not in self._pushforwards:
+            self._pushforwards[degree] = _frozen(compound_matrix(self.inverse_linears, degree))
+        return self._pushforwards[degree]
+
     @cached_property
     def cell_grid(self) -> "CellGrid":
         """The bucket grid that locates points in cells."""
         return CellGrid.build(self)
+
+    def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest-index cell holding each point (s, n), and the point's reference coordinates.
+
+        Candidates are the cells in the point's bucket of :attr:`cell_grid` whose
+        box, widened by :data:`LOCATE_TOL` times the mesh scale, holds the point.
+        The (point, candidate) pairs, by point and then cell, are pulled back in
+        one batch; a pair counts when its reference coordinates are within that
+        slack of [0, 1], and a point's first counting pair wins.  Raises
+        ValueError if the points are not (s, n), or naming the first point that lies in no cell.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValueError(f"points must have shape (*, {self.dimension}), got {points.shape}")
+        assign = np.full(len(points), -1)
+        reference = np.empty_like(points)
+        if self.n_cells:
+            grid = self.cell_grid
+            coords = _bucket_coords(points, grid.start, grid.width, grid.shape)
+            keys = np.ravel_multi_index(tuple(coords.T), grid.shape)
+            slot = np.minimum(np.searchsorted(grid.keys, keys), len(grid.keys) - 1)
+            begin = grid.indptr[slot]
+            count = np.where(grid.keys[slot] == keys, grid.indptr[slot + 1] - begin, 0)
+            point = np.repeat(np.arange(len(points)), count)
+            offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
+            cell = grid.cells[np.repeat(begin, count) + offset]
+            pts = points[point]
+            boxed = np.all((pts >= grid.lower[cell]) & (pts <= grid.upper[cell]), axis=1)
+            point, cell = point[boxed], cell[boxed]
+            x = np.einsum("sj,sij->si", pts[boxed] - self.origins[cell], self.inverse_linears[cell])
+            inside = np.all((x >= -grid.slack) & (x <= 1 + grid.slack), axis=1)
+            hit, first = np.unique(point[inside], return_index=True)
+            assign[hit] = cell[inside][first]
+            reference[hit] = x[inside][first]
+        if np.any(assign < 0):
+            first = points[int(np.argmax(assign < 0))]
+            raise ValueError(f"point {first.tolist()} lies in no mesh cell")
+        return assign, reference
 
     # -- validation --------------------------------------------------
 
@@ -473,23 +521,6 @@ class CellGrid:
             indptr=np.append(starts, len(order)),
             cells=members[order],
         )
-
-    def candidates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point, cell) index pairs whose widened box holds the point.
-
-        Pairs run by point, and by increasing cell within a point.
-        """
-        coords = _bucket_coords(points, self.start, self.width, self.shape)
-        keys = np.ravel_multi_index(tuple(coords.T), self.shape)
-        slot = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        begin = self.indptr[slot]
-        count = np.where(self.keys[slot] == keys, self.indptr[slot + 1] - begin, 0)
-        point = np.repeat(np.arange(len(points)), count)
-        offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
-        cell = self.cells[np.repeat(begin, count) + offset]
-        pts = points[point]
-        boxed = np.all((pts >= self.lower[cell]) & (pts <= self.upper[cell]), axis=1)
-        return point[boxed], cell[boxed]
 
 
 def _bucket_coords(points, start, width, shape) -> np.ndarray:

@@ -19,16 +19,14 @@ from cubeforms import interp
 from cubeforms.catalog import get_form, list_forms
 from cubeforms.forms import PolyForm, basis_grid_stack, exterior_derivative
 from cubeforms.interp import (
-    LOCATE_TOL,
     Cochain,
     PiecewiseForm,
-    _locate_cells,
     coboundary,
     de_rham,
     interpolate,
     verify_identities,
 )
-from cubeforms.mesh import CubicalMesh, PulledBackForm, refine, structured_mesh
+from cubeforms.mesh import LOCATE_TOL, CubicalMesh, PulledBackForm, refine, structured_mesh
 from cubeforms.smallcubes import enumerate_small_cubes
 
 from helpers import (
@@ -242,14 +240,23 @@ def test_locate_matches_scan_oracle(n):
         want = locate_by_scan(refined, pts)
         found = want >= 0
         assert found.any() and not found.all()
-        cells, ref = _locate_cells(refined, pts[found])
+        cells, ref = refined.mesh.locate(pts[found])
         assert np.array_equal(cells, want[found])
         for c in np.unique(cells):
             pulled = refined.maps[c].pull_to_reference(pts[found][cells == c])
             assert np.abs(ref[cells == c] - pulled).max() <= 1e-12
         first = pts[int(np.argmin(found))]
         with pytest.raises(ValueError, match=re.escape(f"point {first.tolist()} lies in no")):
-            _locate_cells(refined, pts)
+            refined.mesh.locate(pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_rejects_points_of_another_shape(n):
+    mesh = structured_mesh(n, 2)
+    pts = np.full((4, n), 0.5)
+    for bad in (pts[:, [0] * (n + 1)], pts[0], pts[None]):
+        with pytest.raises(ValueError, match=rf"^points must have shape \(\*, {n}\), got "):
+            mesh.locate(bad)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -274,7 +281,7 @@ def test_locate_matches_scan_oracle_on_random_affine_meshes(n, m, entries, scale
     pts = np.array([refined.maps[c](x) for c, x in zip(cells, ref)])
     want = locate_by_scan(refined, pts)
     found = want >= 0
-    assert np.array_equal(_locate_cells(refined, pts[found])[0], want[found])
+    assert np.array_equal(refined.mesh.locate(pts[found])[0], want[found])
 
 
 def _assert_components_close(got, want, tol=1e-12):
@@ -317,7 +324,7 @@ def test_piecewise_form_matches_per_cell_oracle(n, k):
                 _assert_components_close(approx.evaluate(pts), pinned)
 
 
-@pytest.mark.parametrize("cell", [-1, 4, 1.0])
+@pytest.mark.parametrize("cell", [-1, 4, 1.0, True])
 def test_piecewise_evaluate_rejects_bad_cell(cell):
     refined = refine(structured_mesh(2, 2), 1)
     approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
@@ -423,6 +430,29 @@ def test_de_rham_rejects_a_degree_that_was_not_refined():
     refined = refine(structured_mesh(3, 2), 2, degrees=(1,))
     with pytest.raises(KeyError, match=re.escape("degree 2 was not refined; available: (1,)")):
         de_rham(get_form("sin3d-2"), refined)
+
+
+@pytest.mark.parametrize(
+    "form_id,n,message",
+    [
+        ("sin2d-1", 3, "form lives in dimension 2, mesh in dimension 3"),
+        ("sin2d-0", 1, "form lives in dimension 2, mesh in dimension 1"),
+        ("sin3d-1", 2, "form lives in dimension 3, mesh in dimension 2"),
+    ],
+)
+def test_de_rham_rejects_a_form_of_another_dimension(form_id, n, message):
+    form = get_form(form_id)
+    refined = refine(structured_mesh(n, 2), 2, degrees=(form.degree,))
+    with pytest.raises(ValueError, match=message):
+        de_rham(form, refined)
+
+
+def test_de_rham_rejects_a_piecewise_form_of_another_dimension():
+    refined = refine(structured_mesh(2, 2), 1, degrees=(1,))
+    approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
+    other = refine(structured_mesh(3, 1), 1, degrees=(1,))
+    with pytest.raises(ValueError, match="form lives in dimension 2, mesh in dimension 3"):
+        de_rham(approx, other)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])

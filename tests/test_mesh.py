@@ -91,6 +91,16 @@ def _square(vertices, cells):
     return CubicalMesh(2, np.asarray(vertices, dtype=float), cells)
 
 
+def test_rejects_dimension_zero(tmp_path):
+    message = "^dimension must be >= 1, got 0$"
+    with pytest.raises(MeshValidationError, match=message):
+        CubicalMesh(0, np.zeros((1, 0)), [[0]])
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"dimension": 0, "vertices": [[]], "cells": [[0]]}))
+    with pytest.raises(MeshValidationError, match=message):
+        load_mesh(path)
+
+
 def test_rejects_bad_vertex_shape():
     with pytest.raises(MeshValidationError, match="shape"):
         CubicalMesh(2, np.zeros((4, 3)), ((0, 1, 2, 3),))
@@ -592,6 +602,20 @@ def test_compound_matrix_entries_are_minors(n):
         lhs = compound_matrix(stack @ other, p)
         rhs = compound_matrix(stack, p) @ compound_matrix(other, p)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pushforward_is_each_cells_compound_formed_once(n):
+    sheared = structured_mesh(n, 2, shear=0.3 if n > 1 else 0.0)
+    mesh = scramble_corners(sheared, np.random.default_rng(n))
+    for p in range(n + 2):  # the derivative of a top-degree form has degree n + 1
+        push = mesh.pushforward(p)
+        assert push.shape == (mesh.n_cells,) + compound_matrix(np.eye(n), p).shape
+        for c in range(mesh.n_cells):
+            assert push[c].tobytes() == compound_matrix(mesh.inverse_linears[c], p).tobytes()
+        assert not push.flags.writeable
+        assert mesh.pushforward(p) is push
+        assert refine(mesh, 1).mesh.pushforward(p) is refine(mesh, 2).mesh.pushforward(p) is push
 
 
 # -- pullback --------------------------------------------------------
