@@ -18,14 +18,14 @@ import csv
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import ceil, log
 
 import numpy as np
 
 from .catalog import get_form, list_forms
 from .dof import assemble_dof_matrix, check_unisolvence
-from .interp import Cochain, _factor_tables, _reference_values, de_rham, interpolate
+from .interp import Cochain, de_rham, interpolate
 from .mesh import MeshValidationError, load_mesh, refine, structured_mesh
 from .smallcubes import enumerate_small_cubes, small_cube_count
 
@@ -81,7 +81,7 @@ def run_convergence(
     fixed tensor grid of about ``samples`` interior points per cell; the
     same grid on every mesh keeps the sup-norm estimates comparable.
     Each grid point lies in its own cell by construction, so a mesh's
-    points are evaluated in one call, each at its cell's coefficients.
+    points are evaluated in one :meth:`PiecewiseForm.evaluate_reference` call.
     The observed order eoc compares consecutive rows; it is None on the
     first row and wherever either error is exactly zero.  Raises
     ValueError if a mesh size repeats, which leaves no order to observe.
@@ -97,7 +97,6 @@ def run_convergence(
             f"form {form.name!r} is a {form.degree}-form in dimension "
             f"{form.dimension}, wanted degree {degree} in dimension {dimension}"
         )
-    combos = list(combinations(range(dimension), degree))
     ref_grid = _sample_grid(dimension, samples)
     rows: list[ConvergenceRow] = []
     for m in m_list:
@@ -106,14 +105,11 @@ def run_convergence(
         cochain = de_rham(form, refined, quad_order)
         approx = interpolate(cochain, refined)
         cells = np.repeat(np.arange(mesh.n_cells), len(ref_grid))
-        ref = np.tile(ref_grid, (mesh.n_cells, 1))
-        push = mesh.pushforward(degree)[cells]
-        tables = _factor_tables(ref, order)
-        got = _reference_values(approx.coefficients, degree, cells, push, *tables)
+        got = approx.evaluate_reference(cells, np.tile(ref_grid, (mesh.n_cells, 1)))
         want = form.evaluate(mesh.map_points(ref_grid).reshape(-1, dimension))
         err = max(
             float(np.abs(values - np.asarray(want.get(dirs, 0.0))).max())
-            for dirs, values in zip(combos, got)
+            for dirs, values in got.items()
         )
         h = 1.0 / m
         if rows and err and rows[-1].sup_error:
@@ -158,15 +154,19 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def _read_points(path, dimension: int) -> np.ndarray:
-    rows = []
+    """Rows of coordinates; only the first non-blank line may be a header."""
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                continue  # header line
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, row) for row in reader if row and row[0].strip()]
+    rows = []
+    for index, (line, row) in enumerate(lines):
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            if index:  # only the first non-blank line may be a header
+                raise ValueError(
+                    f"points file {path} line {line}: expected numbers, got {row}"
+                ) from None
     pts = np.array(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dimension:
         raise ValueError(

@@ -5,12 +5,15 @@ cube.  It annihilates every spanning form of another direction tuple, so
 the matrix of all functionals against all spanning forms is block
 diagonal, and each block is the Kronecker product of two 1-D tables:
 segment integrals F_k on spanned axes, point values P_k on fixed axes.
-The reference layer keeps only those two tables (:class:`DofMatrix`).
-:func:`check_unisolvence` certifies every block from their singular
-values, and :class:`ReferenceSolver` inverts them once and applies the
-inverses one axis at a time, the fast diagonalisation of Lynch, Rice &
-Thomas (1964).  :func:`dof_value_exact` computes single entries in
-:class:`fractions.Fraction` arithmetic as the oracle for that product.
+The reference layer keeps only those two tables (:class:`DofMatrix`),
+built from integers: P_k from integer numerators, and F_k from
+differences of them by discrete Stokes.  :func:`check_unisolvence`
+certifies every block from their singular values, and
+:class:`ReferenceSolver` inverts them once and applies the inverses one
+axis at a time, the fast diagonalisation of Lynch, Rice & Thomas (1964).
+Exact :class:`fractions.Fraction` arithmetic is only an oracle, off the
+production path: :func:`integral_1d` and :func:`dof_value_exact` compute
+single entries to check those tables and their Kronecker products.
 """
 
 from __future__ import annotations
@@ -170,17 +173,19 @@ class DofMatrix:
 
 @lru_cache(maxsize=None)
 def _axis_tables(order: int):
-    """F_k and P_k, each as integer numerators over one denominator.
+    """F_k and P_k, each as integer numerators over one denominator, from integers only.
 
-    F_k[r, c] integrates x^c (1-x)^(k-1-c) over [r/k, (r+1)/k], which
-    :func:`integral_1d` returns times k^k; P_k[r, c] = (r/k)^c (1-r/k)^(k-c).
+    P_k[r, a] = (r/k)^a (1-r/k)^(k-a) is N[r, a] / k^k with N[r, a] = r^a (k-r)^(k-a).
+    x^c (1-x)^(k-1-c) is the derivative of sum_{a>c} C(k, a) x^a (1-x)^(k-a) over
+    k C(k-1, c), so by discrete Stokes its integral F_k[r, c] over [r/k, (r+1)/k] is
+    sum_{a>c} C(k, a) (N[r+1, a] - N[r, a]) / (k^(k+1) C(k-1, c)).
     """
     k = order
-    f = [[integral_1d(k - 1 - c, c, k - 1 - r, r) for c in range(k)] for r in range(k)]
-    den = lcm(*(v.denominator for row in f for v in row))
-    f_num = np.array([[int(v * den) for v in row] for row in f], dtype=object)
-    p = [[r**c * (k - r) ** (k - c) for c in range(k + 1)] for r in range(k + 1)]
-    return (f_num, den * k**k), (np.array(p, dtype=object), k**k)
+    n = [[r**a * (k - r) ** (k - a) for a in range(k + 1)] for r in range(k + 1)]
+    step = [[comb(k, a) * (n[r + 1][a] - n[r][a]) for a in range(k + 1)] for r in range(k)]
+    den = lcm(*(comb(k - 1, c) for c in range(k)))
+    f = [[sum(row[c + 1 :]) * (den // comb(k - 1, c)) for c in range(k)] for row in step]
+    return (np.array(f, dtype=object), den * k ** (k + 1)), (np.array(n, dtype=object), k**k)
 
 
 @lru_cache(maxsize=None)
@@ -208,16 +213,14 @@ class UnisolvenceReport:
     block_conditions: dict[tuple[int, ...], float]
 
 
-def check_unisolvence(
-    dimension: int, degree: int, order: int, rank_tol: float = RANK_TOL
-) -> UnisolvenceReport:
+def check_unisolvence(dimension: int, degree: int, order: int) -> UnisolvenceReport:
     """Certify invertibility of the DOF matrix from its 1-D factors.
 
     The singular values of a Kronecker product are the products of its
     factors' singular values, and every block has F_k on its p axes and
     P_k on the other n - p, so every block shares the extremes
     s_max(F)^p s_max(P)^(n-p) and s_min(F)^p s_min(P)^(n-p).
-    Invertible means the smallest exceeds ``rank_tol`` times the
+    Invertible means the smallest exceeds :data:`RANK_TOL` times the
     largest; conditioning is reported globally and per block.
     """
     dm = assemble_dof_matrix(dimension, degree, order)
@@ -231,7 +234,7 @@ def check_unisolvence(
         degree=degree,
         order=order,
         size=dm.size,
-        invertible=smax > 0 and smin > rank_tol * smax,
+        invertible=smax > 0 and smin > RANK_TOL * smax,
         condition_estimate=condition,
         min_singular=smin,
         max_singular=smax,

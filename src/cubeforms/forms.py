@@ -346,7 +346,7 @@ class AnalyticForm:
     partials: Mapping[tuple[int, ...], tuple[Callable, ...]] | None = None
     name: str = ""
 
-    def evaluate(self, points, **_ignored) -> dict[tuple[int, ...], np.ndarray]:
+    def evaluate(self, points) -> dict[tuple[int, ...], np.ndarray]:
         pts = np.asarray(points, dtype=float)
         return {dirs: np.asarray(func(pts)) for dirs, func in self.components.items()}
 

@@ -59,25 +59,25 @@ class Cochain:
 
     @classmethod
     def from_csv(cls, path, degree: int) -> "Cochain":
-        """Read ``id,value`` lines (header optional, any id order)."""
-        pairs: dict[int, float] = {}
+        """Read ``id,value`` lines in any id order.
+
+        Only the first non-blank line may be a header; any other line that
+        is not ``id,value`` raises ValueError naming the file and the line.
+        """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    i = int(row[0])
-                except ValueError:
+            rows = [(reader.line_num, row) for row in reader if row and row[0].strip()]
+        pairs: dict[int, float] = {}
+        for index, (line, row) in enumerate(rows):
+            try:
+                i, value = int(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                if index == 0 and not row[0].strip().isdigit():
                     continue  # header line
-                if i in pairs:
-                    raise ValueError(f"duplicate cochain id {i} in {path}")
-                try:
-                    pairs[i] = float(row[1])
-                except (IndexError, ValueError):
-                    raise ValueError(
-                        f"{path} line {reader.line_num}: expected 'id,value', got {row}"
-                    ) from None
+                raise ValueError(f"{path} line {line}: expected 'id,value', got {row}") from None
+            if i in pairs:
+                raise ValueError(f"duplicate cochain id {i} in {path}")
+            pairs[i] = value
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError(
                 f"cochain ids in {path} must be exactly 0..{len(pairs) - 1}"
@@ -140,8 +140,6 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     q = quad_order if quad_order is not None else 2 * k + 2
-    tpts, twts = gauss_unit_cube(p, q)
-    nq = len(twts)
     if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
         # point values (p = 0) span no axis, so they need no rule
         edges, nodes = _own_mesh_tables(form.refined.order, k, q if p else 1)
@@ -152,6 +150,8 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
             cube_vals = k**-p * block.reshape(n_cells, len(anchors))
             values[table[:, sl].ravel()] = (signs[:, sl] * cube_vals).ravel()
         return Cochain(p, values)
+    tpts, twts = gauss_unit_cube(p, q)
+    nq = len(twts)
     combos = list(combinations(range(n), p))
     # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
     spans = compound_matrix(refined.mesh.linears / k, p)
@@ -266,13 +266,8 @@ class PiecewiseForm:
         """Components at one point (n,) or a batch (..., n) of physical points.
 
         Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
-        (the lowest cell index wins on shared faces) and evaluated at once, each
-        point gathering its cell's coefficients, with no loop over cells.  With
-        ``cell=`` every point is pulled back through that cell's map and its
-        coefficient blocks meet the factor tables of all points in one matrix
-        product.  Either way the coefficients are summed against the product
-        factors one axis at a time and pushed forward with the p-by-p minors of
-        the inverse Jacobian, gathered from :meth:`CubicalMesh.pushforward`.
+        (the lowest cell index wins on shared faces); with ``cell=`` every point is
+        pulled back through that cell's map.  Then :meth:`evaluate_reference` runs.
         Raises ValueError if the points do not have n coordinates, if ``cell``
         is not an integer in 0..n_cells-1, or (unpinned) if a point lies in no cell.
         """
@@ -290,13 +285,33 @@ class PiecewiseForm:
             cells, x = mesh.locate(flat)
         else:
             cells, x = int(cell), (flat - mesh.origins[cell]) @ mesh.inverse_linears[cell].T
-        push = mesh.pushforward(self.degree)[cells]
+        values = self.evaluate_reference(cells, x)
+        if pts.ndim == 1:
+            return {dirs: float(v[0]) for dirs, v in values.items()}
+        return {dirs: v.reshape(pts.shape[:-1]) for dirs, v in values.items()}
+
+    def evaluate_reference(self, cells, points) -> dict[tuple[int, ...], np.ndarray]:
+        """Components at reference points (s, n) of one cell or of one cell per point.
+
+        One integer ``cells`` meets the factor tables of all points in one matrix
+        product; an integer array (s,) makes each point gather its own cell's
+        coefficients.  Sums run one axis at a time, and the minors of
+        :meth:`CubicalMesh.pushforward` turn them into ambient components, one
+        (s,) array per direction tuple.  Raises ValueError if the points are not
+        (s, n) or a cell is outside 0..n_cells-1.
+        """
+        n, n_cells = self.dimension, self.refined.mesh.n_cells
+        x = np.asarray(points, dtype=float)
+        if x.ndim != 2 or x.shape[1] != n:
+            raise ValueError(f"reference points must have shape (*, {n}), got {x.shape}")
+        index = np.asarray(cells)
+        inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
+        if not (inside and index.shape in {(), x.shape[:1]}):
+            raise ValueError(f"cells must be one integer or one per point in 0..{n_cells - 1}")
+        push = self.refined.mesh.pushforward(self.degree)[cells]
         tables = _factor_tables(x, self.refined.order)
         out = _reference_values(self.coefficients, self.degree, cells, push, *tables)
-        combos = combinations(range(n), self.degree)
-        if pts.ndim == 1:
-            return {dirs: float(v[0]) for dirs, v in zip(combos, out)}
-        return {dirs: v.reshape(pts.shape[:-1]) for dirs, v in zip(combos, out)}
+        return dict(zip(combinations(range(n), self.degree), out))
 
     def exterior_derivative(self) -> "PiecewiseForm":
         """Differentiate cell by cell (commutes with the cell maps).
@@ -375,23 +390,6 @@ class IdentityReport:
         return all(e <= self.tolerance for e in errs)
 
 
-def _pinned_gap(a: PiecewiseForm, b: PiecewiseForm, cells, rows, tables) -> float:
-    """Largest component difference of two forms at reference points of cells.
-
-    ``cells`` lists the distinct sampled cells and ``rows[i]`` is point
-    i's position in it; ``tables`` are the points' factor tables.
-    Evaluation is linear, so the difference a - b is taken on the
-    coefficients of the sampled cells and evaluated once, with the
-    push-forward minors gathered from the mesh's stack.
-    """
-    diff = {
-        dirs: block[cells] - b.coefficients[dirs][cells] for dirs, block in a.coefficients.items()
-    }
-    push = a.refined.mesh.pushforward(a.degree)[cells[rows]]
-    gap = _reference_values(diff, a.degree, rows, push, *tables)
-    return float(np.abs(gap).max(initial=0.0))
-
-
 def verify_identities(
     refined: RefinedMesh,
     degree: int,
@@ -410,9 +408,9 @@ def verify_identities(
     degree): interpolating the coboundary of x equals differentiating the
     interpolant.  The two form identities are compared at ``samples``
     random reference points of random cells, each gap evaluated once on
-    the difference of the two forms' coefficients.  Raises ValueError if
-    ``trials`` or ``samples`` is below 1, since no identity would be
-    checked.
+    the difference form a - b by :meth:`PiecewiseForm.evaluate_reference`.
+    Raises ValueError if ``trials`` or ``samples`` is below 1, since no
+    identity would be checked.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -423,6 +421,12 @@ def verify_identities(
     p = degree
     e_round = e_recon = 0.0
     e_comm: float | None = 0.0 if p < n else None
+
+    def gap(a: PiecewiseForm, b: PiecewiseForm, cells, points) -> float:
+        diff = {dirs: block - b.coefficients[dirs] for dirs, block in a.coefficients.items()}
+        values = PiecewiseForm(refined, a.degree, diff).evaluate_reference(cells, points)
+        return max(float(np.abs(v).max(initial=0.0)) for v in values.values())
+
     for _ in range(trials):
         x = Cochain(p, rng.standard_normal(refined.count(p)))
         w = interpolate(x, refined)
@@ -430,12 +434,11 @@ def verify_identities(
         e_round = max(e_round, float(np.abs(y.values - x.values).max()))
         w2 = interpolate(y, refined)
         sampled = rng.integers(0, refined.mesh.n_cells, size=samples)
-        cells, rows = np.unique(sampled, return_inverse=True)
-        tables = _factor_tables(rng.random((samples, n)), refined.order)
-        e_recon = max(e_recon, _pinned_gap(w, w2, cells, rows, tables))
+        points = rng.random((samples, n))
+        e_recon = max(e_recon, gap(w, w2, sampled, points))
         if p < n:
             w_dx = interpolate(coboundary(x, refined), refined)
-            e_comm = max(e_comm, _pinned_gap(w_dx, w.exterior_derivative(), cells, rows, tables))
+            e_comm = max(e_comm, gap(w_dx, w.exterior_derivative(), sampled, points))
     return IdentityReport(
         degree=p,
         round_trip_error=e_round,

@@ -367,12 +367,15 @@ def structured_mesh(dimension: int, subdivisions: int, shear: float = 0.0) -> Cu
 def load_mesh(path) -> CubicalMesh:
     """Read a mesh from JSON: {"dimension", "vertices", "cells"}.
 
-    Cells list vertex ids in binary-corner order, 0-based; a bad entry is a malformed file.
+    Cells list vertex ids in binary-corner order, 0-based.  A bad entry, or a
+    ``dimension`` that is not an integer, is a malformed file.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
-        dimension = int(data["dimension"])
+        dimension = data["dimension"]
+        if not isinstance(dimension, int) or isinstance(dimension, bool):
+            raise TypeError(f"dimension must be an integer, got {dimension!r}")
         return CubicalMesh(dimension, np.asarray(data["vertices"], dtype=float), data["cells"])
     except MeshValidationError:
         raise

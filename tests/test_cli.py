@@ -1,12 +1,15 @@
 """Command-line interface: exit codes and output formats."""
 
+import ast
 import subprocess
 import sys
 from math import log
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cubeforms import cli
 from cubeforms.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run_convergence
 from cubeforms.dof import assemble_dof_matrix
 from cubeforms.interp import Cochain, de_rham
@@ -165,6 +168,31 @@ def test_interpolate_rejects_cochain_row_without_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{cochain_path} line 3" in err
+
+
+def test_interpolate_rejects_a_malformed_points_row(tmp_path, capsys):
+    mesh = structured_mesh(2, 1)
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(mesh, mesh_path)
+    refined = refine(mesh, 1, degrees=(1,))
+    cochain_path = tmp_path / "cochain.csv"
+    de_rham(get_form("linear2d-1"), refined).to_csv(cochain_path)
+    points_path = tmp_path / "points.csv"
+    points_path.write_text("x0,x1\n0.5,0.5\n0.25,oops\n0.75,0.75\n")
+    code = main(
+        [
+            "interpolate",
+            "--mesh", str(mesh_path),
+            "--cochain", str(cochain_path),
+            "--p", "1",
+            "--k", "1",
+            "--points", str(points_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: points file {points_path} line 3:")
 
 
 def test_interpolate_rejects_non_finite_cochain_value(tmp_path, capsys):
@@ -357,6 +385,20 @@ def test_convergence_rejects_unknown_form(capsys):
     )
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_names():
+    # the CLI is a client of the library's public surface
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "cubeforms")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_module_entry_point_runs():

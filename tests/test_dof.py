@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cubeforms import dof
 from cubeforms.dof import (
     RANK_TOL,
     DofMatrix,
@@ -25,6 +26,8 @@ from cubeforms.dof import (
     integral_1d,
     reference_solver,
 )
+from cubeforms.interp import Cochain, PiecewiseForm, interpolate
+from cubeforms.mesh import refine, structured_mesh
 from cubeforms.smallcubes import enumerate_small_cubes, small_cube_from_geometry
 
 from helpers import dense_dof_matrix
@@ -192,6 +195,42 @@ def test_matrix_is_read_only_and_cached():
             table[0, 0] = 3.0
     with pytest.raises(KeyError):
         dm.block((0, 1))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axis_tables_equal_the_exact_functionals(k):
+    (f, f_den), (p, p_den) = dof._axis_tables(k)
+    for r in range(k + 1):
+        for c in range(k + 1):
+            if r < k and c < k:
+                assert Fraction(f[r, c], f_den) == integral_1d(k - 1 - c, c, k - 1 - r, r) / k**k
+            assert Fraction(p[r, c], p_den) == Fraction(r, k) ** c * Fraction(k - r, k) ** (k - c)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axis_tables_commute_with_the_derivative(k):
+    # 1-D discrete Stokes: integrating the derivative over segment r gives
+    # the difference of the point values at its ends, so F_k D_k = P_k[1:] - P_k[:-1]
+    # exactly, with D_k read off PiecewiseForm.exterior_derivative: on a
+    # mesh of k + 1 cells, cell c carries the c-th fixed basis coefficient
+    refined = refine(structured_mesh(1, k + 1), k, degrees=(0, 1))
+    d = PiecewiseForm(refined, 0, {(): np.eye(k + 1)}).exterior_derivative().coefficients[(0,)]
+    assert np.array_equal(d, np.round(d))
+    d = d.T.astype(int).astype(object)
+    (f, f_den), (p, p_den) = dof._axis_tables(k)
+    assert np.array_equal((f @ d) * p_den, (p[1:] - p[:-1]) * f_den)
+
+
+def test_interpolation_runs_without_exact_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("integral_1d called on the production path")
+
+    monkeypatch.setattr(dof, "integral_1d", refuse)
+    for cached in (dof._axis_tables, dof.assemble_dof_matrix, dof.reference_solver):
+        cached.cache_clear()
+    refined = refine(structured_mesh(2, 2, shear=0.3), 3, degrees=(1,))
+    cochain = Cochain(1, np.random.default_rng(0).standard_normal(refined.count(1)))
+    assert interpolate(cochain, refined).degree == 1
 
 
 def test_order_one_vertices_give_identity():

@@ -315,6 +315,13 @@ def test_analytic_form_derivative_matches_sympy():
     assert np.abs(got - expected(pts[:, 0], pts[:, 1])).max() < 1e-10
 
 
+def test_analytic_form_evaluate_takes_no_keywords():
+    from cubeforms.catalog import get_form
+
+    with pytest.raises(TypeError):
+        get_form("sin2d-0").evaluate(np.full((3, 2), 0.5), cell=7)
+
+
 def test_analytic_form_without_partials_rejects_derivative():
     plain = AnalyticForm(2, 0, {(): lambda x: x[..., 0]})
     with pytest.raises(ValueError):

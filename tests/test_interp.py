@@ -72,6 +72,13 @@ def test_cochain_csv_rejects_duplicates_and_gaps(tmp_path):
         Cochain.from_csv(gap, 0)
 
 
+def test_cochain_csv_takes_only_the_first_line_as_a_header(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("0,1\n\n1,2\n2.0,3\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 4: expected 'id,value'"):
+        Cochain.from_csv(path, 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cochain_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match=rf"cochain id 2 has a non-finite value \({bad}\)"):
@@ -340,6 +347,49 @@ def test_piecewise_evaluate_rejects_wrong_point_dimension(shape):
         ValueError, match=rf"points have {shape[-1]} coordinates, form lives in dimension 2"
     ):
         approx.evaluate(np.full(shape, 0.25), cell=0)
+
+
+@pytest.mark.parametrize("n,k", product((1, 2, 3), (1, 3)))
+def test_evaluate_reference_matches_pinned_physical_evaluation(n, k):
+    rng = np.random.default_rng([n, k])
+    mesh = scramble_corners(structured_mesh(n, 2, shear=0.3 if n > 1 else 0.0), rng)
+    refined = refine(mesh, k)
+    x = rng.random((20, n))
+    cells = rng.integers(0, mesh.n_cells, size=len(x))
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+        per_point = approx.evaluate_reference(cells, x)
+        for c in range(mesh.n_cells):
+            want = approx.evaluate(mesh.map_points(x, [c])[0], cell=c)
+            _assert_components_close(approx.evaluate_reference(c, x), want)
+            mine = cells == c
+            if mine.any():
+                _assert_components_close(
+                    {dirs: v[mine] for dirs, v in per_point.items()},
+                    {dirs: v[mine] for dirs, v in want.items()},
+                )
+
+
+@pytest.mark.parametrize(
+    "cells,points",
+    [
+        (0, np.full(2, 0.5)),
+        (0, np.full((4, 3), 0.5)),
+        (0, np.full((1, 4, 2), 0.5)),
+        (-1, np.full((4, 2), 0.5)),
+        (4, np.full((4, 2), 0.5)),
+        (np.array([0, 1, -1, 2]), np.full((4, 2), 0.5)),
+        (np.array([0, 1, 4, 2]), np.full((4, 2), 0.5)),
+        (np.array([0, 1, 2]), np.full((4, 2), 0.5)),
+        (np.array([0.0, 1.0, 2.0, 3.0]), np.full((4, 2), 0.5)),
+        (True, np.full((4, 2), 0.5)),
+    ],
+)
+def test_evaluate_reference_rejects_bad_points_and_cells(cells, points):
+    refined = refine(structured_mesh(2, 2), 1)
+    approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
+    with pytest.raises(ValueError, match=r"^(reference points must have shape|cells must be)"):
+        approx.evaluate_reference(cells, points)
 
 
 class _PhysicalOnly:

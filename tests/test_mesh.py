@@ -8,6 +8,7 @@ used by :func:`refine`.
 
 import hashlib
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -283,6 +284,20 @@ def test_load_mesh_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dimension": 2, "vertices": [[0, 0]]}))
     with pytest.raises(MeshValidationError, match="malformed"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("dimension", [2.7, 2.0, True, "2", None])
+def test_load_mesh_requires_an_integer_dimension(tmp_path, dimension):
+    mesh = structured_mesh(2, 1)
+    path = tmp_path / "mesh.json"
+    save_mesh(mesh, path)
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(data, dimension=dimension)))
+    got = re.escape(repr(dimension))
+    with pytest.raises(
+        MeshValidationError, match=rf"^malformed mesh file .*: dimension must be an integer, got {got}$"
+    ):
         load_mesh(path)
 
 
