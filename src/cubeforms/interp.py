@@ -85,9 +85,10 @@ class Cochain:
         return cls(degree, np.array([pairs[i] for i in range(len(pairs))]))
 
 
-#: Quadrature points that ``de_rham`` maps and evaluates per batch of
+#: Quadrature points of local cubes that ``de_rham`` handles per batch of
 #: cells when integrating a form at physical points (analytic forms, or
-#: a piecewise form on another mesh): enough to make the per-batch
+#: a piecewise form on another mesh; it maps and evaluates only those of
+#: the cubes each cell integrates): enough to make the per-batch
 #: overhead negligible, few enough that the form's temporaries stay a few
 #: megabytes however large the mesh.  An interpolant on its own mesh is
 #: integrated by per-axis tables and never evaluated point by point, so
@@ -103,15 +104,19 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     piecewise forms all qualify.  Integrals use a tensor Gauss rule with
     ``quad_order`` points per axis (default 2k + 2); degree zero reduces
     to point evaluation.  Each cube's value is oriented by its stored
-    global orientation.  The quadrature points sit at the same reference
-    coordinates in every cell.  One direction tuple at a time, they are
-    mapped into all cells at once through the stacked cell maps, and the
-    form is evaluated there in one call, with no loop over cells (meshes
-    with more than :data:`DE_RHAM_BATCH_POINTS` such points go in batches
-    of consecutive cells, to bound the temporaries); the integrands then
-    meet the weights in one product and are scattered to the global
-    cubes in one assignment.  Raises ValueError if the form declares another
-    ``dimension`` than the mesh's, and KeyError if its degree was not refined.
+    global orientation.  Each global cube is integrated once, at the one
+    owner that :meth:`RefinedMesh.integration_owners` marks.  The
+    quadrature points sit at the same reference coordinates in every
+    cell.  One direction tuple at a time, cells are taken in order of the
+    number of cubes they own, in batches whose local cubes hold at most
+    :data:`DE_RHAM_BATCH_POINTS` points (to bound the temporaries): the
+    points of the owned cubes are mapped through the stacked cell maps,
+    one product per run of cells owning equally many, and the form is
+    evaluated there in one call, with no loop over cells; the integrands
+    then meet the weights in one product and are scattered to the global
+    cubes in one assignment.
+    Raises ValueError if the form declares another ``dimension`` than the
+    mesh's, and KeyError if its degree was not refined.
 
     A :class:`PiecewiseForm` on the same mesh is integrated on the
     reference cube instead.  Integrating it over the image of a
@@ -126,9 +131,6 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     k + 1 nodes b/k (other axes), and all cells' coefficient blocks are
     contracted with these tables one axis at a time.  No quadrature point
     is formed, so this path needs no batching.
-
-    Where owners of a cube disagree in the last bit, the last owner in
-    (tuple, cell) order wins.
     """
     n = refined.dimension
     if getattr(form, "dimension", n) != n:
@@ -139,6 +141,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     values = np.empty(refined.count(p))
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
+    owned = refined.integration_owners(p)
     q = quad_order if quad_order is not None else 2 * k + 2
     if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
         # point values (p = 0) span no axis, so they need no rule
@@ -148,7 +151,8 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
             for j in range(n):  # each step sums out the leading anchor axis
                 block = np.tensordot(block, edges if j in dirs else nodes, ([1], [0]))
             cube_vals = k**-p * block.reshape(n_cells, len(anchors))
-            values[table[:, sl].ravel()] = (signs[:, sl] * cube_vals).ravel()
+            mine = owned[:, sl]
+            values[table[:, sl][mine]] = (signs[:, sl] * cube_vals)[mine]
         return Cochain(p, values)
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
@@ -160,18 +164,52 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
         x += anchors[:, None, :]
         for j, axis in enumerate(dirs):
             x[:, :, axis] += tpts[None, :, j]
-        x = x.reshape(-1, n) / k
-        size = max(1, DE_RHAM_BATCH_POINTS // len(x))
+        x /= k
+        mine = owned[:, sl]
+        counts = mine.sum(axis=1)
+        # cells by the number of cubes they own: a batch holds runs of cells
+        # that own equally many
+        by_count = np.argsort(counts, kind="stable")
+        size = max(1, DE_RHAM_BATCH_POINTS // x[..., 0].size)
         for lo in range(0, n_cells, size):
-            batch = slice(lo, lo + size)
-            comps = form.evaluate(refined.mesh.map_points(x, batch))
-            minors = spans[batch, :, t]
-            integrand = np.zeros((len(minors), len(x)))
+            cells = by_count[lo : lo + size]
+            row, anchor = np.nonzero(mine[cells])
+            if not row.size:
+                continue
+            pieces = []
+            ends = np.cumsum(counts[cells])
+            runs = np.flatnonzero(np.diff(counts[cells], prepend=-1))
+            for r0, r1 in zip(runs, [*runs[1:], len(cells)]):
+                w = int(counts[cells[r0]])
+                if not w:
+                    continue
+                own = slice(ends[r0] - w, ends[r1 - 1])
+                block = mine[cells[r0:r1]]
+                # Each cell maps only the w * nq points of its own cubes, in one
+                # matrix product.  BLAS rounds each row of it the same whatever the
+                # number of rows (the pinned cochains check this), but numpy hands
+                # a single row to gemv, so a lone row is mapped twice.  Cells that
+                # own the same cubes share one copy of their rows.
+                if (block == block[0]).all():
+                    rows = x[anchor[own][:w]].reshape(w * nq, n)
+                else:
+                    rows = x[anchor[own]].reshape(r1 - r0, w * nq, n)
+                if w * nq == 1:
+                    rows = np.repeat(rows, 2, axis=-2)
+                mapped = refined.mesh.map_points(rows, cells[r0:r1])[:, : w * nq]
+                pieces.append(mapped.reshape(-1, nq, n))
+            comps = form.evaluate(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+            minors = spans[cells, :, t]
+            integrand = np.zeros((len(row), nq))
             for dirs_i, minor, used in zip(combos, minors.T, minors.any(axis=0)):
                 if used and dirs_i in comps:
-                    integrand += minor[:, None] * np.asarray(comps[dirs_i], dtype=float)
-            cube_vals = integrand.reshape(len(minors), -1, nq) @ twts
-            values[table[batch, sl].ravel()] = (signs[batch, sl] * cube_vals).ravel()
+                    integrand += minor[row, None] * np.asarray(comps[dirs_i], dtype=float)
+            # the owned integrands are summed in the (cells, anchors, nq) shape
+            # of all local cubes, whose matrix-vector products fix the rounding
+            placed = np.zeros((len(cells), len(anchors), nq))
+            placed[row, anchor] = integrand
+            cube_vals = signs[cells, sl] * (placed @ twts)
+            values[table[cells, sl][row, anchor]] = cube_vals[row, anchor]
     return Cochain(p, values)
 
 

@@ -15,13 +15,15 @@ Refinement glues the small p-cubes of all cells at once from one
 reference pattern per (n, p, k), with no loop over cells.  A small cube
 is keyed exactly by the integer multilinear weights of its centre on the
 cell's vertex ids (denominator (2k)^n): the centre determines the cube,
-and its nonzero weights are intrinsic to the smallest face holding it,
-so cells sharing the cube produce the same key.  One lexsort of the key
-rows groups equal keys, and global ids follow first appearance.  The
-spans of all (cell, direction tuple) pairs are oriented in one array
-pass; each owner records the sign relating its local direction order to
-the orientation of the cube's span at its first owner, and coboundaries
-scatter the reference boundary of each cube through that first owner.
+and its nonzero weights sit on the 2^d corners of the d-face whose
+relative interior holds it, so cells sharing the cube produce the same
+key.  Cubes are matched within each face dimension, by one lexsort of
+keys 2^d wide; cubes inside a cell (d = n) are its own.  Global ids
+follow first appearance.  The spans of all (cell, direction tuple)
+pairs are oriented in one array pass; each owner records the sign
+relating its local direction order to the orientation of the cube's
+span at its first owner, and coboundaries scatter the reference
+boundary of each cube through that first owner.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ from scipy import sparse
 from .forms import PolyForm, exterior_derivative
 from .smallcubes import anchor_runs, pattern_shape
 
-#: Relative tolerance for the parallelotope shape check and for coincident vertices: on affine
-#: images of grids with coordinates of order 1 the shape check reads at most 4.5e-16.
+#: Relative tolerance of the cell shape checks and of coincident vertices.  A corner may deviate
+#: from the affine prediction by this times the cell's longest edge (times 2^n), and a cell is
+#: degenerate where |det| of its edges is at most this times the product of their lengths: cells
+#: at |x| ~ 100 whose edges are dependent up to roundoff read at most 4.8e-13, sheared grids 0.96.
+#: Vertices coincide within this times the largest coordinate (at least 1).
 SHAPE_TOL = 1e-12
-
-#: Relative |det| at or below which a cell map counts as degenerate: with coordinates of order
-#: 1, cells with edges dependent up to roundoff read <= 1.8e-16, sheared grids to 3D m=24 >= 7.2e-5.
-DEGENERACY_TOL = 1e-14
 
 
 class MeshValidationError(ValueError):
@@ -207,16 +208,41 @@ class CubicalMesh:
         self._check_conformity()
 
     def _check_duplicate_vertices(self) -> None:
-        scale = max(1.0, float(np.abs(self.vertices).max(initial=0.0)))
+        """No two vertices within the tolerance of each other in every coordinate.
+
+        Coordinates are cut into tolerance-wide buckets, so two such vertices
+        sit in the same or neighbouring buckets along every axis.  A bucket's
+        key is linear in its indices (mod 2^64), so a neighbouring bucket's key
+        is a vertex's own key plus a fixed step; half of the 3^n steps find
+        each neighbouring pair once.  The vertices found under those keys
+        (hash collisions included) are confirmed by the coordinate test, and
+        the pair reported is the first in lexicographic order of coordinates.
+        """
+        n = self.dimension
+        tol = SHAPE_TOL * max(1.0, float(np.abs(self.vertices).max(initial=0.0)))
         order = np.lexsort(self.vertices.T[::-1])
         v = self.vertices[order]
-        close = np.all(np.abs(np.diff(v, axis=0)) <= SHAPE_TOL * scale, axis=1)
-        if np.any(close):
-            i = int(np.argmax(close))
-            a, b = int(order[i]), int(order[i + 1])
+        mix = np.uint64(0x9E3779B97F4A7C15) ** np.arange(n, dtype=np.uint64)
+        keys = (np.floor(v / tol).astype(np.int64).view(np.uint64) * mix).sum(axis=1, dtype=np.uint64)
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        # the zero step and those whose first nonzero entry is +1
+        steps = np.indices((3,) * n).reshape(n, -1).T[(3**n - 1) // 2 :] - 1
+        steps = (steps.view(np.uint64) * mix).sum(axis=1, dtype=np.uint64)
+        # per step the targets stay sorted up to one wrap, which keeps the searches fast
+        targets = (steps[:, None] + sorted_keys).ravel()
+        lo = np.searchsorted(sorted_keys, targets, side="left")
+        count = np.searchsorted(sorted_keys, targets, side="right") - lo
+        i = np.repeat(np.tile(by_key, len(steps)), count)
+        j = by_key[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(i))]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        close = np.flatnonzero((i < j) & np.all(np.abs(v[i] - v[j]) <= tol, axis=1))
+        if close.size:
+            first = close[np.lexsort((j[close], i[close]))[0]]
+            a, b = int(order[i[first]]), int(order[j[first]])
             raise MeshValidationError(
                 f"vertices {min(a, b)} and {max(a, b)} coincide at "
-                f"{v[i].tolist()}; merge them and share the id"
+                f"{v[i[first]].tolist()}; merge them and share the id"
             )
 
     def _check_parallelotope(self) -> None:
@@ -226,11 +252,11 @@ class CubicalMesh:
         edges = corners[:, 1 << np.arange(n)] - corners[:, :1]
         predicted = corners[:, :1] + _corner_shifts(n).astype(float) @ edges
         deviation = np.linalg.norm(corners - predicted, axis=-1)
-        scale = np.maximum(1.0, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0))
-        skewed = deviation > SHAPE_TOL * scale[:, None] * (1 << n)
+        lengths = np.linalg.norm(edges, axis=2)
+        skewed = deviation > SHAPE_TOL * lengths.max(axis=1, initial=0.0)[:, None] * (1 << n)
         linears = np.swapaxes(edges, 1, 2).copy()
         determinant = np.linalg.det(linears)
-        degenerate = np.abs(determinant) <= DEGENERACY_TOL * scale**n
+        degenerate = np.abs(determinant) <= SHAPE_TOL * lengths.prod(axis=1)
         failing = np.flatnonzero(skewed.any(axis=1) | degenerate)
         if not failing.size:
             object.__setattr__(self, "origins", _frozen(corners[:, 0].copy()))
@@ -617,10 +643,13 @@ def _reference_pattern(dimension: int, degree: int, order: int):
     """The local small p-cubes of one cell, as integer tables.
 
     Returns, per local cube in canonical order, the index of its
-    direction tuple among ``combinations(range(n), p)`` and the
-    multilinear weights of its centre on the 2^n cell corners.  The
-    centre has numerators over 2k (odd on spanned axes, even on fixed
-    ones), so the weights are integers over (2k)^n.
+    direction tuple among ``combinations(range(n), p)``, and the cubes
+    grouped by the face of the cell whose relative interior holds them.
+    The multilinear weights of a cube's centre on the 2^n cell corners
+    are integers over (2k)^n (the centre has numerators over 2k, odd on
+    spanned axes and even on fixed ones), and the nonzero ones sit on
+    the corners of that face: 2^d of them for a d-face.  Each group is
+    (local indices, corners (cubes, 2^d), weights (cubes, 2^d)), by d.
     """
     n, k = dimension, order
     runs = anchor_runs(n, degree, k)
@@ -628,7 +657,52 @@ def _reference_pattern(dimension: int, degree: int, order: int):
     centre = np.concatenate([2 * anchors + np.isin(np.arange(n), dirs) for dirs, _, anchors in runs])
     bits = _corner_shifts(n).astype(bool)
     weights = np.where(bits, centre[:, None, :], 2 * k - centre[:, None, :]).prod(axis=2)
-    return _frozen(direction), _frozen(weights)
+    support = (weights > 0).sum(axis=1)
+    groups = []
+    for d in range(degree, n + 1):  # a p-cube lies in no face of lower dimension
+        local = np.flatnonzero(support == 1 << d)
+        if not local.size:  # at k = 1 every cube is a face of the cell
+            continue
+        corners = np.nonzero(weights[local] > 0)[1].reshape(len(local), 1 << d)
+        nonzero = np.take_along_axis(weights[local], corners, axis=1)
+        groups.append((_frozen(local), _frozen(corners), _frozen(nonzero)))
+    return _frozen(direction), tuple(groups)
+
+
+def _number_cubes(
+    cells: np.ndarray, order: int, groups, n_local: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global ids (n_cells, n_local) by first appearance, and each id's first flat index.
+
+    A cube in the relative interior of a d-face of a cell (d < n) is keyed
+    by its centre's nonzero weights on the face's vertex ids: each (vertex
+    id, weight) pair packed into one integer, sorted, so the key is 2^d
+    wide and owner-independent.  Each face dimension is deduplicated on
+    its own, since cubes on faces of different dimension never coincide;
+    cubes inside the cell (d = n) belong to it alone and need no key.  An
+    id is then the number of first appearances before its cube's first,
+    with cells in order and local cubes in order within a cell.
+    """
+    n_cells, size = cells.shape
+    stride = (2 * order) ** (size.bit_length() - 1) + 1  # above every weight, (2k)^n
+    firsts, inverses = [], []
+    for local, corners, weights in groups:
+        if corners.shape[1] == size:  # inside the cell
+            first = inverse = np.arange(n_cells * len(local))
+        else:
+            keys = np.sort(cells[:, corners] * stride + weights, axis=2)
+            first, inverse = _unique_rows(keys.reshape(-1, corners.shape[1]))
+        cell, i = np.divmod(first, len(local))
+        firsts.append(cell * n_local + local[i])
+        inverses.append(inverse)
+    appears = np.zeros(n_cells * n_local, dtype=bool)
+    for first in firsts:
+        appears[first] = True
+    ids = np.cumsum(appears) - 1
+    table = np.empty((n_cells, n_local), dtype=np.intp)
+    for (local, _, _), first, inverse in zip(groups, firsts, inverses):
+        table[:, local] = ids[first][inverse].reshape(n_cells, len(local))
+    return table, np.flatnonzero(appears)
 
 
 @lru_cache(maxsize=None)
@@ -664,7 +738,9 @@ class RefinedMesh:
     For each refined degree p, ``cell_tables[p][c, i]`` is the global id
     of local cube i (canonical order) of cell c, and ``cell_signs[p][c, i]``
     the sign relating its local direction order to the global cube's
-    orientation.  Ids follow first appearance, cells in order and local
+    orientation.  A cube is shared only through the face of each owner
+    whose relative interior holds it, and a cube inside a cell has that
+    cell alone.  Ids follow first appearance, cells in order and local
     cubes in order within a cell; ``first_owners[p][g]`` is the
     (cell, local index) where cube g first appears.  The cell geometry is
     read from ``mesh``, shared by every refinement of it.
@@ -677,6 +753,9 @@ class RefinedMesh:
     cell_signs: dict[int, np.ndarray]
     first_owners: dict[int, np.ndarray]
     _coboundaries: dict[int, sparse.csr_matrix] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _integration_owners: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -701,6 +780,24 @@ class RefinedMesh:
         return np.bincount(
             self.cell_tables[degree].ravel(), minlength=self.count(degree)
         )
+
+    def integration_owners(self, degree: int) -> np.ndarray:
+        """Read-only mask (n_cells, n_local) of the owner that integrates each cube, cached.
+
+        Each global cube has exactly one True entry: its last owner in
+        (direction tuple, cell, local index) order, the owner whose write
+        of a shared cube lasted when every owner wrote its value.
+        """
+        if degree not in self._integration_owners:
+            self._require(degree)
+            table = self.cell_tables[degree]
+            n_cells, n_local = table.shape
+            direction, _ = _reference_pattern(self.dimension, degree, self.order)
+            rank = (direction * n_cells + np.arange(n_cells)[:, None]) * n_local + np.arange(n_local)
+            last = np.full(self.count(degree), -1, dtype=rank.dtype)
+            np.maximum.at(last, table.ravel(), rank.ravel())
+            self._integration_owners[degree] = _frozen(rank == last[table])
+        return self._integration_owners[degree]
 
     @cached_property
     def maps(self) -> tuple[AffineMap, ...]:
@@ -752,8 +849,13 @@ class RefinedMesh:
 def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
     """Subdivide every cell into its order-k small cubes and glue them.
 
-    ``degrees`` restricts which p-levels are built (default all); the
-    coboundary between p and p+1 needs both present.
+    Local cubes are numbered per face dimension d, since a cube in the
+    relative interior of a d-face of one cell can only be shared through
+    that face: each group is matched on keys 2^d wide, the cubes inside
+    a cell (d = n) get ids without a match, and the groups merge by first
+    appearance (see :func:`_number_cubes`).  ``degrees`` restricts which
+    p-levels are built (default all); the coboundary between p and p+1
+    needs both present.
     """
     n = mesh.dimension
     if order < 1:
@@ -769,19 +871,10 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
     signs: dict[int, np.ndarray] = {}
     owners: dict[int, np.ndarray] = {}
     for p in wanted:
-        direction, weights = _reference_pattern(n, p, order)
+        direction, groups = _reference_pattern(n, p, order)
         n_local = len(direction)
-        # key: the centre's nonzero (vertex id, weight) pairs, packed into
-        # one integer each and sorted; zero weights become -1
-        packed = mesh.cells[:, None, :] * ((2 * order) ** n + 1) + weights
-        keys = np.sort(np.where(weights > 0, packed, -1), axis=2)
-        # one lexsort groups equal keys; ids are then handed out by first appearance
-        first, inverse = _unique_rows(keys.reshape(-1, 1 << n))
-        by_appearance = np.argsort(first)
-        rank = np.empty_like(by_appearance)
-        rank[by_appearance] = np.arange(len(by_appearance))
-        table = rank[inverse].reshape(mesh.n_cells, n_local)
-        first_cell, first_local = np.divmod(first[by_appearance], n_local)
+        table, first = _number_cubes(mesh.cells, order, groups, n_local)
+        first_cell, first_local = np.divmod(first, n_local)
 
         # wedges[c, t]: the row minors of cell c's edges along direction tuple t;
         # every (cell, tuple) pair is oriented, and a cube takes its first owner's
@@ -790,11 +883,11 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         tuples = np.array(list(combinations(range(n), p)), dtype=np.intp).reshape(n_tuples, p)
         pair_edges = np.moveaxis(edges[:, :, tuples], 2, 1).reshape(mesh.n_cells * n_tuples, n, p)
         orientations = _canonical_orientations(pair_edges, wedges.reshape(-1, n_tuples))
-        own = wedges[:, direction]
         shared = orientations.reshape(-1, n_tuples, n_tuples)[first_cell, direction[first_local]]
-        shared = shared[table]
-        dot = np.einsum("clt,clt->cl", own, shared)
-        disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(own, axis=2)
+        dot = np.empty(table.shape)
+        for t, (_, sl, _) in enumerate(anchor_runs(n, p, order)):
+            dot[:, sl] = np.einsum("ct,clt->cl", wedges[:, t], shared[table[:, sl]])
+        disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(wedges, axis=2)[:, direction]
         if disagree.any():
             ci = int(np.argmax(disagree.any(axis=1)))
             raise MeshValidationError(

@@ -138,6 +138,49 @@ def canonical_orientation(edges, wedge):
     return sign * wedge / norm
 
 
+def refine_by_full_keys(mesh, order):
+    """Cell tables, cell signs and first owners of every degree, from 2^n-wide keys.
+
+    The oracle for the per-face numbering in ``refine``: every local cube
+    of every cell is keyed by its centre's multilinear weights on all 2^n
+    cell corners, each nonzero (vertex id, weight) pair packed into one
+    integer and zero weights written as -1, sorted; ``np.unique`` groups
+    equal keys and ids follow first appearance.  Each (cell, direction
+    tuple) pair is oriented by :func:`canonical_orientation`, and an owner's
+    sign is that of its span against the orientation at the cube's first owner.
+    """
+    n, k = mesh.dimension, order
+    corners = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    edges = mesh.linears / k
+    tables, signs, owners = {}, {}, {}
+    for p in range(n + 1):
+        runs = anchor_runs(n, p, k)
+        direction = np.repeat(np.arange(len(runs)), [len(anchors) for _, _, anchors in runs])
+        centre = np.concatenate([2 * anchors + np.isin(np.arange(n), dirs) for dirs, _, anchors in runs])
+        weights = np.where(corners == 1, centre[:, None, :], 2 * k - centre[:, None, :]).prod(axis=2)
+        packed = mesh.cells[:, None, :] * ((2 * k) ** n + 1) + weights
+        keys = np.sort(np.where(weights > 0, packed, -1), axis=2).reshape(-1, 1 << n)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first)
+        rank = np.empty_like(by_appearance)
+        rank[by_appearance] = np.arange(len(first))
+        table = rank[inverse.reshape(-1)].reshape(mesh.n_cells, len(direction))
+        first_cell, first_local = np.divmod(first[by_appearance], len(direction))
+
+        tuples = list(combinations(range(n), p))
+        wedges = np.swapaxes(compound_matrix(edges, p), 1, 2)
+        orientations = np.array([
+            [canonical_orientation(edges[c][:, list(dirs)], wedges[c, t]) for t, dirs in enumerate(tuples)]
+            for c in range(mesh.n_cells)
+        ]).reshape(mesh.n_cells, len(tuples), len(tuples))
+        shared = orientations[first_cell, direction[first_local]][table]
+        dot = np.einsum("clt,clt->cl", wedges[:, direction], shared)
+        tables[p] = table
+        signs[p] = np.where(dot > 0, 1, -1)
+        owners[p] = np.stack([first_cell, first_local], axis=1)
+    return tables, signs, owners
+
+
 def sup_errors_by_cell(dimension, degree, order, m_list, *, shear=0.0, samples=64):
     """Sup errors of the convergence study, evaluated cell by cell.
 

@@ -476,6 +476,33 @@ def test_interpolants_and_their_values_are_pinned(n, k, scrambled, digest):
     assert h.hexdigest() == digest
 
 
+class _CountingForm:
+    """A form that counts the points it is evaluated at."""
+
+    def __init__(self, form):
+        self.degree, self.dimension = form.degree, form.dimension
+        self.form = form
+        self.points = 0
+
+    def evaluate(self, points):
+        self.points += int(np.prod(np.shape(points)[:-1]))
+        return self.form.evaluate(points)
+
+
+@pytest.mark.parametrize("batch_points", [None, 1])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_de_rham_evaluates_each_global_cube_once(p, batch_points, monkeypatch):
+    if batch_points is not None:
+        monkeypatch.setattr(interp, "DE_RHAM_BATCH_POINTS", batch_points)
+    refined = refine(structured_mesh(3, 2, shear=0.3), 2)
+    form = get_form(f"sin3d-{p}")
+    counting = _CountingForm(form)
+    values = de_rham(counting, refined).values
+    q = 2 * refined.order + 2  # the default rule's points per axis
+    assert counting.points == refined.count(p) * q**p
+    assert values.tobytes() == de_rham(form, refined).values.tobytes()
+
+
 def test_de_rham_rejects_a_degree_that_was_not_refined():
     refined = refine(structured_mesh(3, 2), 2, degrees=(1,))
     with pytest.raises(KeyError, match=re.escape("degree 2 was not refined; available: (1,)")):

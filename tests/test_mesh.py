@@ -33,12 +33,13 @@ from cubeforms.mesh import (
     _unique_rows,
 )
 from cubeforms.smallcubes import (
+    anchor_runs,
     enumerate_small_cubes,
     small_cube_count,
     small_cube_from_geometry,
 )
 
-from helpers import canonical_orientation, scramble_corners
+from helpers import canonical_orientation, graded_mesh, refine_by_full_keys, scramble_corners
 
 
 def _corner_bits(j, n):
@@ -194,6 +195,47 @@ def test_rejects_duplicate_vertex_coordinates():
             [[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]],
             ((0, 1, 2, 3), (1, 4, 3, 2)),
         )
+
+
+def _two_squares(left_x, right_x):
+    # two unit-high cells side by side; their interface is at left_x in the
+    # left cell's vertices and at right_x in the right cell's
+    verts = [[0, 0], [left_x, 0], [0, 1], [left_x, 1], [right_x, 0], [1, 0], [right_x, 1], [1, 1]]
+    return _square(verts, ((0, 1, 2, 3), (4, 5, 6, 7)))
+
+
+def test_rejects_coincident_vertices_that_do_not_sort_next_to_each_other():
+    # (0.3, 1) sorts between (0.3, 0) and (0.30000000000000004, 0)
+    with pytest.raises(MeshValidationError) as err:
+        _two_squares(0.1 * 3, 0.3)
+    assert str(err.value) == "vertices 1 and 4 coincide at [0.3, 0.0]; merge them and share the id"
+    shared = _square([[0, 0], [0.3, 0], [0, 1], [0.3, 1], [1, 0], [1, 1]], ((0, 1, 2, 3), (1, 4, 3, 5)))
+    assert refine(shared, 2).count(1) == 22
+
+
+def test_coincident_vertices_are_found_across_bucket_boundaries():
+    # vertex 1 sits on a bucket boundary (the tolerance is 2e-12 here), so
+    # its copy falls into the next bucket down along one axis or both
+    for shift in ([-0.4e-12, 0.0], [0.0, -0.4e-12], [-0.3e-12, -0.3e-12]):
+        verts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]], dtype=float)
+        verts = np.vstack([verts, verts[1] + shift, verts[3]])
+        with pytest.raises(MeshValidationError, match="^vertices 1 and 6 coincide"):
+            _square(verts, ((0, 1, 2, 3), (6, 4, 7, 5)))
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_shape_checks_are_relative_to_each_cell(scale):
+    mesh = structured_mesh(3, 2, shear=0.3)
+    scaled = CubicalMesh(3, mesh.vertices * scale, mesh.cells)
+    assert np.allclose(scaled.linears, mesh.linears * scale, rtol=1e-15, atol=0)
+
+
+def test_rejects_a_cell_with_edges_dependent_up_to_roundoff():
+    # far from the origin, the second edge is the first scaled up to roundoff
+    origin, edge = np.array([100.33, 100.18]), np.array([0.71, 0.43])
+    corners = [origin, origin + edge, origin + 1.32 * edge, origin + edge + 1.32 * edge]
+    with pytest.raises(MeshValidationError, match="^cell 0 is degenerate: edge-matrix determinant"):
+        _square(np.array(corners), ((0, 1, 2, 3),))
 
 
 def test_rejects_non_parallelotope_cell():
@@ -468,6 +510,63 @@ def test_refinement_outputs_are_pinned(n, k, scrambled, digest):
         ids = np.arange(refined.count(p))
         assert np.array_equal(flat[np.sort(first)], ids)
         assert np.array_equal(refined.cell_tables[p][cells, local], ids)
+
+
+def _oracle_mesh(name):
+    rng = np.random.default_rng(len(name))
+    if name == "1d":
+        return graded_mesh([np.array([0.0, 0.2, 0.25, 1.0])])
+    if name == "2d-sheared":
+        return structured_mesh(2, 3, shear=0.3)
+    if name == "2d-scrambled":
+        return scramble_corners(structured_mesh(2, 3, shear=0.3), rng)
+    if name == "2d-graded":
+        return graded_mesh([np.array([0.0, 0.1, 0.35, 1.0]), np.array([-1.0, 0.5, 0.6])], shear=0.4)
+    if name == "3d-sheared":
+        return structured_mesh(3, 2, shear=0.3)
+    if name == "3d-scrambled":
+        return scramble_corners(structured_mesh(3, 2, shear=0.3), rng)
+    if name == "3d-graded":
+        breaks = [np.array([0.0, 0.1, 1.0]), np.array([0.0, 0.5, 0.6, 2.0]), np.array([-1.0, 0.0, 0.2])]
+        return scramble_corners(graded_mesh(breaks, shear=0.3), rng)
+    return scramble_corners(structured_mesh(4, 2, shear=0.3), rng)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name",
+    ["1d", "2d-sheared", "2d-scrambled", "2d-graded", "3d-sheared", "3d-scrambled", "3d-graded", "4d"],
+)
+def test_per_face_numbering_matches_full_width_keys(name, k):
+    mesh = _oracle_mesh(name)
+    refined = refine(mesh, k)
+    tables, signs, owners = refine_by_full_keys(mesh, k)
+    assert refined.degrees == tuple(tables)
+    for p in refined.degrees:
+        assert np.array_equal(refined.cell_tables[p], tables[p])
+        assert np.array_equal(refined.cell_signs[p], signs[p])
+        assert np.array_equal(refined.first_owners[p], owners[p])
+
+
+@pytest.mark.parametrize("name", ["2d-scrambled", "3d-graded", "4d"])
+def test_integration_owners_are_the_last_owners(name):
+    # one owner per global cube: the last in (direction tuple, cell, local) order
+    refined = refine(_oracle_mesh(name), 2)
+    n = refined.dimension
+    for p in refined.degrees:
+        table = refined.cell_tables[p]
+        owned = refined.integration_owners(p)
+        assert owned.shape == table.shape and not owned.flags.writeable
+        last = {}
+        for dirs, sl, _ in anchor_runs(n, p, 2):
+            for c in range(len(table)):
+                for local in range(sl.start, sl.stop):
+                    last[int(table[c, local])] = (c, local)
+        want = np.zeros_like(owned)
+        for c, local in last.values():
+            want[c, local] = True
+        assert np.array_equal(owned, want)
+        assert refined.integration_owners(p) is owned
 
 
 _INT64 = np.iinfo(np.int64)
