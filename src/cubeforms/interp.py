@@ -111,7 +111,8 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     number of cubes they own, in batches whose local cubes hold at most
     :data:`DE_RHAM_BATCH_POINTS` points (to bound the temporaries): the
     points of the owned cubes are mapped through the stacked cell maps,
-    one product per run of cells owning equally many, and the form is
+    one stacked product per run of cells owning equally many (one matrix
+    product per cell, with the rows of its own cubes), and the form is
     evaluated there in one call, with no loop over cells; the integrands
     then meet the weights in one product and are scattered to the global
     cubes in one assignment.
@@ -184,16 +185,13 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
                 if not w:
                     continue
                 own = slice(ends[r0] - w, ends[r1 - 1])
-                block = mine[cells[r0:r1]]
                 # Each cell maps only the w * nq points of its own cubes, in one
-                # matrix product.  BLAS rounds each row of it the same whatever the
-                # number of rows (the pinned cochains check this), but numpy hands
-                # a single row to gemv, so a lone row is mapped twice.  Cells that
-                # own the same cubes share one copy of their rows.
-                if (block == block[0]).all():
-                    rows = x[anchor[own][:w]].reshape(w * nq, n)
-                else:
-                    rows = x[anchor[own]].reshape(r1 - r0, w * nq, n)
+                # matrix product.  This assumes BLAS rounds a row of a product the
+                # same whatever the number of rows, as OpenBLAS 0.3 does on x86-64
+                # (the pinned cochains and an all-owner oracle test check it, to
+                # n = 4).  NumPy hands a single row to gemv, which rounds
+                # differently, so a lone row is mapped twice.
+                rows = x[anchor[own]].reshape(r1 - r0, w * nq, n)
                 if w * nq == 1:
                     rows = np.repeat(rows, 2, axis=-2)
                 mapped = refined.mesh.map_points(rows, cells[r0:r1])[:, : w * nq]

@@ -41,10 +41,11 @@ from .forms import PolyForm, exterior_derivative
 from .smallcubes import anchor_runs, pattern_shape
 
 #: Relative tolerance of the cell shape checks and of coincident vertices.  A corner may deviate
-#: from the affine prediction by this times the cell's longest edge (times 2^n), and a cell is
-#: degenerate where |det| of its edges is at most this times the product of their lengths: cells
-#: at |x| ~ 100 whose edges are dependent up to roundoff read at most 4.8e-13, sheared grids 0.96.
-#: Vertices coincide within this times the largest coordinate (at least 1).
+#: from the affine prediction by this times the larger of the cell's longest edge and its largest
+#: corner coordinate (times 2^n), and a cell is degenerate where |det| of its edges is at most
+#: this times the product of their lengths: cells at |x| ~ 100 whose edges are dependent up to
+#: roundoff read at most 4.8e-13, sheared grids 0.96.  Vertices coincide within this times the
+#: largest coordinate (at least 1).
 SHAPE_TOL = 1e-12
 
 
@@ -217,6 +218,8 @@ class CubicalMesh:
         each neighbouring pair once.  The vertices found under those keys
         (hash collisions included) are confirmed by the coordinate test, and
         the pair reported is the first in lexicographic order of coordinates.
+        ``scipy.spatial.cKDTree.query_pairs`` finds the same pairs, but
+        importing it loads ``scipy.linalg`` and takes about 0.2 s.
         """
         n = self.dimension
         tol = SHAPE_TOL * max(1.0, float(np.abs(self.vertices).max(initial=0.0)))
@@ -253,7 +256,9 @@ class CubicalMesh:
         predicted = corners[:, :1] + _corner_shifts(n).astype(float) @ edges
         deviation = np.linalg.norm(corners - predicted, axis=-1)
         lengths = np.linalg.norm(edges, axis=2)
-        skewed = deviation > SHAPE_TOL * lengths.max(axis=1, initial=0.0)[:, None] * (1 << n)
+        # corner roundoff grows with the coordinates, not only with the edges
+        scale = np.maximum(lengths.max(axis=1, initial=0.0), np.abs(corners).max(axis=(1, 2)))
+        skewed = deviation > SHAPE_TOL * scale[:, None] * (1 << n)
         linears = np.swapaxes(edges, 1, 2).copy()
         determinant = np.linalg.det(linears)
         degenerate = np.abs(determinant) <= SHAPE_TOL * lengths.prod(axis=1)

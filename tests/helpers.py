@@ -239,6 +239,43 @@ def de_rham_by_cell(form, refined, quad_order=None):
     return Cochain(p, values)
 
 
+def de_rham_at_every_local_cube(form, refined, quad_order=None):
+    """Integrals of a form over the small cubes, at every owner, cell by cell.
+
+    The oracle for the owner-only analytic path of ``de_rham``: each cell
+    maps the Gauss points of all its local cubes of one direction tuple
+    in one product, evaluates the form there and sums the integrands
+    against the tensor weights.  Owners write in (tuple, cell) order, so
+    the last owner of a shared cube keeps its value.
+    """
+    n, p, k = refined.dimension, form.degree, refined.order
+    q = quad_order if quad_order is not None else 2 * k + 2
+    tpts, twts = gauss_unit_cube(p, q)
+    nq = len(twts)
+    combos = list(combinations(range(n), p))
+    spans = compound_matrix(refined.mesh.linears / k, p)
+    table = refined.cell_tables[p]
+    signs = refined.cell_signs[p]
+    values = np.empty(refined.count(p))
+    for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
+        x = np.zeros((len(anchors), nq, n))
+        x += anchors[:, None, :]
+        for j, axis in enumerate(dirs):
+            x[:, :, axis] += tpts[None, :, j]
+        x = x.reshape(-1, n) / k
+        if len(x) == 1:  # a one-row product would go to gemv
+            x = np.repeat(x, 2, axis=0)
+        for ci in range(refined.mesh.n_cells):
+            phys = refined.mesh.map_points(x, [ci])[0, : len(anchors) * nq]
+            comps = form.evaluate(phys)
+            integrand = np.zeros(len(phys))
+            for dirs_i, minor in zip(combos, spans[ci, :, t]):
+                if minor != 0.0 and dirs_i in comps:
+                    integrand += minor * np.asarray(comps[dirs_i], dtype=float)
+            values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
+    return Cochain(p, values)
+
+
 def verify_identities_by_trial(
     refined, degree, *, trials=3, samples=200, quad_order=None, tol=1e-9, rng=None
 ):

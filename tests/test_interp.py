@@ -8,7 +8,7 @@ assembled incidence matrices.
 
 import hashlib
 import re
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cubeforms import interp
 from cubeforms.catalog import get_form, list_forms
-from cubeforms.forms import PolyForm, basis_grid_stack, exterior_derivative
+from cubeforms.forms import AnalyticForm, PolyForm, basis_grid_stack, exterior_derivative
 from cubeforms.interp import (
     Cochain,
     PiecewiseForm,
@@ -31,6 +31,7 @@ from cubeforms.smallcubes import enumerate_small_cubes
 
 from helpers import (
     coefficient_norms,
+    de_rham_at_every_local_cube,
     de_rham_by_cell,
     graded_mesh,
     locate_by_scan,
@@ -501,6 +502,47 @@ def test_de_rham_evaluates_each_global_cube_once(p, batch_points, monkeypatch):
     q = 2 * refined.order + 2  # the default rule's points per axis
     assert counting.points == refined.count(p) * q**p
     assert values.tobytes() == de_rham(form, refined).values.tobytes()
+
+
+def _trig_4d(p):
+    # elementwise only: a product over the points would round by their shape
+    def component(dirs):
+        return lambda x: np.sin(np.pi * sum((1.0 + a + sum(dirs)) * x[..., a] for a in range(4)))
+
+    return AnalyticForm(4, p, {dirs: component(dirs) for dirs in combinations(range(4), p)})
+
+
+def _skewed(mesh, seed):
+    n = mesh.dimension
+    linear = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
+    return CubicalMesh(n, mesh.vertices @ linear.T, mesh.cells)
+
+
+@pytest.mark.parametrize("batch_points", [None, 1])
+@pytest.mark.parametrize(
+    "n,k,mesh",
+    [
+        (3, 2, structured_mesh(3, 2, shear=0.3)),
+        (3, 3, scramble_corners(structured_mesh(3, 2, shear=0.3), np.random.default_rng(3))),
+        (4, 2, structured_mesh(4, 2, shear=0.3)),
+        # a general affine image, where even corner coordinates 0 and 1 give
+        # inexact sums, with one cell that owns a lone vertex
+        (4, 1, scramble_corners(_skewed(structured_mesh(4, 2), 7), np.random.default_rng(4))),
+    ],
+)
+def test_owner_only_de_rham_keeps_the_bits_of_every_owner_mapping(
+    n, k, mesh, batch_points, monkeypatch
+):
+    # mapping only the owned cubes' points rounds as mapping all local cubes
+    # of a tuple in one product per cell, on BLAS that rounds a row the same
+    # whatever the number of rows (OpenBLAS 0.3 on x86-64 does)
+    if batch_points is not None:
+        monkeypatch.setattr(interp, "DE_RHAM_BATCH_POINTS", batch_points)
+    refined = refine(mesh, k)
+    for p in range(n + 1):
+        form = get_form(f"sin3d-{p}") if n == 3 else _trig_4d(p)
+        want = de_rham_at_every_local_cube(form, refined).values
+        assert de_rham(form, refined).values.tobytes() == want.tobytes()
 
 
 def test_de_rham_rejects_a_degree_that_was_not_refined():

@@ -230,6 +230,14 @@ def test_shape_checks_are_relative_to_each_cell(scale):
     assert np.allclose(scaled.linears, mesh.linears * scale, rtol=1e-15, atol=0)
 
 
+def test_shape_checks_allow_roundoff_far_from_the_origin():
+    # near |x| = 1000 floats are 1.1e-13 apart, far more than 1e-12 times
+    # the 0.01 edges, so the sheared corners' roundoff scales with |x|
+    mesh = structured_mesh(2, 100, shear=0.3)
+    moved = CubicalMesh(2, mesh.vertices + 1000, mesh.cells)
+    assert np.allclose(moved.linears, mesh.linears, rtol=1e-9, atol=0)
+
+
 def test_rejects_a_cell_with_edges_dependent_up_to_roundoff():
     # far from the origin, the second edge is the first scaled up to roundoff
     origin, edge = np.array([100.33, 100.18]), np.array([0.71, 0.43])
