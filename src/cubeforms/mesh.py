@@ -162,16 +162,19 @@ class CubicalMesh:
 
         Candidates are the cells in the point's bucket of :attr:`cell_grid` whose
         box, widened by :data:`LOCATE_TOL` times the mesh scale, holds the point.
-        The (point, candidate) pairs, by point and then cell, are pulled back in
-        one batch; a pair counts when its reference coordinates are within that
-        slack of [0, 1], and a point's first counting pair wins.  Raises
-        ValueError if the points are not (s, n), or naming the first point that lies in no cell.
+        The (point, candidate) pairs run by point, then by cell; those whose box
+        holds the point are pulled back in one batch, in that order, and a pair
+        counts when its reference coordinates are within that slack of [0, 1].
+        Each point's first counting pair, its lowest cell, starts a run of equal
+        points among the counting pairs and wins, so no sort or ``np.unique`` is
+        needed.  Raises ValueError if the points are not (s, n), or naming the
+        lowest-index point that lies in no cell.
         """
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dimension:
-            raise ValueError(f"points must have shape (*, {self.dimension}), got {points.shape}")
-        assign = np.full(len(points), -1)
-        reference = np.empty_like(points)
+        n = self.dimension
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError(f"points must have shape (*, {n}), got {points.shape}")
+        cell, x, found = np.empty(0, dtype=np.int64), np.empty((0, n)), np.empty(0, dtype=np.int64)
         if self.n_cells:
             grid = self.cell_grid
             coords = _bucket_coords(points, grid.start, grid.width, grid.shape)
@@ -181,19 +184,24 @@ class CubicalMesh:
             count = np.where(grid.keys[slot] == keys, grid.indptr[slot + 1] - begin, 0)
             point = np.repeat(np.arange(len(points)), count)
             offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
-            cell = grid.cells[np.repeat(begin, count) + offset]
-            pts = points[point]
-            boxed = np.all((pts >= grid.lower[cell]) & (pts <= grid.upper[cell]), axis=1)
-            point, cell = point[boxed], cell[boxed]
-            x = np.einsum("sj,sij->si", pts[boxed] - self.origins[cell], self.inverse_linears[cell])
-            inside = np.all((x >= -grid.slack) & (x <= 1 + grid.slack), axis=1)
-            hit, first = np.unique(point[inside], return_index=True)
-            assign[hit] = cell[inside][first]
-            reference[hit] = x[inside][first]
-        if np.any(assign < 0):
-            first = points[int(np.argmax(assign < 0))]
-            raise ValueError(f"point {first.tolist()} lies in no mesh cell")
-        return assign, reference
+            cell = grid.cells.take(np.repeat(begin, count) + offset)
+            pts = points.take(point, axis=0)
+            # .take and per-axis ANDs: fancy indexing and np.all(axis=1) cost
+            # several times more per call on these short (pairs, n) arrays
+            lower, upper = grid.lower.take(cell, axis=0), grid.upper.take(cell, axis=0)
+            boxed = np.flatnonzero(_all_columns((pts >= lower) & (pts <= upper)))
+            point, cell = point.take(boxed), cell.take(boxed)
+            shifted = pts.take(boxed, axis=0) - self.origins.take(cell, axis=0)
+            x = np.einsum("sj,sij->si", shifted, self.inverse_linears.take(cell, axis=0))
+            hits = np.flatnonzero(_all_columns((x >= -grid.slack) & (x <= 1 + grid.slack)))
+            first = hits[np.diff(point.take(hits), prepend=-1) != 0]
+            cell, x, found = cell.take(first), x.take(first, axis=0), point.take(first)
+        if len(found) < len(points):
+            # found is increasing, so the lowest missing point is the first gap
+            gaps = np.flatnonzero(found != np.arange(len(found)))
+            lowest = int(gaps[0]) if gaps.size else len(found)
+            raise ValueError(f"point {points[lowest].tolist()} lies in no mesh cell")
+        return cell, x
 
     # -- validation --------------------------------------------------
 
@@ -555,6 +563,14 @@ class CellGrid:
             indptr=np.append(starts, len(order)),
             cells=members[order],
         )
+
+
+def _all_columns(mask: np.ndarray) -> np.ndarray:
+    """Rows of a boolean (s, n) array that are true in every column."""
+    rows = mask[:, 0].copy()
+    for j in range(1, mask.shape[1]):
+        rows &= mask[:, j]
+    return rows
 
 
 def _bucket_coords(points, start, width, shape) -> np.ndarray:

@@ -20,6 +20,7 @@ from cubeforms.mesh import (
     LOCATE_TOL,
     CubicalMesh,
     MeshValidationError,
+    _bucket_coords,
     compound_matrix,
     refine,
     structured_mesh,
@@ -101,6 +102,42 @@ def locate_by_scan(refined, points):
         inside = np.all((x >= -tol) & (x <= 1 + tol), axis=1)
         assign[cand[inside]] = c
     return assign
+
+
+def locate_by_pairs(mesh, points):
+    """``CubicalMesh.locate`` as it was before its pair pass was rewritten.
+
+    The oracle for the bits of point location: fancy-index gathers,
+    ``np.all`` over the axes, and ``np.unique`` for each point's first
+    counting pair, scattered into full-length arrays.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != mesh.dimension:
+        raise ValueError(f"points must have shape (*, {mesh.dimension}), got {points.shape}")
+    assign = np.full(len(points), -1)
+    reference = np.empty_like(points)
+    if mesh.n_cells:
+        grid = mesh.cell_grid
+        coords = _bucket_coords(points, grid.start, grid.width, grid.shape)
+        keys = np.ravel_multi_index(tuple(coords.T), grid.shape)
+        slot = np.minimum(np.searchsorted(grid.keys, keys), len(grid.keys) - 1)
+        begin = grid.indptr[slot]
+        count = np.where(grid.keys[slot] == keys, grid.indptr[slot + 1] - begin, 0)
+        point = np.repeat(np.arange(len(points)), count)
+        offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
+        cell = grid.cells[np.repeat(begin, count) + offset]
+        pts = points[point]
+        boxed = np.all((pts >= grid.lower[cell]) & (pts <= grid.upper[cell]), axis=1)
+        point, cell = point[boxed], cell[boxed]
+        x = np.einsum("sj,sij->si", pts[boxed] - mesh.origins[cell], mesh.inverse_linears[cell])
+        inside = np.all((x >= -grid.slack) & (x <= 1 + grid.slack), axis=1)
+        hit, first = np.unique(point[inside], return_index=True)
+        assign[hit] = cell[inside][first]
+        reference[hit] = x[inside][first]
+    if np.any(assign < 0):
+        first = points[int(np.argmax(assign < 0))]
+        raise ValueError(f"point {first.tolist()} lies in no mesh cell")
+    return assign, reference
 
 
 def canonical_orientation(edges, wedge):

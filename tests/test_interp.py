@@ -34,6 +34,7 @@ from helpers import (
     de_rham_at_every_local_cube,
     de_rham_by_cell,
     graded_mesh,
+    locate_by_pairs,
     locate_by_scan,
     scramble_corners,
     trace_mismatch,
@@ -215,19 +216,33 @@ def test_piecewise_point_location_and_hints():
 
 
 def _location_meshes(n, rng):
-    """Sheared uniform and graded meshes, each also with scrambled corners."""
+    """Sheared uniform and graded meshes, each also with scrambled corners,
+    and a strongly graded one: 8 cells per axis in geometric ratio 3.
+
+    The bucket width is the largest cell's, so on the strongly graded mesh
+    the grid has 2 buckets per axis and a point has up to all 8^n cells
+    as candidates (457 on average in 3D), against about 8 on a uniform mesh.
+    """
     shear = 0.3 if n > 1 else 0.0
     uniform = structured_mesh(n, 3, shear=shear)
     breaks = [np.array([0.0, 0.05, 0.2, 0.6, 2.0]) * (j + 1) for j in range(n)]
     graded = graded_mesh(breaks, shear=shear)
-    return [uniform, scramble_corners(uniform, rng), graded, scramble_corners(graded, rng)]
+    steep = np.concatenate([[0.0], np.cumsum(3.0 ** np.arange(8))]) / (3**8 - 1) * 2
+    strong = graded_mesh([steep * (j + 1) for j in range(n)], shear=shear)
+    return [uniform, scramble_corners(uniform, rng), graded, scramble_corners(graded, rng), strong]
 
 
-def _location_points(refined, rng):
+def _location_points(refined, rng, max_cells=64):
     """Per cell: its vertices, edge and face midpoints and centre, random
     interior points, and points 0.5 and 3 LOCATE_TOL (times the mesh
-    scale) inside and outside each face, in the cell's reference frame."""
+    scale) inside and outside each face, in the cell's reference frame.
+    A mesh of more than ``max_cells`` cells gets them in that many
+    randomly drawn cells, always including the first and the last."""
     n = refined.dimension
+    maps = refined.maps
+    if len(maps) > max_cells:
+        pick = rng.choice(np.arange(1, len(maps) - 1), max_cells - 2, replace=False)
+        maps = [maps[c] for c in [0, *np.sort(pick), len(maps) - 1]]
     slack = LOCATE_TOL * max(1.0, float(np.abs(refined.mesh.vertices).max()))
     lattice = np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
     near = []
@@ -236,7 +251,7 @@ def _location_points(refined, rng):
         x[axis] = side + (1 if side else -1) * step * slack
         near.append(x)
     ref = np.concatenate([lattice, rng.random((4, n)), near])
-    return np.concatenate([amap(ref) for amap in refined.maps])
+    return np.concatenate([amap(ref) for amap in maps])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -265,6 +280,66 @@ def test_locate_rejects_points_of_another_shape(n):
     for bad in (pts[:, [0] * (n + 1)], pts[0], pts[None]):
         with pytest.raises(ValueError, match=rf"^points must have shape \(\*, {n}\), got "):
             mesh.locate(bad)
+
+
+def _assert_locates_like_pairs_oracle(mesh, pts):
+    try:
+        want = locate_by_pairs(mesh, pts)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            mesh.locate(pts)
+        assert str(raised.value) == str(error)
+        return
+    got = mesh.locate(pts)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_is_bit_identical_to_pair_oracle(n):
+    # same cells, same reference bits, same message for a point in no cell
+    rng = np.random.default_rng(20 + n)
+    for mesh in _location_meshes(n, rng):
+        refined = refine(mesh, 1, degrees=(0,))
+        pts = _location_points(refined, rng)
+        found = locate_by_scan(refined, pts) >= 0
+        _assert_locates_like_pairs_oracle(mesh, pts[found])
+        _assert_locates_like_pairs_oracle(mesh, pts)
+    mesh = structured_mesh(3, 8, shear=0.3)
+    cells = rng.integers(0, mesh.n_cells, 2000)
+    ref = rng.random((2000, 3))
+    pts = mesh.origins[cells] + np.einsum("sij,sj->si", mesh.linears[cells], ref)
+    _assert_locates_like_pairs_oracle(mesh, pts)
+    assert len(mesh.locate(pts)[0]) == 2000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_edge_cases(n):
+    mesh = structured_mesh(n, 2, shear=0.3 if n > 1 else 0.0)
+    refined = refine(mesh, 1, degrees=(1,))
+    approx = interpolate(Cochain(1, np.ones(refined.count(1))), refined)
+    cells, ref = mesh.locate(np.full((5, n), 0.25))
+    assert cells.dtype == np.int64 and cells.shape == (5,)
+    assert ref.dtype == np.float64 and ref.shape == (5, n)
+    cells, ref = mesh.locate(np.empty((0, n)))
+    assert cells.dtype == np.int64 and cells.shape == (0,)
+    assert ref.dtype == np.float64 and ref.shape == (0, n)
+    for shape in [(0,), (2, 0)]:
+        values = approx.evaluate(np.empty(shape + (n,)))
+        assert sorted(values) == [(j,) for j in range(n)]
+        assert all(v.shape == shape for v in values.values())
+    inside = np.full(n, 0.25)
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.array([inside, inside])
+        pts[1, -1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"point {pts[1].tolist()} lies in no mesh cell")):
+            mesh.locate(pts)
+    # several points miss: the lowest-index one is named
+    pts = np.array([inside, inside + 5, inside, inside - 7, inside + 9])
+    with pytest.raises(ValueError, match=re.escape(f"point {pts[1].tolist()} lies in no mesh cell")):
+        mesh.locate(pts)
+    with pytest.raises(ValueError, match=re.escape(f"point {pts[4].tolist()} lies in no mesh cell")):
+        mesh.locate(pts[[0, 2, 4]])
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
