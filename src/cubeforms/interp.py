@@ -344,8 +344,7 @@ class PiecewiseForm:
         inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
         if not (inside and index.shape in {(), x.shape[:1]}):
             raise ValueError(f"cells must be one integer or one per point in 0..{n_cells - 1}")
-        push = self.refined.mesh.pushforward(self.degree)
-        push = push[cells] if index.ndim == 0 else push.take(index, axis=0)
+        push = self.refined.mesh.pushforward(self.degree).take(index, axis=0)
         tables = _factor_tables(x, self.refined.order)
         out = _reference_values(self.coefficients, self.degree, cells, push, *tables)
         return dict(zip(combinations(range(n), self.degree), out))
@@ -390,10 +389,11 @@ def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.n
     ref = np.empty((len(combos), spanned.shape[-1]))
     for r, dirs in enumerate(combos):
         tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
+        block = coefficients[dirs].take(cells, axis=0)
         if pinned:
-            val = coefficients[dirs][cells] @ tables[-1]
+            val = block @ tables[-1]
         else:
-            val = np.einsum("s...a,as->...s", coefficients[dirs].take(cells, axis=0), tables[-1])
+            val = np.einsum("s...a,as->...s", block, tables[-1])
         for table in reversed(tables[:-1]):  # sum out the last anchor axis
             val = np.einsum("...as,as->...s", val, table)
         ref[r] = val

@@ -166,9 +166,9 @@ class CubicalMesh:
         holds the point are pulled back in one batch, in that order, and a pair
         counts when its reference coordinates are within that slack of [0, 1].
         Each point's first counting pair, its lowest cell, starts a run of equal
-        points among the counting pairs and wins, so no sort or ``np.unique`` is
-        needed.  Raises ValueError if the points are not (s, n), or naming the
-        lowest-index point that lies in no cell.
+        points among the counting pairs and wins.  Raises ValueError if the
+        points are not (s, n), or naming the lowest-index point that lies in no
+        cell.
         """
         points = np.asarray(points, dtype=float)
         n = self.dimension

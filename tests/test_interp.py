@@ -232,14 +232,15 @@ def _location_meshes(n, rng):
     return [uniform, scramble_corners(uniform, rng), graded, scramble_corners(graded, rng), strong]
 
 
-def _location_points(refined, rng, max_cells=64):
+def _location_points(refined, rng):
     """Per cell: its vertices, edge and face midpoints and centre, random
     interior points, and points 0.5 and 3 LOCATE_TOL (times the mesh
     scale) inside and outside each face, in the cell's reference frame.
-    A mesh of more than ``max_cells`` cells gets them in that many
-    randomly drawn cells, always including the first and the last."""
+    A mesh of more than 64 cells gets them in 64 randomly drawn cells,
+    always including the first and the last."""
     n = refined.dimension
     maps = refined.maps
+    max_cells = 64
     if len(maps) > max_cells:
         pick = rng.choice(np.arange(1, len(maps) - 1), max_cells - 2, replace=False)
         maps = [maps[c] for c in [0, *np.sort(pick), len(maps) - 1]]
