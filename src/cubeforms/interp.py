@@ -39,10 +39,7 @@ class Cochain:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float).reshape(-1)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise ValueError(f"cochain id {first} has a non-finite value ({vals[first]})")
+        _require_finite(vals)
         vals.setflags(write=False)
         self.values = vals
 
@@ -85,6 +82,15 @@ class Cochain:
         return cls(degree, np.array([pairs[i] for i in range(len(pairs))]))
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """Raise ValueError naming the first cochain id, along the last axis of
+    ``values`` (one cochain per row), whose value is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"cochain id {first[-1]} has a non-finite value ({values[first]})")
+
+
 #: Quadrature points of local cubes that ``de_rham`` handles per batch of
 #: cells when integrating a form at physical points (analytic forms, or
 #: a piecewise form on another mesh; it maps and evaluates only those of
@@ -117,7 +123,8 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     then meet the weights in one product and are scattered to the global
     cubes in one assignment.
     Raises ValueError if the form declares another ``dimension`` than the
-    mesh's, and KeyError if its degree was not refined.
+    mesh's or ``quad_order`` is below one (at every degree, though point
+    evaluation uses no rule), and KeyError if its degree was not refined.
 
     A :class:`PiecewiseForm` on the same mesh is integrated on the
     reference cube instead.  Integrating it over the image of a
@@ -138,23 +145,15 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
         raise ValueError(f"form lives in dimension {form.dimension}, mesh in dimension {n}")
     p = form.degree
     k = refined.order
+    q = _rule_order(quad_order, k)
+    if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
+        integrals = _own_mesh_integrals(form.coefficients, form.refined.order, refined, p, q)
+        return Cochain(p, integrals[0])
     n_cells = refined.mesh.n_cells
     values = np.empty(refined.count(p))
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     owned = refined.integration_owners(p)
-    q = quad_order if quad_order is not None else 2 * k + 2
-    if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
-        # point values (p = 0) span no axis, so they need no rule
-        edges, nodes = _own_mesh_tables(form.refined.order, k, q if p else 1)
-        for dirs, sl, anchors in anchor_runs(n, p, k):
-            block = form.coefficients[dirs]
-            for j in range(n):  # each step sums out the leading anchor axis
-                block = np.tensordot(block, edges if j in dirs else nodes, ([1], [0]))
-            cube_vals = k**-p * block.reshape(n_cells, len(anchors))
-            mine = owned[:, sl]
-            values[table[:, sl][mine]] = (signs[:, sl] * cube_vals)[mine]
-        return Cochain(p, values)
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
     combos = list(combinations(range(n), p))
@@ -211,6 +210,45 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     return Cochain(p, values)
 
 
+def _rule_order(quad_order: int | None, k: int) -> int:
+    """Gauss points per axis: ``quad_order``, by default 2k + 2; ValueError below one."""
+    q = quad_order if quad_order is not None else 2 * k + 2
+    if q < 1:
+        raise ValueError(f"need at least one quadrature point, got {q}")
+    return q
+
+
+def _own_mesh_integrals(
+    coefficients, order: int, refined: RefinedMesh, p: int, q: int
+) -> np.ndarray:
+    """Integrals of stacked interpolants on their own mesh, one cochain per row.
+
+    ``coefficients`` holds p-form blocks of basis order ``order`` with
+    ``trials * n_cells`` rows, cell fastest, as :attr:`PiecewiseForm.coefficients`
+    holds one form's; the result, shape (trials, count), is the value of
+    :func:`de_rham` on ``refined`` with a ``q``-point rule, form by form.
+    """
+    n, k = refined.dimension, refined.order
+    n_cells = refined.mesh.n_cells
+    table = refined.cell_tables[p]
+    signs = refined.cell_signs[p]
+    owned = refined.integration_owners(p)
+    trials = len(next(iter(coefficients.values()))) // n_cells
+    values = np.empty((trials, refined.count(p)))
+    # point values (p = 0) span no axis, so they need no rule
+    edges, nodes = _own_mesh_tables(order, k, q if p else 1)
+    for dirs, sl, anchors in anchor_runs(n, p, k):
+        block = coefficients[dirs]
+        for j in range(n):  # each step sums out the leading anchor axis
+            block = np.tensordot(block, edges if j in dirs else nodes, ([1], [0]))
+        cube_vals = k**-p * block.reshape(-1, n_cells, len(anchors))
+        mine = owned[:, sl]
+        ids = table[:, sl][mine]
+        for row, signed in zip(values, signs[:, sl] * cube_vals):
+            row[ids] = signed[mine]
+    return values
+
+
 @lru_cache(maxsize=None)
 def _own_mesh_tables(order: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D tables that integrate a basis order on the small cubes of order k.
@@ -236,20 +274,37 @@ def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
     Per cell, global values are pulled to local orientation and the
     reference coefficient solve runs for all cells in one batched call.
     """
-    n, k = refined.dimension, refined.order
     p = cochain.degree
     if len(cochain) != refined.count(p):
         raise ValueError(
             f"cochain has {len(cochain)} values, mesh has {refined.count(p)} "
             f"small cubes of degree {p}"
         )
-    table = refined.cell_tables[p]
-    local_values = cochain.values[table] * refined.cell_signs[p]
+    return PiecewiseForm(refined, p, _solve_rows(cochain.values[None], refined, p))
+
+
+def _solve_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> dict:
+    """Coefficient blocks of the interpolants of stacked cochains, at chosen rows.
+
+    ``values`` holds one p-cochain per row, shape (trials, count).  Row
+    ``t * n_cells + c`` of the result is cell c of cochain t's interpolant;
+    ``rows`` picks some of them, in order, and by default every row is
+    kept, gathered by one ``take`` (a third of the time of gathering
+    picked rows, on every :func:`interpolate` call).  The picked cells'
+    values are pulled to local orientation and solved in one batched call
+    of the reference solver.
+    """
+    n, k = refined.dimension, refined.order
+    table, signs = refined.cell_tables[p], refined.cell_signs[p]
+    if rows is None:
+        local = (values.take(table, axis=1) * signs).reshape(-1, table.shape[1])
+    else:
+        trial, cell = np.divmod(rows, refined.mesh.n_cells)
+        local = values[trial[:, None], table[cell]] * signs[cell]
     solver = reference_solver(n, p, k)
-    coeffs = solver.solve(local_values.T).T
+    coeffs = solver.solve(local.T).T
     blocks = solver.matrix.blocks.items()
-    coefficients = {d: coeffs[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks}
-    return PiecewiseForm(refined, p, coefficients)
+    return {d: coeffs[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks}
 
 
 def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,16 +411,22 @@ class PiecewiseForm:
         so along each axis j outside I the fixed factors map to spanned ones
         by D_k (D[a-1, a] = a, D[a, a] = a - k), times the sign of dx_j ^ dx_I.
         """
-        k = self.refined.order
-        a = np.arange(k + 1)
-        diff = np.eye(k, k + 1, 1) * a - np.eye(k, k + 1) * (k - a)
-        terms: dict[tuple[int, ...], np.ndarray] = {}
-        for dirs, block in self.coefficients.items():
-            for axis in sorted(set(range(self.dimension)) - set(dirs)):
-                sign, new_dirs = wedge_insert(axis, dirs)
-                term = np.moveaxis(np.tensordot(diff, block, ([1], [axis + 1])), 0, axis + 1)
-                terms[new_dirs] = terms.get(new_dirs, 0) + sign * term
-        return PiecewiseForm(self.refined, self.degree + 1, dict(sorted(terms.items())))
+        blocks = _differentiate(self.coefficients, self.dimension, self.refined.order)
+        return PiecewiseForm(self.refined, self.degree + 1, blocks)
+
+
+def _differentiate(coefficients, n: int, k: int) -> dict:
+    """The blocks of d of a form's coefficient blocks, row by row (see
+    :meth:`PiecewiseForm.exterior_derivative`); rows need not be cells."""
+    a = np.arange(k + 1)
+    diff = np.eye(k, k + 1, 1) * a - np.eye(k, k + 1) * (k - a)
+    terms: dict[tuple[int, ...], np.ndarray] = {}
+    for dirs, block in coefficients.items():
+        for axis in sorted(set(range(n)) - set(dirs)):
+            sign, new_dirs = wedge_insert(axis, dirs)
+            term = np.moveaxis(np.tensordot(diff, block, ([1], [axis + 1])), 0, axis + 1)
+            terms[new_dirs] = terms.get(new_dirs, 0) + sign * term
+    return dict(sorted(terms.items()))
 
 
 def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.ndarray:
@@ -426,6 +487,14 @@ class IdentityReport:
         return all(e <= self.tolerance for e in errs)
 
 
+#: Local values (cells times reference DOFs) that :func:`verify_identities`
+#: interpolates and integrates per batch of whole trials (at least one):
+#: every trial of a small mesh shares one reference solve and one
+#: integration, while on a large mesh a batch holds one trial, so the
+#: check holds one batch's interpolants at a time however many trials run.
+IDENTITY_BATCH_VALUES = 1 << 16
+
+
 def verify_identities(
     refined: RefinedMesh,
     degree: int,
@@ -438,46 +507,82 @@ def verify_identities(
 ) -> IdentityReport:
     """Check the operator identities on random cochains.
 
-    Each of ``trials`` draws a standard normal cochain x.  Round trip:
-    integrating its interpolant returns x.  Reconstruction: interpolating
-    those integrals returns the same form.  Commutation (skipped at top
-    degree): interpolating the coboundary of x equals differentiating the
-    interpolant.  The two form identities are compared at ``samples``
-    random reference points of random cells, each gap evaluated once on
-    the difference form a - b by :meth:`PiecewiseForm.evaluate_reference`.
-    Raises ValueError if ``trials`` or ``samples`` is below 1, since no
-    identity would be checked.
+    Each of ``trials`` draws a standard normal cochain x, then ``samples``
+    random cells and reference points in them.  Round trip: integrating
+    x's interpolant w returns x on every small cube.  Reconstruction:
+    interpolating those integrals y returns w.  Commutation (skipped at
+    top degree): interpolating the coboundary dx equals differentiating w.
+    The round trip covers every cell, in batches of whole trials holding
+    at most :data:`IDENTITY_BATCH_VALUES` local values, each batch one
+    reference solve and one integration on the reference cube; only the
+    rows of w at sampled (trial, cell) pairs outlive their batch.  The two
+    form identities are compared at the sampled points alone, so y and dx
+    are interpolated, and w differentiated, on those rows only, and each
+    gap is evaluated once over every trial's points, on the coefficient
+    difference a - b.
+    Before any work, raises ValueError if ``degree``, ``trials`` or
+    ``samples`` is not an integer, if ``trials`` or ``samples`` is below 1
+    (no identity would be checked) or ``quad_order`` is below 1, and
+    KeyError if degree p, or p + 1 below the top degree, was not refined.
     """
+    for name, value in (("degree", degree), ("trials", trials), ("samples", samples)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(rng)
-    n = refined.dimension
+    n, k, n_cells = refined.dimension, refined.order, refined.mesh.n_cells
     p = degree
-    e_round = e_recon = 0.0
-    e_comm: float | None = 0.0 if p < n else None
+    q = _rule_order(quad_order, k)
+    count = refined.count(p)
+    matrix = refined.coboundary_matrix(p) if p < n else None
 
-    def gap(a: PiecewiseForm, b: PiecewiseForm, cells, points) -> float:
-        diff = {dirs: block - b.coefficients[dirs] for dirs, block in a.coefficients.items()}
-        values = PiecewiseForm(refined, a.degree, diff).evaluate_reference(cells, points)
-        return max(float(np.abs(v).max(initial=0.0)) for v in values.values())
+    rng = np.random.default_rng(rng)
+    draws = [
+        (
+            rng.standard_normal(count),
+            rng.integers(0, n_cells, size=samples),
+            rng.random((samples, n)),
+        )
+        for _ in range(trials)
+    ]
+    x, cells, points = (np.stack(d) for d in zip(*draws))
+    _require_finite(x)
+    # the sampled (trial, cell) rows, ascending, and each point's row among them
+    rows, at = np.unique(np.arange(trials)[:, None] * n_cells + cells, return_inverse=True)
+    at = at.reshape(-1)
+    if len(rows) == 1:  # one column would go to gemv, which rounds unlike a product over cells
+        rows = np.repeat(rows, 2)
 
-    for _ in range(trials):
-        x = Cochain(p, rng.standard_normal(refined.count(p)))
-        w = interpolate(x, refined)
-        y = de_rham(w, refined, quad_order)
-        e_round = max(e_round, float(np.abs(y.values - x.values).max()))
-        w2 = interpolate(y, refined)
-        sampled = rng.integers(0, refined.mesh.n_cells, size=samples)
-        points = rng.random((samples, n))
-        e_recon = max(e_recon, gap(w, w2, sampled, points))
-        if p < n:
-            w_dx = interpolate(coboundary(x, refined), refined)
-            e_comm = max(e_comm, gap(w_dx, w.exterior_derivative(), sampled, points))
+    cell_values = n_cells * reference_solver(n, p, k).matrix.size
+    per_batch = max(1, IDENTITY_BATCH_VALUES // cell_values)
+    y = np.empty_like(x)
+    kept = []
+    for t0 in range(0, trials, per_batch):
+        w = _solve_rows(x[t0 : t0 + per_batch], refined, p)
+        y[t0 : t0 + per_batch] = _own_mesh_integrals(w, k, refined, p, q)
+        lo, hi = np.searchsorted(rows, [t0 * n_cells, (t0 + per_batch) * n_cells])
+        kept.append({d: block[rows[lo:hi] - t0 * n_cells] for d, block in w.items()})
+    w = {d: np.concatenate([part[d] for part in kept]) for d in kept[0]}
+    _require_finite(y)
+
+    tables = _factor_tables(points.reshape(-1, n), k)
+
+    def gap(a, b, form_degree: int) -> float:
+        diff = {dirs: block - b[dirs] for dirs, block in a.items()}
+        push = refined.mesh.pushforward(form_degree).take(cells.reshape(-1), axis=0)
+        return float(np.abs(_reference_values(diff, form_degree, at, push, *tables)).max())
+
+    e_recon = gap(w, _solve_rows(y, refined, p, rows), p)
+    e_comm = None
+    if matrix is not None:
+        dx = (matrix @ x.T).T
+        _require_finite(dx)
+        e_comm = gap(_solve_rows(dx, refined, p + 1, rows), _differentiate(w, n, k), p + 1)
     return IdentityReport(
         degree=p,
-        round_trip_error=e_round,
+        round_trip_error=float(np.abs(y - x).max()),
         reconstruction_error=e_recon,
         commutation_error=e_comm,
         tolerance=tol,

@@ -9,6 +9,7 @@ from cubeforms.cli import _sample_grid
 from cubeforms.interp import (
     Cochain,
     IdentityReport,
+    PiecewiseForm,
     _factor_tables,
     _reference_values,
     coboundary,
@@ -347,6 +348,58 @@ def verify_identities_by_trial(
             w_dx = interpolate(coboundary(x, refined), refined)
             e_comm = max(e_comm, gap(w_dx, w.exterior_derivative(), cells, ref_pts))
     return IdentityReport(p, e_round, e_recon, e_comm, tol)
+
+
+def verify_identities_every_cell(
+    refined, degree, *, trials=3, samples=200, quad_order=None, tol=1e-9, rng=None
+):
+    """``verify_identities`` as it was before it batched its trials.
+
+    The oracle for the bits of ``verify_identities``: one trial at a time,
+    each cochain interpolated, integrated and differentiated on every cell,
+    and each gap evaluated on the difference of two whole interpolants.
+    Its draws from ``rng`` come in the same order.  On a mesh of two cells
+    or more, with two samples or more, the batched check must report the
+    very same errors.  On one cell this loop solves a single column, which
+    NumPy hands to gemv, and with one sample it evaluates each gap at a
+    single point, where einsum sums in another order than on a batch; so
+    there the errors move by roundoff, and only the 1e-10 comparison with
+    :func:`verify_identities_by_trial` applies.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(rng)
+    n = refined.dimension
+    p = degree
+    e_round = e_recon = 0.0
+    e_comm = 0.0 if p < n else None
+
+    def gap(a, b, cells, points):
+        diff = {dirs: block - b.coefficients[dirs] for dirs, block in a.coefficients.items()}
+        values = PiecewiseForm(refined, a.degree, diff).evaluate_reference(cells, points)
+        return max(float(np.abs(v).max(initial=0.0)) for v in values.values())
+
+    for _ in range(trials):
+        x = Cochain(p, rng.standard_normal(refined.count(p)))
+        w = interpolate(x, refined)
+        y = de_rham(w, refined, quad_order)
+        e_round = max(e_round, float(np.abs(y.values - x.values).max()))
+        w2 = interpolate(y, refined)
+        sampled = rng.integers(0, refined.mesh.n_cells, size=samples)
+        points = rng.random((samples, n))
+        e_recon = max(e_recon, gap(w, w2, sampled, points))
+        if p < n:
+            w_dx = interpolate(coboundary(x, refined), refined)
+            e_comm = max(e_comm, gap(w_dx, w.exterior_derivative(), sampled, points))
+    return IdentityReport(
+        degree=p,
+        round_trip_error=e_round,
+        reconstruction_error=e_recon,
+        commutation_error=e_comm,
+        tolerance=tol,
+    )
 
 
 def coefficient_norms(form):

@@ -39,6 +39,7 @@ from helpers import (
     scramble_corners,
     trace_mismatch,
     verify_identities_by_trial,
+    verify_identities_every_cell,
 )
 
 
@@ -124,6 +125,19 @@ def test_quad_order_override_matches_default_for_polynomials(k):
     a = de_rham(form, refined)
     b = de_rham(form, refined, quad_order=k + 5)
     assert np.abs(a.values - b.values).max() < 1e-14
+
+
+@pytest.mark.parametrize("quad_order", [0, -2])
+def test_de_rham_needs_a_quadrature_point_at_every_degree(quad_order):
+    # point values (p = 0) use no rule, yet a rule of no points is still an error
+    refined = refine(structured_mesh(2, 2, shear=0.3), 2)
+    message = rf"^need at least one quadrature point, got {quad_order}$"
+    for p in range(3):
+        analytic = get_form(f"sin2d-{p}")
+        piecewise = interpolate(de_rham(analytic, refined), refined)
+        for form in (analytic, piecewise):
+            with pytest.raises(ValueError, match=message):
+                de_rham(form, refined, quad_order)
 
 
 # -- interpolation and exact reproduction ----------------------------
@@ -781,6 +795,61 @@ def test_identity_report_matches_per_trial_oracle(n):
                 (got.commutation_error or 0.0, want.commutation_error or 0.0),
             ]:
                 assert abs(g - w) <= 1e-10, where
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("one_trial_batches", [False, True])
+def test_identity_report_equals_every_cell_oracle(n, one_trial_batches, monkeypatch):
+    # batching the trials and solving only the sampled rows keeps every bit
+    # of the report on meshes of two cells or more: some have more cells than
+    # samples, others far fewer, so that sampled cells repeat.  A lone sample
+    # point, which leaves a single sampled row, runs with one trial only: the
+    # loop evaluated each trial's gap on its one point, where NumPy's einsum
+    # sums in another order than on a batch of points.  The round trip runs
+    # once in batches of all trials and once in batches of one trial
+    if one_trial_batches:
+        monkeypatch.setattr(interp, "IDENTITY_BATCH_VALUES", 1)
+    rng = np.random.default_rng([15, n])
+    if n == 1:
+        meshes = [structured_mesh(1, 2), structured_mesh(1, 5)]
+    else:
+        meshes = [structured_mesh(n, 2), scramble_corners(structured_mesh(n, 2, shear=0.3), rng)]
+    for mesh, k in product(meshes, (1, 3)):
+        refined = refine(mesh, k)
+        for p, trials, quad_order in product(range(n + 1), (1, 2, 3, 4), (None, 1)):
+            for samples in (1, 2, 40) if trials == 1 else (2, 40):
+                kwargs = dict(trials=trials, samples=samples, quad_order=quad_order)
+                seed = [n, mesh.n_cells, k, p, trials, samples]
+                got = verify_identities(refined, p, rng=np.random.default_rng(seed), **kwargs)
+                want = verify_identities_every_cell(
+                    refined, p, rng=np.random.default_rng(seed), **kwargs
+                )
+                assert got == want, (mesh.n_cells, k, p, kwargs)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("degree", True), ("degree", 1.0), ("trials", 2.5), ("trials", True), ("samples", 2.5)],
+)
+def test_identity_report_rejects_non_integer_arguments(name, value):
+    refined = refine(structured_mesh(2, 2), 1)
+    kwargs = {"degree": 1, "trials": 2, "samples": 5, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        verify_identities(refined, **kwargs)
+
+
+def test_identity_report_checks_its_degrees_and_rule_before_any_work():
+    # an rng that draws nothing shows that no trial started
+    refined = refine(structured_mesh(2, 2), 1, degrees=(0, 1))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(KeyError, match=r"degree 2 was not refined; available: \(0, 1\)"):
+        verify_identities(refined, 1, rng=rng)
+    with pytest.raises(KeyError, match=r"degree 2 was not refined"):
+        verify_identities(refined, 2, rng=rng)
+    with pytest.raises(ValueError, match=r"^need at least one quadrature point, got 0$"):
+        verify_identities(refined, 0, quad_order=0, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("trials,samples", [(0, 40), (-1, 40), (2, 0), (2, -3)])
