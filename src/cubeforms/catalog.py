@@ -4,7 +4,10 @@ Identifiers follow ``<family><n>d-<p>``: the ``sin`` family are products
 of sines and cosines of pi * x_i (smooth, nonpolynomial, with exact
 partials), ``linear`` entries are degree-one polynomials that every
 discrete space reproduces exactly, and ``exp`` is a convenient
-non-separable smooth scalar field.
+non-separable smooth scalar field.  A ``sin`` form evaluates each factor
+sin or cos of pi * x_i once per axis and call, shared by its components
+and multiplied in axis order, so the values keep every bit of its
+per-component callables.
 """
 
 from __future__ import annotations
@@ -40,13 +43,33 @@ def _trig_partial(letters: str, axis: int):
     return part
 
 
+def _trig_values(letters_by_dirs: dict):
+    """Every component at once: sin or cos of pi x_i is evaluated once per
+    axis and call, and the factors multiplied in axis order, as
+    :func:`_trig_value` does; only one axis's factors are held at a time."""
+    letters_at = [sorted(set(column)) for column in zip(*letters_by_dirs.values())]
+
+    def values(x):
+        out = {}
+        for axis, letters in enumerate(letters_at):
+            angle = _PI * x[..., axis]
+            factors = {c: (np.sin if c == "s" else np.cos)(angle) for c in letters}
+            for dirs, L in letters_by_dirs.items():
+                out[dirs] = factors[L[0]] if axis == 0 else out[dirs] * factors[L[axis]]
+        return out
+
+    return values
+
+
 def _trig_form(dimension: int, degree: int, letters_by_dirs: dict, name: str) -> AnalyticForm:
     components = {dirs: _trig_value(L) for dirs, L in letters_by_dirs.items()}
     partials = {
         dirs: tuple(_trig_partial(L, axis) for axis in range(dimension))
         for dirs, L in letters_by_dirs.items()
     }
-    return AnalyticForm(dimension, degree, components, partials, name)
+    return AnalyticForm(
+        dimension, degree, components, partials, name, _evaluate_all=_trig_values(letters_by_dirs)
+    )
 
 
 def _const(c: float):

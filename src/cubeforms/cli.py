@@ -245,8 +245,9 @@ def _cmd_dof_matrix(args) -> int:
 
 def _cmd_interpolate(args) -> int:
     mesh = load_mesh(args.mesh)
-    # in 3D, k = 7 misses the default identity tolerance and k = 8 is singular
-    _check_range("--k", args.k, 1, 6 if mesh.dimension == 3 else 8)
+    # k = 7 in 3D and k = 5 in 4D miss the default identity tolerance; one order
+    # more is singular there
+    _check_range("--k", args.k, 1, {3: 6, 4: 4}.get(mesh.dimension, 8))
     _check_degree(mesh.dimension, args.p)
     refined = refine(mesh, args.k, degrees=(args.p,))
     cochain = Cochain.from_csv(args.cochain, args.p)
@@ -366,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--k",
         type=int,
         required=True,
-        help="polynomial order, 1..8, or 1..6 on a 3D mesh: there k = 7 misses "
-        "the default identity tolerance and k = 8 is numerically singular",
+        help="polynomial order, 1..8, or 1..6 on a 3D mesh and 1..4 on a 4D mesh: "
+        "one order more misses the default identity tolerance there, and two "
+        "are numerically singular",
     )
     p.add_argument(
         "--points", help="CSV of evaluation points (default: cell centres)"

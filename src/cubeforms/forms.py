@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -337,7 +337,11 @@ class AnalyticForm:
     Component callables receive a point batch of shape (..., n) and
     return values of shape (...).  ``partials`` optionally supplies every
     partial derivative of every component, which makes the exterior
-    derivative available in closed form.
+    derivative available in closed form.  A form may also carry one
+    callable giving every component at once, bit for bit as the component
+    callables give them, so that components share their work (catalog
+    forms evaluate each sin/cos factor once per axis); :meth:`evaluate`
+    then calls it instead.
     """
 
     dimension: int
@@ -345,10 +349,15 @@ class AnalyticForm:
     components: Mapping[tuple[int, ...], Callable]
     partials: Mapping[tuple[int, ...], tuple[Callable, ...]] | None = None
     name: str = ""
+    _evaluate_all: Callable | None = field(default=None, repr=False, compare=False)
 
     def evaluate(self, points) -> dict[tuple[int, ...], np.ndarray]:
         pts = np.asarray(points, dtype=float)
-        return {dirs: np.asarray(func(pts)) for dirs, func in self.components.items()}
+        if self._evaluate_all is not None:
+            values = self._evaluate_all(pts)
+        else:
+            values = {dirs: func(pts) for dirs, func in self.components.items()}
+        return {dirs: np.asarray(v) for dirs, v in values.items()}
 
     def exterior_derivative(self) -> "AnalyticForm":
         if self.partials is None:

@@ -6,10 +6,12 @@ whose j-th entry is bit j of c, so corner 0 is the cell origin and corner
 2^j its neighbour along reference axis j).  Every cell must be a
 parallelotope (the image of the unit cube under an invertible affine map)
 and cells may only meet along whole shared faces, checked on the shared
-vertex-id sets.  The mesh alone owns the cell geometry and the operations
-on it: validation keeps the cell maps as stacked arrays, and the inverse
-Jacobians, their push-forward minors per degree and the bucket grid of
-:meth:`CubicalMesh.locate` are built from them once, for every refinement.
+vertex-id sets of every two cells that share a vertex, found by one sort
+of the (vertex, cell, corner) incidences.  The mesh alone owns the cell
+geometry and the operations on it: validation keeps the cell maps as
+stacked arrays, and the inverse Jacobians, their push-forward minors per
+degree and the bucket grid of :meth:`CubicalMesh.locate` are built from
+them once, for every refinement.
 
 Refinement glues the small p-cubes of all cells at once from one
 reference pattern per (n, p, k), with no loop over cells.  A small cube
@@ -292,28 +294,48 @@ class CubicalMesh:
     def _check_conformity(self) -> None:
         """Cells sharing a vertex must share a whole face of each.
 
-        Pairs run in sorted order, cell a before cell b, and the first
-        failure is reported.  The shared corner positions of a cell lie in
-        the face fixed by their common bits and free along the bits that
-        vary among them, so they form that face exactly when there are
-        2^(number of varying bits) of them.
+        The (vertex, cell, corner) incidences are sorted once, by vertex and
+        then by cell, and every two incidences at one vertex make a pair of
+        cells a < b; grouped by (a, b), the pairs list the shared corner
+        numbers of each side.  Those of a cell lie in the face fixed by
+        their common bits and free along the bits that vary among them, so
+        they form that face exactly when there are 2^(number of varying
+        bits) of them.  Pairs run in sorted order and the first failure is
+        reported.
         """
         cells = self.cells
         n_cells, size = cells.shape
-        incidence = sparse.csr_matrix(
-            (np.ones(cells.size), (np.repeat(np.arange(n_cells), size), cells.ravel())),
-            shape=(n_cells, self.n_vertices),
-        )
-        pairs = sparse.triu(incidence @ incidence.T, k=1).tocoo()
-        order = np.lexsort((pairs.col, pairs.row))
-        a, b = pairs.row[order], pairs.col[order]
-        same = cells[a][:, :, None] == cells[b][:, None, :]
-        whole = np.stack([_whole_faces(same.any(axis=2)), _whole_faces(same.any(axis=1))], axis=1)
+        ids = cells.ravel()
+        # the table runs cell by cell, so a stable sort by vertex keeps the cells in order
+        order = np.argsort(ids, kind="stable")
+        vertex = ids[order]
+        cell, corner = np.divmod(order, size)
+        starts = np.flatnonzero(np.r_[True, vertex[1:] != vertex[:-1]])
+        valence = np.diff(np.r_[starts, len(vertex)])
+        # each incidence pairs with the later ones at its vertex
+        later = np.repeat(starts + valence, valence) - np.arange(len(vertex)) - 1
+        first = np.repeat(np.arange(len(vertex)), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        if not first.size:
+            return
+        key = cell[first] * n_cells + cell[second]
+        by_pair = np.argsort(key, kind="stable")
+        key = key[by_pair]
+        runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        count = np.diff(np.r_[runs, len(key)])
+        whole = []
+        for side in (first, second):
+            corners = corner[side[by_pair]]
+            common = np.bitwise_and.reduceat(corners, runs)
+            varying = np.bitwise_or.reduceat(corners, runs) & ~common
+            free_axes = sum((varying >> j) & 1 for j in range(self.dimension))
+            whole.append(count == np.left_shift(1, free_axes))
+        whole = np.stack(whole, axis=1)
         failing = np.flatnonzero(~whole.all(axis=1))
         if not failing.size:
             return
         i = int(failing[0])
-        pair = (int(a[i]), int(b[i]))
+        pair = divmod(int(key[runs[i]]), n_cells)
         shared = np.intersect1d(cells[pair[0]], cells[pair[1]])
         raise MeshValidationError(
             f"cells {pair[0]} and {pair[1]} share vertex ids {shared.tolist()} "
@@ -363,15 +385,6 @@ def _cell_table(cells, dimension: int, n_vertices: int) -> np.ndarray:
             )
         raise MeshValidationError(f"cell {row} repeats a vertex id: {tuple(table[row].tolist())}")
     return table
-
-
-def _whole_faces(members: np.ndarray) -> np.ndarray:
-    """For rows of flags over the 2^n corner numbers: is each row one face?"""
-    corner = np.arange(members.shape[1])
-    common = np.bitwise_and.reduce(np.where(members, corner, corner[-1]), axis=1)
-    varying = np.bitwise_or.reduce(np.where(members, corner, 0), axis=1) & ~common
-    free_axes = sum((varying >> j) & 1 for j in range(members.shape[1].bit_length() - 1))
-    return members.sum(axis=1) == np.left_shift(1, free_axes)
 
 
 # -- construction and file format ------------------------------------

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
 from cubeforms.catalog import get_form
 from cubeforms.cli import _sample_grid
@@ -60,6 +61,47 @@ def scramble_corners(mesh, rng):
             relabelled.append(cell[old])
         cells.append(tuple(relabelled))
     return CubicalMesh(n, mesh.vertices, tuple(cells))
+
+
+def check_conformity_by_product(cells, n_vertices):
+    """``CubicalMesh._check_conformity`` as it was before the incidence sort.
+
+    The oracle for conformity: the sharing pairs come from the sparse
+    product of the cell-vertex incidence with its transpose, and each
+    pair's shared corners from a (pairs, 2^n, 2^n) equality cube.  Raises
+    :class:`MeshValidationError` with the constructor's message.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    n_cells, size = cells.shape
+    incidence = sparse.csr_matrix(
+        (np.ones(cells.size), (np.repeat(np.arange(n_cells), size), cells.ravel())),
+        shape=(n_cells, n_vertices),
+    )
+    pairs = sparse.triu(incidence @ incidence.T, k=1).tocoo()
+    order = np.lexsort((pairs.col, pairs.row))
+    a, b = pairs.row[order], pairs.col[order]
+    same = cells[a][:, :, None] == cells[b][:, None, :]
+    whole = np.stack([_whole_faces(same.any(axis=2)), _whole_faces(same.any(axis=1))], axis=1)
+    failing = np.flatnonzero(~whole.all(axis=1))
+    if not failing.size:
+        return
+    i = int(failing[0])
+    pair = (int(a[i]), int(b[i]))
+    shared = np.intersect1d(cells[pair[0]], cells[pair[1]])
+    raise MeshValidationError(
+        f"cells {pair[0]} and {pair[1]} share vertex ids {shared.tolist()} "
+        f"which do not form a whole face of cell {pair[int(np.argmin(whole[i]))]}; "
+        "cells must meet along complete shared faces"
+    )
+
+
+def _whole_faces(members):
+    """For rows of flags over the 2^n corner numbers: is each row one face?"""
+    corner = np.arange(members.shape[1])
+    common = np.bitwise_and.reduce(np.where(members, corner, corner[-1]), axis=1)
+    varying = np.bitwise_or.reduce(np.where(members, corner, 0), axis=1) & ~common
+    free_axes = sum((varying >> j) & 1 for j in range(members.shape[1].bit_length() - 1))
+    return members.sum(axis=1) == np.left_shift(1, free_axes)
 
 
 def graded_mesh(breaks, shear=0.0):

@@ -248,6 +248,24 @@ def test_interpolate_caps_3d_order_at_six(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --k must be in 1..6, got 7\n"
 
 
+def test_interpolate_caps_4d_order_at_four(tmp_path, capsys):
+    # (n, p, k) = (4, 3, 5) passes the rank gate but its commutation error
+    # (2.6e-9) misses the default identity tolerance; k = 6 is singular
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(4, 1, shear=0.3), mesh_path)
+    argv = ["interpolate", "--mesh", str(mesh_path), "--p", "3"]
+    for k in (5, 6):
+        cochain_path = tmp_path / f"cochain{k}.csv"
+        Cochain(3, np.zeros(small_cube_count(4, 3, k))).to_csv(cochain_path)
+        assert main(argv + ["--cochain", str(cochain_path), "--k", str(k)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --k must be in 1..4, got {k}\n"
+    cochain_path = tmp_path / "cochain4.csv"
+    Cochain(3, np.ones(small_cube_count(4, 3, 4))).to_csv(cochain_path)
+    assert main(argv + ["--cochain", str(cochain_path), "--k", "4"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("x0,x1,x2,x3,") and len(lines) == 2
+
+
 def test_interpolate_accepts_order_eight_in_2d(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(2, 1, shear=0.3), mesh_path)

@@ -315,6 +315,70 @@ def test_analytic_form_derivative_matches_sympy():
     assert np.abs(got - expected(pts[:, 0], pts[:, 1])).max() < 1e-10
 
 
+# each sin* catalog component as sin (s) or cos (c) of pi x_i, axis by axis
+_SIN_LETTERS = {
+    "sin2d-0": {(): "ss"},
+    "sin2d-1": {(0,): "ss", (1,): "cc"},
+    "sin2d-2": {(0, 1): "ss"},
+    "sin3d-0": {(): "sss"},
+    "sin3d-1": {(0,): "sss", (1,): "ccc", (2,): "scs"},
+    "sin3d-2": {(0, 1): "sss", (0, 2): "ccc", (1, 2): "scs"},
+    "sin3d-3": {(0, 1, 2): "sss"},
+}
+
+
+@pytest.mark.parametrize("form_id", sorted(_SIN_LETTERS))
+def test_catalog_trig_evaluate_keeps_the_bits_of_each_component(form_id):
+    from cubeforms.catalog import get_form
+
+    form = get_form(form_id)
+    n = form.dimension
+    rng = np.random.default_rng(len(form_id))
+    batches = [
+        (4 * rng.random((5, 9, n + 2)) - 2)[:, ::2, 1 : n + 1],  # strided, two batch axes
+        rng.random(n),  # one point
+        np.empty((0, n)),
+    ]
+    for pts in batches:
+        got = form.evaluate(pts)
+        assert list(got) == list(form.components)
+        for dirs, func in form.components.items():
+            want = np.asarray(func(pts))
+            assert got[dirs].shape == want.shape == pts.shape[:-1]
+            assert got[dirs].dtype == want.dtype
+            assert got[dirs].tobytes() == want.tobytes()
+
+
+def test_catalog_trig_forms_match_their_closed_forms():
+    from cubeforms.catalog import get_form, list_forms
+
+    assert sorted(f for f in list_forms() if f.startswith("sin")) == sorted(_SIN_LETTERS)
+    rng = np.random.default_rng(11)
+    for form_id, letters_by_dirs in _SIN_LETTERS.items():
+        form = get_form(form_id)
+        n = form.dimension
+        xs = sp.symbols(f"x0:{n}")
+        exact = {
+            dirs: sp.Mul(*((sp.sin if c == "s" else sp.cos)(sp.pi * x) for c, x in zip(L, xs)))
+            for dirs, L in letters_by_dirs.items()
+        }
+        d_exact = {}
+        for dirs, f in exact.items():
+            for axis in set(range(n)) - set(dirs):
+                sign = (-1) ** sum(a < axis for a in dirs)
+                key = tuple(sorted(dirs + (axis,)))
+                d_exact[key] = d_exact.get(key, 0) + sign * sp.diff(f, xs[axis])
+        pts = rng.random((40, n))
+        checks = [(form.evaluate(pts), exact)]
+        if form.degree < n:
+            checks.append((form.exterior_derivative().evaluate(pts), d_exact))
+        for got, want in checks:
+            assert set(got) == set(want)
+            for dirs, f in want.items():
+                values = sp.lambdify(xs, f, "numpy")(*pts.T)
+                assert np.abs(got[dirs] - values).max() < 1e-12, (form_id, dirs)
+
+
 def test_analytic_form_evaluate_takes_no_keywords():
     from cubeforms.catalog import get_form
 

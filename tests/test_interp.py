@@ -311,6 +311,7 @@ def _assert_locates_like_pairs_oracle(mesh, pts):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.pinned
 def test_locate_is_bit_identical_to_pair_oracle(n):
     # same cells, same reference bits, same message for a point in no cell
     rng = np.random.default_rng(20 + n)
@@ -512,6 +513,7 @@ class _PhysicalOnly:
     ],
 )
 @pytest.mark.parametrize("batch_points", [None, 1, 100])
+@pytest.mark.pinned
 def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_points, monkeypatch):
     if batch_points is not None:
         # one cell, or a few cells, per batch must not change a bit either
@@ -547,6 +549,7 @@ def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_poin
     (3, 3, True, "97aeb59fb2f84f9f98ed3bff2d9c7b36965f21970e73b392759cd2b04086128f"),
     ],
 )
+@pytest.mark.pinned
 def test_interpolants_and_their_values_are_pinned(n, k, scrambled, digest):
     rng = np.random.default_rng([n, k, int(scrambled)])
     mesh = structured_mesh(n, 2, shear=0.3)
@@ -620,6 +623,7 @@ def _skewed(mesh, seed):
         (4, 1, scramble_corners(_skewed(structured_mesh(4, 2), 7), np.random.default_rng(4))),
     ],
 )
+@pytest.mark.pinned
 def test_owner_only_de_rham_keeps_the_bits_of_every_owner_mapping(
     n, k, mesh, batch_points, monkeypatch
 ):
@@ -799,6 +803,7 @@ def test_identity_report_matches_per_trial_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("one_trial_batches", [False, True])
+@pytest.mark.pinned
 def test_identity_report_equals_every_cell_oracle(n, one_trial_batches, monkeypatch):
     # batching the trials and solving only the sampled rows keeps every bit
     # of the report on meshes of two cells or more: some have more cells than

@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cubeforms import mesh as mesh_module
 from cubeforms.forms import PolyForm, basis_form
 from cubeforms.mesh import (
     EDGE_SNAP_TOL,
@@ -39,7 +41,13 @@ from cubeforms.smallcubes import (
     small_cube_from_geometry,
 )
 
-from helpers import canonical_orientation, graded_mesh, refine_by_full_keys, scramble_corners
+from helpers import (
+    canonical_orientation,
+    check_conformity_by_product,
+    graded_mesh,
+    refine_by_full_keys,
+    scramble_corners,
+)
 
 
 def _corner_bits(j, n):
@@ -318,6 +326,156 @@ def test_accepts_translated_disjoint_cells():
     assert mesh.n_cells == 2
 
 
+def _outcome(check, *args):
+    """None if the check accepts, else its MeshValidationError text."""
+    try:
+        check(*args)
+    except MeshValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_conformity_matches_oracle(dimension, vertices, cells):
+    """The constructor and the sparse-product oracle agree on one mesh."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 1 << dimension)
+    vertices = np.asarray(vertices, dtype=float).reshape(-1, dimension)
+    built = _outcome(CubicalMesh, dimension, vertices, cells)
+    assert built == _outcome(check_conformity_by_product, cells, len(vertices))
+    return built
+
+
+def _table_check(dimension, cells):
+    # the conformity check alone, on a table whose cells need not be parallelotopes
+    mesh_like = SimpleNamespace(dimension=dimension, cells=np.asarray(cells, dtype=np.int64))
+    CubicalMesh._check_conformity(mesh_like)
+
+
+def _shuffled(mesh, rng):
+    """The mesh's vertices and cells under random vertex ids and cell order."""
+    relabel = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[relabel] = mesh.vertices
+    return vertices, relabel[mesh.cells][rng.permutation(mesh.n_cells)]
+
+
+def _rhombus_star(valence):
+    """``valence`` rhombi around vertex 0, each spanned by two neighbouring rays."""
+    angles = 2 * np.pi * np.arange(valence) / valence
+    rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    tips = rays + np.roll(rays, -1, axis=0)
+    vertices = np.vstack([np.zeros((1, 2)), rays, tips])
+    i = np.arange(valence)
+    cells = np.stack([np.zeros(valence, dtype=int), 1 + i, 1 + (i + 1) % valence, 1 + valence + i], axis=1)
+    return vertices, cells
+
+
+@pytest.mark.parametrize("order", ["SDsd", "DSds", "SsdD", "sSDd", "DdsS", "Ss", "Dd", "SD", "D"])
+def test_conformity_matches_product_oracle_on_diamonds(order):
+    pick = {"S": _SQUARES[0], "D": _DIAMONDS[0], "s": _SQUARES[1], "d": _DIAMONDS[1]}
+    used = sorted({v for c in order for v in pick[c]})
+    # renumber onto the vertices the cells use, so none dangles
+    ids = {v: i for i, v in enumerate(used)}
+    cells = [[ids[v] for v in pick[c]] for c in order]
+    built = _assert_conformity_matches_oracle(2, np.asarray(_DIAMOND_VERTS)[used], cells)
+    assert (built is None) == (order in ("Ss", "Dd", "D"))
+
+
+@pytest.mark.parametrize("n,m", [(1, 5), (2, 4), (3, 3), (4, 2)])
+def test_conformity_matches_product_oracle_on_shuffled_grids(n, m):
+    rng = np.random.default_rng(n)
+    mesh = structured_mesh(n, m, shear=0.3 if n > 1 else 0.0)
+    vertices, cells = _shuffled(mesh, rng)
+    assert _assert_conformity_matches_oracle(n, vertices, cells) is None
+    # the table alone, with corners of one cell swapped or one id replaced
+    rejected = 0
+    for _ in range(40):
+        table = cells.copy()
+        row = rng.integers(len(table))
+        if rng.random() < 0.5:
+            i, j = rng.choice(1 << n, 2, replace=False)
+            table[row, [i, j]] = table[row, [j, i]]
+        else:
+            unused = np.setdiff1d(np.arange(len(vertices)), table[row])
+            table[row, rng.integers(1 << n)] = rng.choice(unused)
+        want = _outcome(check_conformity_by_product, table, len(vertices))
+        assert _outcome(_table_check, n, table) == want
+        rejected += want is not None
+    # in 1D one shared vertex is a face and two are the whole cell
+    assert rejected >= 10 if n > 1 else rejected == 0
+
+
+def test_conformity_matches_product_oracle_on_a_hanging_node():
+    # one unit square beside two half squares: the midpoint (1, 0.5) is no vertex
+    # of the big cell, which shares one corner id with each small one
+    vertices = [[0, 0], [1, 0], [0, 1], [1, 1], [1.5, 0], [1, 0.5], [1.5, 0.5], [1.5, 1]]
+    cells = [[0, 1, 2, 3], [1, 4, 5, 6], [5, 6, 3, 7]]
+    assert _assert_conformity_matches_oracle(2, vertices, cells) is None
+
+
+@pytest.mark.parametrize("valence", [3, 6])
+def test_conformity_matches_product_oracle_on_rhombus_stars(valence):
+    # more than 2^n cells meet at the centre when the valence is 6
+    vertices, cells = _rhombus_star(valence)
+    assert _assert_conformity_matches_oracle(2, vertices, cells) is None
+    rng = np.random.default_rng(valence)
+    vertices, cells = _shuffled(CubicalMesh(2, vertices, cells), rng)
+    assert _assert_conformity_matches_oracle(2, vertices, cells) is None
+    # with two corners of one rhombus swapped, a neighbour shares a diagonal of it
+    table = cells.copy()
+    table[0, [0, 1]] = table[0, [1, 0]]
+    want = _outcome(check_conformity_by_product, table, len(vertices))
+    assert want is not None
+    assert _outcome(_table_check, 2, table) == want
+
+
+def test_conformity_matches_product_oracle_with_relabelled_corners():
+    rng = np.random.default_rng(3)
+    mesh = structured_mesh(3, 2, shear=0.3)
+    # a symmetry of one cell's cube keeps the mesh conforming
+    scrambled = scramble_corners(mesh, rng)
+    cells = mesh.cells.copy()
+    cells[5] = scrambled.cells[5]
+    assert _assert_conformity_matches_oracle(3, mesh.vertices, cells) is None
+    # any other relabelling does not, and both checks name the same pair and cell
+    for _ in range(20):
+        table = mesh.cells.copy()
+        table[5] = table[5, rng.permutation(8)]
+        want = _outcome(check_conformity_by_product, table, mesh.n_vertices)
+        assert _outcome(_table_check, 3, table) == want
+
+
+def test_conformity_matches_product_oracle_on_tiny_and_wide_meshes():
+    assert _assert_conformity_matches_oracle(2, np.zeros((0, 2)), np.zeros((0, 4))) is None
+    one = structured_mesh(3, 1, shear=0.3)
+    assert _assert_conformity_matches_oracle(3, one.vertices, one.cells) is None
+    # n = 7: two cells glued along a 6-face, 128 corners each
+    rng = np.random.default_rng(7)
+    wide = graded_mesh([[0.0, 0.5, 1.0]] + [[0.0, 1.0]] * 6, shear=0.3)
+    vertices, cells = _shuffled(wide, rng)
+    assert _assert_conformity_matches_oracle(7, vertices, cells) is None
+    rejected = 0
+    for _ in range(10):
+        table = cells.copy()
+        i, j = rng.choice(128, 2, replace=False)
+        table[1, [i, j]] = table[1, [j, i]]
+        want = _outcome(check_conformity_by_product, table, len(vertices))
+        assert _outcome(_table_check, 7, table) == want
+        rejected += want is not None
+    assert rejected
+
+
+def test_mesh_validation_does_not_use_scipy_sparse(tmp_path, monkeypatch):
+    class NoSparse:
+        def __getattr__(self, name):
+            raise AssertionError(f"mesh validation used scipy.sparse.{name}")
+
+    path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(3, 2, shear=0.3), path)
+    monkeypatch.setattr(mesh_module, "sparse", NoSparse())
+    assert structured_mesh(3, 3).n_cells == 27
+    assert load_mesh(path).n_cells == 8
+
+
 def test_mesh_json_round_trip(tmp_path):
     mesh = structured_mesh(2, 2, shear=0.25)
     path = tmp_path / "mesh.json"
@@ -504,6 +662,7 @@ def _refinement_digest(refined):
     (3, 3, True, "9da23b06c48a10ef2e8afe1adb61136987a0624daf05ff06cbeea2f37cd297fc"),
     ],
 )
+@pytest.mark.pinned
 def test_refinement_outputs_are_pinned(n, k, scrambled, digest):
     mesh = structured_mesh(n, 2, shear=0.3)
     if scrambled:
