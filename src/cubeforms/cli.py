@@ -245,8 +245,9 @@ def _cmd_dof_matrix(args) -> int:
 
 def _cmd_interpolate(args) -> int:
     mesh = load_mesh(args.mesh)
-    # k = 7 in 3D and k = 5 in 4D miss the default identity tolerance; one order
-    # more is singular there
+    # k = 7 in 3D is singular for p <= 2 and k = 6 in 4D for every p; (3, 3, 7) and
+    # 4D k = 5 meet the default identity tolerance (worst errors 1.0e-10 and 3.0e-11
+    # on one sheared cell) but stay refused until the envelope is tabulated per (n, k)
     _check_range("--k", args.k, 1, {3: 6, 4: 4}.get(mesh.dimension, 8))
     _check_degree(mesh.dimension, args.p)
     refined = refine(mesh, args.k, degrees=(args.p,))

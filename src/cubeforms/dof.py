@@ -8,12 +8,19 @@ segment integrals F_k on spanned axes, point values P_k on fixed axes.
 The reference layer keeps only those two tables (:class:`DofMatrix`),
 built from integers: P_k from integer numerators, and F_k from
 differences of them by discrete Stokes.  :func:`check_unisolvence`
-certifies every block from their singular values, and
-:class:`ReferenceSolver` inverts them once and applies the inverses one
-axis at a time, the fast diagonalisation of Lynch, Rice & Thomas (1964).
-Exact :class:`fractions.Fraction` arithmetic is only an oracle, off the
-production path: :func:`integral_1d` and :func:`dof_value_exact` compute
-single entries to check those tables and their Kronecker products.
+certifies every block from their singular values.  :func:`axis_inverses`
+inverts the two tables once per order.  Those inverses change the
+product basis into the basis dual to the small cubes, in which
+interpolation needs no solve: Lagrange polynomials at the nodes r/k on
+fixed axes and histopolants of the segments [r/k, (r+1)/k] on spanned
+axes (Bonazzoli & Rapetti 2017; Gerritsma 2011).  :class:`ReferenceSolver`
+applies them one axis at a time, the fast diagonalisation of Lynch,
+Rice & Thomas (1964), to map DOF values to product-basis coefficients;
+building one is the unisolvence gate, and its solve serves the tests as
+an oracle.  Exact :class:`fractions.Fraction` arithmetic is only an
+oracle too, off the production path: :func:`integral_1d` and
+:func:`dof_value_exact` compute single entries to check those tables and
+their Kronecker products.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ import numpy as np
 
 from .smallcubes import SmallCube, anchor_runs
 
-#: Singular-value ratio below which a block counts as singular: 3D passes k <= 6 (cond <= 1.6e9,
-#: identity errors <= 5.6e-10) and stops p <= 2 at k = 7 (cond >= 2.0e10, errors up to 2.3e-8).
+#: Singular-value ratio below which a block counts as singular: 3D passes k <= 6 (cond <= 1.6e9)
+#: and stops p <= 2 at k = 7 (cond >= 2.0e10).  The ratio is the product basis's; interpolants,
+#: stored in the dual basis, keep identity errors <= 1.2e-11 at 3D k = 6.
 RANK_TOL = 1e-10
 
 #: Relative residual bound of reference solves; per-axis solves stay <= 3.0e-12 (n <= 3, k <= 7).
@@ -198,6 +206,22 @@ def assemble_dof_matrix(dimension: int, degree: int, order: int) -> DofMatrix:
     return DofMatrix(dimension, degree, order, blocks, *tables)
 
 
+@lru_cache(maxsize=None)
+def axis_inverses(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of F_k and P_k, read-only.
+
+    Column r of the inverse of P_k holds the product-basis coefficients of
+    the Lagrange polynomial of node r/k, and column r of the inverse of
+    F_k those of the histopolant of segment [r/k, (r+1)/k]: the factors
+    whose values and segment integrals are 1 at r and 0 elsewhere.
+    """
+    dm = assemble_dof_matrix(1, 0, order)  # every (dimension, degree) shares the two tables
+    inverses = np.linalg.inv(dm.spanned), np.linalg.inv(dm.fixed)
+    for inverse in inverses:
+        inverse.setflags(write=False)
+    return inverses
+
+
 @dataclass(frozen=True)
 class UnisolvenceReport:
     """Singular-value certificate for one reference DOF matrix."""
@@ -260,11 +284,14 @@ def _apply_per_axis(dimension, directions, spanned, fixed, x: np.ndarray) -> np.
 
 @dataclass
 class ReferenceSolver:
-    """Maps DOF values to spanning-form coefficients, one axis at a time.
+    """Maps DOF values to product-basis coefficients, one axis at a time.
 
-    Inverts F_k and P_k once; a block's inverse is the Kronecker product
-    of those inverses.  :meth:`solve` handles a single value vector or a
-    whole matrix of right-hand sides (one column per cell, say) in one pass.
+    A block's inverse is the Kronecker product of the inverses of F_k and
+    P_k from :func:`axis_inverses`, of which each solver holds its own
+    copies.  :meth:`solve` handles a single value vector or a whole matrix
+    of right-hand sides (one column per cell, say) in one pass.  Building
+    one is the unisolvence gate that :func:`~cubeforms.interp.interpolate`
+    passes; the pipeline itself never solves.
     """
 
     matrix: DofMatrix
@@ -280,7 +307,7 @@ class ReferenceSolver:
                 f"k={self.matrix.order}) is numerically singular: "
                 f"min singular value {report.min_singular:.3e}"
             )
-        self._inverses = (np.linalg.inv(self.matrix.spanned), np.linalg.inv(self.matrix.fixed))
+        self._inverses = tuple(inverse.copy() for inverse in axis_inverses(self.matrix.order))
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """Coefficients c with (DOF matrix) @ c = values, residual-checked.

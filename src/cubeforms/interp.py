@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dof import reference_solver
+from .dof import axis_inverses, reference_solver
 from .forms import wedge_insert
 from .mesh import RefinedMesh, compound_matrix
 from .quadrature import gauss_unit_cube, gauss_unit_interval
@@ -271,8 +271,9 @@ def _own_mesh_tables(order: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray
 def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
     """The discrete-space form whose small-cube integrals match the cochain.
 
-    Per cell, global values are pulled to local orientation and the
-    reference coefficient solve runs for all cells in one batched call.
+    A cell's coefficients are its local cochain values (see :class:`PiecewiseForm`),
+    so this is one signed gather, with no solve.  Raises ``LinAlgError`` where the
+    small cubes of (n, p, k) are not unisolvent (:class:`~cubeforms.dof.ReferenceSolver`).
     """
     p = cochain.degree
     if len(cochain) != refined.count(p):
@@ -280,38 +281,37 @@ def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
             f"cochain has {len(cochain)} values, mesh has {refined.count(p)} "
             f"small cubes of degree {p}"
         )
-    return PiecewiseForm(refined, p, _solve_rows(cochain.values[None], refined, p))
+    return PiecewiseForm(refined, p, _gather_rows(cochain.values[None], refined, p))
 
 
-def _solve_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> dict:
+def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> dict:
     """Coefficient blocks of the interpolants of stacked cochains, at chosen rows.
 
     ``values`` holds one p-cochain per row, shape (trials, count).  Row
     ``t * n_cells + c`` of the result is cell c of cochain t's interpolant;
     ``rows`` picks some of them, in order, and by default every row is
     kept, gathered by one ``take`` (a third of the time of gathering
-    picked rows, on every :func:`interpolate` call).  The picked cells'
-    values are pulled to local orientation and solved in one batched call
-    of the reference solver.
+    picked rows, on every :func:`interpolate` call).  Each picked cell's
+    values are pulled to local orientation, and they are its coefficients.
     """
     n, k = refined.dimension, refined.order
+    blocks = reference_solver(n, p, k).matrix.blocks  # the unisolvence gate: LinAlgError
     table, signs = refined.cell_tables[p], refined.cell_signs[p]
     if rows is None:
         local = (values.take(table, axis=1) * signs).reshape(-1, table.shape[1])
     else:
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
         local = values[trial[:, None], table[cell]] * signs[cell]
-    solver = reference_solver(n, p, k)
-    coeffs = solver.solve(local.T).T
-    blocks = solver.matrix.blocks.items()
-    return {d: coeffs[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks}
+    return {d: local[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks.items()}
 
 
 def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D product factors at reference points x of shape (s, n).
+    """The 1-D basis factors at reference points x of shape (s, n).
 
-    Returns arrays of shape (k, n, s) and (k + 1, n, s) holding
-    x^a (1-x)^(k-1-a) (spanned axes) and x^a (1-x)^(k-a) (fixed axes).
+    Returns arrays of shape (k, n, s) and (k + 1, n, s) holding the histopolants
+    of the segments [r/k, (r+1)/k] (spanned axes) and the Lagrange polynomials of
+    the nodes r/k (fixed axes), from the product factors x^a (1-x)^(k-1-a) and
+    x^a (1-x)^(k-a) by the inverses of F_k and P_k.
     """
     rise = np.ones((order + 1, *x.T.shape))
     fall = np.ones_like(rise)
@@ -320,20 +320,21 @@ def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         fall[a] = fall[a - 1] * (1 - x.T)
     spanned = rise[:order] * fall[order - 1 :: -1]
     rise *= fall[::-1]  # in place: evaluate builds these tables for whole point batches
-    return spanned, rise
+    inv_spanned, inv_fixed = axis_inverses(order)
+    return np.tensordot(inv_spanned.T, spanned, 1), np.tensordot(inv_fixed.T, rise, 1)
 
 
 @dataclass
 class PiecewiseForm:
-    """A form of the discrete space: per-cell coefficients in the product basis.
+    """A form of the discrete space, stored as per-cell local cochain values.
 
     ``coefficients[I]`` is a read-only array of shape (n_cells, *sizes)
     with size k on the axes in I and k + 1 on the others.  Entry
-    [c, a_0, ..., a_{n-1}] multiplies, on cell c's reference cube, the
-    spanning form prod_j x_j^a_j (1-x_j)^(k-1-a_j) (j in I) times
-    prod_j x_j^a_j (1-x_j)^(k-a_j) (j not in I) times dx_I: the anchors
-    run as in the canonical small-cube order, axis 0 slowest, so a
-    cell's block is the reference solve's output for I, reshaped.
+    [c, a_0, ..., a_{n-1}] multiplies, on cell c's reference cube, dx_I times
+    the histopolants of the segments [a_j/k, (a_j+1)/k] (j in I) and the
+    Lagrange polynomials of the nodes a_j/k (j not in I): the basis dual to
+    the small cubes, so the entry is the form's integral over the small cube
+    anchored at a, in the canonical small-cube order (axis 0 slowest).
 
     Evaluation locates points (lowest cell index wins on shared faces,
     or pass ``cell=`` to pin one) and pushes the cell's reference form
@@ -407,25 +408,22 @@ class PiecewiseForm:
     def exterior_derivative(self) -> "PiecewiseForm":
         """Differentiate cell by cell (commutes with the cell maps).
 
-        d/dx x^a (1-x)^(k-a) = a x^(a-1) (1-x)^(k-a) - (k-a) x^a (1-x)^(k-1-a),
-        so along each axis j outside I the fixed factors map to spanned ones
-        by D_k (D[a-1, a] = a, D[a, a] = a - k), times the sign of dx_j ^ dx_I.
+        Along each axis j outside I, segment s gets c_(s+1) - c_s, the jump of
+        the nodal values across it: d is the reference coboundary, times the
+        sign of dx_j ^ dx_I.
         """
-        blocks = _differentiate(self.coefficients, self.dimension, self.refined.order)
+        blocks = _differentiate(self.coefficients, self.dimension)
         return PiecewiseForm(self.refined, self.degree + 1, blocks)
 
 
-def _differentiate(coefficients, n: int, k: int) -> dict:
+def _differentiate(coefficients, n: int) -> dict:
     """The blocks of d of a form's coefficient blocks, row by row (see
     :meth:`PiecewiseForm.exterior_derivative`); rows need not be cells."""
-    a = np.arange(k + 1)
-    diff = np.eye(k, k + 1, 1) * a - np.eye(k, k + 1) * (k - a)
     terms: dict[tuple[int, ...], np.ndarray] = {}
     for dirs, block in coefficients.items():
         for axis in sorted(set(range(n)) - set(dirs)):
             sign, new_dirs = wedge_insert(axis, dirs)
-            term = np.moveaxis(np.tensordot(diff, block, ([1], [axis + 1])), 0, axis + 1)
-            terms[new_dirs] = terms.get(new_dirs, 0) + sign * term
+            terms[new_dirs] = terms.get(new_dirs, 0) + sign * np.diff(block, axis=axis + 1)
     return dict(sorted(terms.items()))
 
 
@@ -487,11 +485,11 @@ class IdentityReport:
         return all(e <= self.tolerance for e in errs)
 
 
-#: Local values (cells times reference DOFs) that :func:`verify_identities`
+#: Local values (cells times local small cubes) that :func:`verify_identities`
 #: interpolates and integrates per batch of whole trials (at least one):
-#: every trial of a small mesh shares one reference solve and one
-#: integration, while on a large mesh a batch holds one trial, so the
-#: check holds one batch's interpolants at a time however many trials run.
+#: every trial of a small mesh shares one gather and one integration,
+#: while on a large mesh a batch holds one trial, so the check holds one
+#: batch's interpolants at a time however many trials run.
 IDENTITY_BATCH_VALUES = 1 << 16
 
 
@@ -514,7 +512,7 @@ def verify_identities(
     top degree): interpolating the coboundary dx equals differentiating w.
     The round trip covers every cell, in batches of whole trials holding
     at most :data:`IDENTITY_BATCH_VALUES` local values, each batch one
-    reference solve and one integration on the reference cube; only the
+    gather and one integration on the reference cube; only the
     rows of w at sampled (trial, cell) pairs outlive their batch.  The two
     form identities are compared at the sampled points alone, so y and dx
     are interpolated, and w differentiated, on those rows only, and each
@@ -552,15 +550,12 @@ def verify_identities(
     # the sampled (trial, cell) rows, ascending, and each point's row among them
     rows, at = np.unique(np.arange(trials)[:, None] * n_cells + cells, return_inverse=True)
     at = at.reshape(-1)
-    if len(rows) == 1:  # one column would go to gemv, which rounds unlike a product over cells
-        rows = np.repeat(rows, 2)
 
-    cell_values = n_cells * reference_solver(n, p, k).matrix.size
-    per_batch = max(1, IDENTITY_BATCH_VALUES // cell_values)
+    per_batch = max(1, IDENTITY_BATCH_VALUES // refined.cell_tables[p].size)
     y = np.empty_like(x)
     kept = []
     for t0 in range(0, trials, per_batch):
-        w = _solve_rows(x[t0 : t0 + per_batch], refined, p)
+        w = _gather_rows(x[t0 : t0 + per_batch], refined, p)
         y[t0 : t0 + per_batch] = _own_mesh_integrals(w, k, refined, p, q)
         lo, hi = np.searchsorted(rows, [t0 * n_cells, (t0 + per_batch) * n_cells])
         kept.append({d: block[rows[lo:hi] - t0 * n_cells] for d, block in w.items()})
@@ -574,12 +569,12 @@ def verify_identities(
         push = refined.mesh.pushforward(form_degree).take(cells.reshape(-1), axis=0)
         return float(np.abs(_reference_values(diff, form_degree, at, push, *tables)).max())
 
-    e_recon = gap(w, _solve_rows(y, refined, p, rows), p)
+    e_recon = gap(w, _gather_rows(y, refined, p, rows), p)
     e_comm = None
     if matrix is not None:
         dx = (matrix @ x.T).T
         _require_finite(dx)
-        e_comm = gap(_solve_rows(dx, refined, p + 1, rows), _differentiate(w, n, k), p + 1)
+        e_comm = gap(_gather_rows(dx, refined, p + 1, rows), _differentiate(w, n), p + 1)
     return IdentityReport(
         degree=p,
         round_trip_error=float(np.abs(y - x).max()),

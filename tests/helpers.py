@@ -7,6 +7,8 @@ from scipy import sparse
 
 from cubeforms.catalog import get_form
 from cubeforms.cli import _sample_grid
+from cubeforms.dof import reference_solver
+from cubeforms.forms import wedge_insert
 from cubeforms.interp import (
     Cochain,
     IdentityReport,
@@ -28,7 +30,7 @@ from cubeforms.mesh import (
     structured_mesh,
 )
 from cubeforms.quadrature import gauss_unit_cube
-from cubeforms.smallcubes import anchor_runs
+from cubeforms.smallcubes import anchor_runs, pattern_shape
 
 
 def dense_dof_matrix(dm):
@@ -400,12 +402,11 @@ def verify_identities_every_cell(
     The oracle for the bits of ``verify_identities``: one trial at a time,
     each cochain interpolated, integrated and differentiated on every cell,
     and each gap evaluated on the difference of two whole interpolants.
-    Its draws from ``rng`` come in the same order.  On a mesh of two cells
-    or more, with two samples or more, the batched check must report the
-    very same errors.  On one cell this loop solves a single column, which
-    NumPy hands to gemv, and with one sample it evaluates each gap at a
-    single point, where einsum sums in another order than on a batch; so
-    there the errors move by roundoff, and only the 1e-10 comparison with
+    Its draws from ``rng`` come in the same order.  With two samples or
+    more, the batched check must report the very same errors.  With one
+    sample this loop evaluates each gap at a single point, where einsum
+    sums in another order than on a batch; so there the errors move by
+    roundoff, and only the 1e-10 comparison with
     :func:`verify_identities_by_trial` applies.
     """
     if trials < 1:
@@ -445,12 +446,82 @@ def verify_identities_every_cell(
 
 
 def coefficient_norms(form):
-    """Euclidean norm of each cell's product-basis coefficients."""
+    """Euclidean norm of each cell's coefficients in the basis dual to the
+    small cubes, that is, of its local cochain values."""
     squares = [
         np.square(block).reshape(len(block), -1).sum(axis=1)
         for block in form.coefficients.values()
     ]
     return np.sqrt(np.sum(squares, axis=0))
+
+
+def product_factor_tables(x, order):
+    """The 1-D product factors at reference points x of shape (s, n).
+
+    Returns arrays of shape (k, n, s) and (k + 1, n, s) holding
+    x^a (1-x)^(k-1-a) (spanned axes) and x^a (1-x)^(k-a) (fixed axes),
+    the spanning forms' own factors, in which the DOF tables F_k and P_k
+    are written.
+    """
+    x = np.asarray(x, dtype=float)
+    rise = np.ones((order + 1, *x.T.shape))
+    fall = np.ones_like(rise)
+    for a in range(1, order + 1):
+        rise[a] = rise[a - 1] * x.T
+        fall[a] = fall[a - 1] * (1 - x.T)
+    return rise[:order] * fall[order - 1 :: -1], rise * fall[::-1]
+
+
+def product_derivative_matrix(k):
+    """D_k: d/dx x^a (1-x)^(k-a) = a x^(a-1) (1-x)^(k-a) - (k-a) x^a (1-x)^(k-1-a),
+    so column a holds a at row a - 1 and a - k at row a (integers, as objects)."""
+    d = np.zeros((k, k + 1), dtype=object)
+    for a in range(k + 1):
+        if a:
+            d[a - 1, a] = a
+        if a < k:
+            d[a, a] = a - k
+    return d
+
+
+def product_basis_interpolant(cochain, refined):
+    """The interpolant's coefficient blocks in the product basis, by the reference solve.
+
+    The oracle for the basis dual to the small cubes: each cell's signed
+    local values are solved for the coefficients of the spanning forms
+    x^a (1-x)^(k-1-a) (spanned axes) times x^a (1-x)^(k-a) (fixed axes),
+    as :func:`~cubeforms.interp.interpolate` stored them before the change
+    of basis.
+    """
+    n, k, p = refined.dimension, refined.order, cochain.degree
+    local = cochain.values[refined.cell_tables[p]] * refined.cell_signs[p]
+    solver = reference_solver(n, p, k)
+    coeffs = solver.solve(local.T).T
+    blocks = solver.matrix.blocks.items()
+    return {d: coeffs[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks}
+
+
+def product_basis_derivative(blocks, n, k):
+    """d of product-basis coefficient blocks, by :func:`product_derivative_matrix`
+    along each axis outside I, times the sign of dx_j ^ dx_I."""
+    diff = product_derivative_matrix(k).astype(float)
+    terms = {}
+    for dirs, block in blocks.items():
+        for axis in sorted(set(range(n)) - set(dirs)):
+            sign, new_dirs = wedge_insert(axis, dirs)
+            term = np.moveaxis(np.tensordot(diff, block, ([1], [axis + 1])), 0, axis + 1)
+            terms[new_dirs] = terms.get(new_dirs, 0) + sign * term
+    return dict(sorted(terms.items()))
+
+
+def evaluate_product_basis(blocks, degree, refined, cells, x):
+    """Physical components of product-basis blocks at reference points x (s, n),
+    one cell per point, one (s,) array per direction tuple."""
+    n = refined.dimension
+    push = refined.mesh.pushforward(degree).take(cells, axis=0)
+    tables = product_factor_tables(x, refined.order)
+    values = _reference_values(blocks, degree, cells, push, *tables)
+    return dict(zip(combinations(range(n), degree), values))
 
 
 def _face_between(cell_a, cell_b, dimension):

@@ -237,8 +237,8 @@ def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
 
 
 def test_interpolate_caps_3d_order_at_six(tmp_path, capsys):
-    # (n, p, k) = (3, 3, 7) passes the rank gate but misses the default
-    # identity tolerance, so the cap is checked before any solve
+    # (n, p, k) = (3, 3, 7) passes the rank gate, which refuses p <= 2 there,
+    # and the cap is checked before any interpolation
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(3, 1, shear=0.3), mesh_path)
     cochain_path = tmp_path / "cochain.csv"
@@ -249,8 +249,9 @@ def test_interpolate_caps_3d_order_at_six(tmp_path, capsys):
 
 
 def test_interpolate_caps_4d_order_at_four(tmp_path, capsys):
-    # (n, p, k) = (4, 3, 5) passes the rank gate but its commutation error
-    # (2.6e-9) misses the default identity tolerance; k = 6 is singular
+    # (n, p, k) = (4, 3, 5) passes the rank gate, and its identity errors
+    # (1.1e-11 at seed 0) meet the default tolerance, but the cap stays at
+    # four until the envelope is tabulated per (n, k); k = 6 is singular
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(4, 1, shear=0.3), mesh_path)
     argv = ["interpolate", "--mesh", str(mesh_path), "--p", "3"]

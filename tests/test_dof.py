@@ -30,7 +30,7 @@ from cubeforms.interp import Cochain, PiecewiseForm, interpolate
 from cubeforms.mesh import refine, structured_mesh
 from cubeforms.smallcubes import enumerate_small_cubes, small_cube_from_geometry
 
-from helpers import dense_dof_matrix
+from helpers import dense_dof_matrix, product_derivative_matrix
 
 # sympy.integrate((z + x)**n * (y + 1 - x)**m, (x, 0, 1)) for (m, n, y, z)
 INTEGRAL_1D_CASES = {
@@ -211,14 +211,35 @@ def test_axis_tables_equal_the_exact_functionals(k):
 def test_axis_tables_commute_with_the_derivative(k):
     # 1-D discrete Stokes: integrating the derivative over segment r gives
     # the difference of the point values at its ends, so F_k D_k = P_k[1:] - P_k[:-1]
-    # exactly, with D_k read off PiecewiseForm.exterior_derivative: on a
-    # mesh of k + 1 cells, cell c carries the c-th fixed basis coefficient
-    refined = refine(structured_mesh(1, k + 1), k, degrees=(0, 1))
-    d = PiecewiseForm(refined, 0, {(): np.eye(k + 1)}).exterior_derivative().coefficients[(0,)]
-    assert np.array_equal(d, np.round(d))
-    d = d.T.astype(int).astype(object)
+    # exactly, with D_k the derivative in the product basis
+    d = product_derivative_matrix(k)
     (f, f_den), (p, p_den) = dof._axis_tables(k)
     assert np.array_equal((f @ d) * p_den, (p[1:] - p[:-1]) * f_den)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_derivative_of_the_nodal_basis_is_the_incidence(k):
+    # on a mesh of k + 1 cells, cell c carries the Lagrange polynomial of
+    # node c; its derivative's coefficients on the segments are exactly the
+    # rows of the 1-D incidence, the coboundary of one cell refined to order k
+    refined = refine(structured_mesh(1, k + 1), k, degrees=(0, 1))
+    d = PiecewiseForm(refined, 0, {(): np.eye(k + 1)}).exterior_derivative().coefficients[(0,)]
+    incidence = refine(structured_mesh(1, 1), k).coboundary_matrix(0).toarray()
+    assert np.array_equal(incidence, np.eye(k, k + 1, 1) - np.eye(k, k + 1))
+    assert np.array_equal(d.T, incidence)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_reference_solver_copies_the_one_cached_inversion(k):
+    inverses = dof.axis_inverses(k)
+    assert dof.axis_inverses(k) is inverses
+    dm = assemble_dof_matrix(1, 0, k)
+    for inverse, table in zip(inverses, (dm.spanned, dm.fixed)):
+        assert not inverse.flags.writeable
+        assert np.abs(inverse @ table - np.eye(len(table))).max() <= 1e-10
+    solver = ReferenceSolver(assemble_dof_matrix(2, 1, k))
+    for own, shared in zip(solver._inverses, inverses):
+        assert own is not shared and np.array_equal(own, shared)
 
 
 def test_interpolation_runs_without_exact_arithmetic(monkeypatch):
@@ -226,7 +247,8 @@ def test_interpolation_runs_without_exact_arithmetic(monkeypatch):
         raise AssertionError("integral_1d called on the production path")
 
     monkeypatch.setattr(dof, "integral_1d", refuse)
-    for cached in (dof._axis_tables, dof.assemble_dof_matrix, dof.reference_solver):
+    caches = (dof._axis_tables, dof.assemble_dof_matrix, dof.axis_inverses, dof.reference_solver)
+    for cached in caches:
         cached.cache_clear()
     refined = refine(structured_mesh(2, 2, shear=0.3), 3, degrees=(1,))
     cochain = Cochain(1, np.random.default_rng(0).standard_normal(refined.count(1)))
