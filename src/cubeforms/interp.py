@@ -91,14 +91,21 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError(f"cochain id {first[-1]} has a non-finite value ({values[first]})")
 
 
+def _require_finite_points(points: np.ndarray) -> None:
+    """Raise ValueError naming the first row of ``points`` (s, n) that is not finite."""
+    if not np.isfinite(points).all():
+        first = np.argmin(np.isfinite(points).all(axis=1))
+        raise ValueError(f"point {points[first].tolist()} has a non-finite coordinate")
+
+
 #: Quadrature points of local cubes that ``de_rham`` handles per batch of
 #: cells when integrating a form at physical points (analytic forms, or
-#: a piecewise form on another mesh; it maps and evaluates only those of
-#: the cubes each cell integrates): enough to make the per-batch
-#: overhead negligible, few enough that the form's temporaries stay a few
-#: megabytes however large the mesh.  An interpolant on its own mesh is
-#: integrated by per-axis tables and never evaluated point by point, so
-#: this bound does not apply to it.
+#: a piecewise form on another mesh; it maps and evaluates the points of
+#: the cubes each cell owns, one call each per batch): enough to make the
+#: per-batch overhead negligible, few enough that the form's temporaries
+#: stay a few megabytes however large the mesh, and no bit depends on it.
+#: An interpolant on its own mesh is integrated by per-axis tables and
+#: never evaluated point by point, so this bound does not apply to it.
 DE_RHAM_BATCH_POINTS = 1 << 16
 
 
@@ -113,15 +120,15 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     global orientation.  Each global cube is integrated once, at the one
     owner that :meth:`RefinedMesh.integration_owners` marks.  The
     quadrature points sit at the same reference coordinates in every
-    cell.  One direction tuple at a time, cells are taken in order of the
-    number of cubes they own, in batches whose local cubes hold at most
-    :data:`DE_RHAM_BATCH_POINTS` points (to bound the temporaries): the
-    points of the owned cubes are mapped through the stacked cell maps,
-    one stacked product per run of cells owning equally many (one matrix
-    product per cell, with the rows of its own cubes), and the form is
-    evaluated there in one call, with no loop over cells; the integrands
-    then meet the weights in one product and are scattered to the global
-    cubes in one assignment.
+    cell.  One direction tuple at a time, cells are taken in index order,
+    in batches whose local cubes hold at most :data:`DE_RHAM_BATCH_POINTS`
+    points (to bound the temporaries): the points of each batch's owned
+    cubes are mapped into their cells by one :meth:`CubicalMesh.map_points`
+    call and the form is evaluated there in one call, with no loop over
+    cells; each cube's integrands times the weights are summed along one
+    row and scattered to the global cubes in one assignment.  The map and
+    the sums are elementwise, in a fixed order, so each cube's value has
+    the same bits whatever the batch, the BLAS or its thread count.
     Raises ValueError if the form declares another ``dimension`` than the
     mesh's or ``quad_order`` is below one (at every degree, though point
     evaluation uses no rule), and KeyError if its degree was not refined.
@@ -160,53 +167,27 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
     spans = compound_matrix(refined.mesh.linears / k, p)
     for t, (dirs, sl, anchors) in enumerate(anchor_runs(n, p, k)):
-        x = np.zeros((len(anchors), nq, n))
-        x += anchors[:, None, :]
+        # x[j, i, a]: coordinate j of Gauss point i of the local cube at anchor a
+        x = np.zeros((n, nq, len(anchors)))
+        x += anchors.T[:, None, :]
         for j, axis in enumerate(dirs):
-            x[:, :, axis] += tpts[None, :, j]
+            x[axis] += tpts[:, j, None]
         x /= k
-        mine = owned[:, sl]
-        counts = mine.sum(axis=1)
-        # cells by the number of cubes they own: a batch holds runs of cells
-        # that own equally many
-        by_count = np.argsort(counts, kind="stable")
-        size = max(1, DE_RHAM_BATCH_POINTS // x[..., 0].size)
+        size = max(1, DE_RHAM_BATCH_POINTS // x[0].size)
         for lo in range(0, n_cells, size):
-            cells = by_count[lo : lo + size]
-            row, anchor = np.nonzero(mine[cells])
+            row, anchor = np.nonzero(owned[lo : lo + size, sl])
             if not row.size:
                 continue
-            pieces = []
-            ends = np.cumsum(counts[cells])
-            runs = np.flatnonzero(np.diff(counts[cells], prepend=-1))
-            for r0, r1 in zip(runs, [*runs[1:], len(cells)]):
-                w = int(counts[cells[r0]])
-                if not w:
-                    continue
-                own = slice(ends[r0] - w, ends[r1 - 1])
-                # Each cell maps only the w * nq points of its own cubes, in one
-                # matrix product.  This assumes BLAS rounds a row of a product the
-                # same whatever the number of rows, as OpenBLAS 0.3 does on x86-64
-                # (the pinned cochains and an all-owner oracle test check it, to
-                # n = 4).  NumPy hands a single row to gemv, which rounds
-                # differently, so a lone row is mapped twice.
-                rows = x[anchor[own]].reshape(r1 - r0, w * nq, n)
-                if w * nq == 1:
-                    rows = np.repeat(rows, 2, axis=-2)
-                mapped = refined.mesh.map_points(rows, cells[r0:r1])[:, : w * nq]
-                pieces.append(mapped.reshape(-1, nq, n))
-            comps = form.evaluate(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+            cells = lo + row
+            # points (rows, nq, n) viewed on (n, nq, rows): the map and the form run along rows
+            comps = form.evaluate(refined.mesh.map_points(x.take(anchor, axis=2).T, cells))
             minors = spans[cells, :, t]
-            integrand = np.zeros((len(row), nq))
+            integrand = np.zeros((nq, len(row))).T
             for dirs_i, minor, used in zip(combos, minors.T, minors.any(axis=0)):
                 if used and dirs_i in comps:
-                    integrand += minor[row, None] * np.asarray(comps[dirs_i], dtype=float)
-            # the owned integrands are summed in the (cells, anchors, nq) shape
-            # of all local cubes, whose matrix-vector products fix the rounding
-            placed = np.zeros((len(cells), len(anchors), nq))
-            placed[row, anchor] = integrand
-            cube_vals = signs[cells, sl] * (placed @ twts)
-            values[table[cells, sl][row, anchor]] = cube_vals[row, anchor]
+                    integrand += minor[:, None] * np.asarray(comps[dirs_i], dtype=float)
+            cube_vals = np.multiply(integrand, twts, order="C").sum(axis=1)
+            values[table[:, sl][cells, anchor]] = signs[:, sl][cells, anchor] * cube_vals
     return Cochain(p, values)
 
 
@@ -360,8 +341,8 @@ class PiecewiseForm:
         Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
         (the lowest cell index wins on shared faces); with ``cell=`` every point is
         pulled back through that cell's map.  Then :meth:`evaluate_reference` runs.
-        Raises ValueError if the points do not have n coordinates, if ``cell``
-        is not an integer in 0..n_cells-1, or (unpinned) if a point lies in no cell.
+        Raises ValueError if the points do not have n coordinates, if ``cell`` is not
+        an integer in 0..n_cells-1, or if a point is not finite or lies in no cell.
         """
         n, n_cells = self.dimension, self.refined.mesh.n_cells
         pts = np.asarray(points, dtype=float)
@@ -376,6 +357,7 @@ class PiecewiseForm:
         if cell is None:
             cells, x = mesh.locate(flat)
         else:
+            _require_finite_points(flat)
             cells, x = int(cell), (flat - mesh.origins[cell]) @ mesh.inverse_linears[cell].T
         values = self.evaluate_reference(cells, x)
         if pts.ndim == 1:
@@ -390,12 +372,13 @@ class PiecewiseForm:
         coefficients.  Sums run one axis at a time, and the minors of
         :meth:`CubicalMesh.pushforward` turn them into ambient components, one
         (s,) array per direction tuple.  Raises ValueError if the points are not
-        (s, n) or a cell is outside 0..n_cells-1.
+        (s, n), a point has a non-finite coordinate or a cell is outside 0..n_cells-1.
         """
         n, n_cells = self.dimension, self.refined.mesh.n_cells
         x = np.asarray(points, dtype=float)
         if x.ndim != 2 or x.shape[1] != n:
             raise ValueError(f"reference points must have shape (*, {n}), got {x.shape}")
+        _require_finite_points(x)
         index = np.asarray(cells)
         inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
         if not (inside and index.shape in {(), x.shape[:1]}):

@@ -65,16 +65,33 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def map_reference_points(reference_points, origins, linears) -> np.ndarray:
+    """Points x (..., n) mapped to origins + linears @ x, broadcasting the leading axes.
+
+    Coordinate i is origins_i plus the products x_j * linears_ij summed in axis
+    order, elementwise: a point rounds the same alone or in any batch, under any
+    BLAS.  Where the result has the points' shape, it has their memory order too.
+    """
+    x = np.asarray(reference_points, dtype=float)
+    out = np.empty_like(x, shape=np.broadcast_shapes(x.shape, origins.shape))
+    for i in range(linears.shape[-1]):
+        coordinate = out[..., i]
+        np.multiply(x[..., 0], linears[..., i, 0], out=coordinate)
+        for j in range(1, linears.shape[-1]):
+            coordinate += x[..., j] * linears[..., i, j]
+        coordinate += origins[..., i]
+    return out
+
+
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> origin + linear @ x; columns of ``linear`` are cell edges."""
+    """x -> origin + linear @ x, by :func:`map_reference_points`; ``linear``'s columns are edges."""
 
     origin: np.ndarray
     linear: np.ndarray
 
     def __call__(self, reference_points) -> np.ndarray:
-        pts = np.asarray(reference_points, dtype=float)
-        return self.origin + pts @ self.linear.T
+        return map_reference_points(reference_points, self.origin, self.linear)
 
     @cached_property
     def inverse_linear(self) -> np.ndarray:
@@ -137,11 +154,10 @@ class CubicalMesh:
     def map_points(self, reference_points, cells=slice(None)) -> np.ndarray:
         """Reference points (..., s, n) mapped into the cells of a slice or index array.
 
-        Row c of the result is origins[c] + x @ linears[c].T, as in :class:`AffineMap`.
+        Row c of the result is origins[c] + linears[c] @ x, by :func:`map_reference_points`.
         """
-        points = np.asarray(reference_points, dtype=float) @ np.swapaxes(self.linears[cells], 1, 2)
-        points += self.origins[cells, None, :]
-        return points
+        origins, linears = self.origins[cells, None], self.linears[cells, None]
+        return map_reference_points(reference_points, origins, linears)
 
     @cached_property
     def inverse_linears(self) -> np.ndarray:

@@ -41,6 +41,14 @@ def dense_dof_matrix(dm):
     return dense
 
 
+def skewed(mesh, seed):
+    """The mesh's image under a random linear map near the identity: a general
+    affine mesh, where even corner coordinates 0 and 1 give inexact sums."""
+    n = mesh.dimension
+    linear = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
+    return CubicalMesh(n, mesh.vertices @ linear.T, mesh.cells)
+
+
 def scramble_corners(mesh, rng):
     """The same mesh with each cell's corners relabelled by a random
     symmetry of the cube: an axis permutation followed by axis flips.
@@ -326,8 +334,8 @@ def de_rham_at_every_local_cube(form, refined, quad_order=None):
 
     The oracle for the owner-only analytic path of ``de_rham``: each cell
     maps the Gauss points of all its local cubes of one direction tuple
-    in one product, evaluates the form there and sums the integrands
-    against the tensor weights.  Owners write in (tuple, cell) order, so
+    in one call, evaluates the form there and sums each cube's integrands
+    times the tensor weights.  Owners write in (tuple, cell) order, so
     the last owner of a shared cube keeps its value.
     """
     n, p, k = refined.dimension, form.degree, refined.order
@@ -345,16 +353,14 @@ def de_rham_at_every_local_cube(form, refined, quad_order=None):
         for j, axis in enumerate(dirs):
             x[:, :, axis] += tpts[None, :, j]
         x = x.reshape(-1, n) / k
-        if len(x) == 1:  # a one-row product would go to gemv
-            x = np.repeat(x, 2, axis=0)
         for ci in range(refined.mesh.n_cells):
-            phys = refined.mesh.map_points(x, [ci])[0, : len(anchors) * nq]
+            phys = refined.mesh.map_points(x, [ci])[0]
             comps = form.evaluate(phys)
             integrand = np.zeros(len(phys))
             for dirs_i, minor in zip(combos, spans[ci, :, t]):
                 if minor != 0.0 and dirs_i in comps:
                     integrand += minor * np.asarray(comps[dirs_i], dtype=float)
-            values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
+            values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) * twts).sum(axis=1)
     return Cochain(p, values)
 
 

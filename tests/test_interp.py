@@ -41,6 +41,7 @@ from helpers import (
     product_basis_derivative,
     product_basis_interpolant,
     scramble_corners,
+    skewed,
     trace_mismatch,
     verify_identities_by_trial,
     verify_identities_every_cell,
@@ -538,6 +539,23 @@ def test_evaluate_reference_matches_pinned_physical_evaluation(n, k):
                 )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pinned_evaluation_rejects_non_finite_points(bad):
+    refined = refine(structured_mesh(3, 2, shear=0.3), 1)
+    approx = interpolate(de_rham(get_form("sin3d-1"), refined), refined)
+    lone = np.array([bad, 0.5, 0.5])
+    batch = np.full((4, 3), 0.5)
+    batch[1, 2], batch[3, 0] = bad, np.nan  # the first point that is not finite is row 1
+    for points, first in ((lone, lone), (lone[None], lone), (batch, batch[1])):
+        message = re.escape(f"point {first.tolist()} has a non-finite coordinate")
+        with pytest.raises(ValueError, match=message):
+            approx.evaluate(points, cell=0)
+        if points.ndim == 2:
+            for cells in (0, np.arange(len(points))):
+                with pytest.raises(ValueError, match=message):
+                    approx.evaluate_reference(cells, points)
+
+
 @pytest.mark.parametrize(
     "cells,points",
     [
@@ -568,28 +586,30 @@ class _PhysicalOnly:
         self.evaluate = form.evaluate
 
 
-# Recorded from the cell-by-cell integration: mapping and evaluating all
-# cells at once must reproduce every cochain bit for bit, including which
-# owner writes a shared cube last on scrambled meshes.
+# Recorded when the cell maps and the cube sums became elementwise, after the
+# cochains were shown to agree with the matrix-product path within 1e-15 of
+# the largest value on these meshes: every batch size, BLAS kernel and BLAS
+# thread count must reproduce every bit.
 @pytest.mark.parametrize(
     "n,k,scrambled,digest",
     [
-    (2, 1, False, "072219c560edc5632d83c74c9f566a0a42477a1c0abaa4e5f1a5d955205ca68d"),
-    (2, 1, True, "fe340254d42915d0e36fbf4e20b28d8225c962a28b2e1da9874cc1e390be966c"),
-    (2, 2, False, "494bc5c0e534ff7a865e312c32f3869ca280442cd8c955c4304b6ac619ead0fd"),
-    (2, 2, True, "a561f0a7e5113538c3b7d0321c3aef6f797c1c30f33e57a6ed9c232f70c4c8fa"),
-    (2, 3, False, "7de35658b2665e1491c0cfb40fb61ad8d54b333d42d56cc1d1c0cb1ef7349675"),
-    (2, 3, True, "d1106f9cd64d5d2c3d71f753d000126b2f5eaeab244d7b8dac7bd2425debea48"),
-    (3, 1, False, "d95d1bf3b99849e239492c906c3ff8a7705af63182ed0fb5d344a66a33f7a481"),
-    (3, 1, True, "cc5ad6e8e97825dbe8e71563314dfe53f3659457575b42312dc6ce8cbde07b50"),
-    (3, 2, False, "5257b08aaf7d0f73d0aab85b8160bafaffc1c68239a79cd162595a6ff9ecff7e"),
-    (3, 2, True, "c43008da50bc8b2a600f3dd2e2becd98e48bace3820fa1ef0e3b753bc891ee4e"),
-    (3, 3, False, "3c20bf943cb93712b322e045f5e202df1475912cd61c1d9f20d05683db929ea2"),
-    (3, 3, True, "e3f1133ffbfc3b0ee123b89c0395c3963a133490b9a0b2d5d361a2702bf128d4"),
+    (2, 1, False, "4b0ede6255d9f9a2f37490f3357aa1f06f70bed8f885300c2c26c68e9249c982"),
+    (2, 1, True, "8a506943a665f0569d07b40d67831daba542774c5f277328b93260a098b515f8"),
+    (2, 2, False, "66aae4e7b9ec10a668d6e3b1e56abbce94e62a52ea8a0a05a136b32432746c22"),
+    (2, 2, True, "b5b493143ef75525ba891f0ec910d036132cc98d92ae455e23ac31f704f163e8"),
+    (2, 3, False, "c4fff4c7b851b4dfe35b004d1e18a5dfd1499060dc7fa1575c9a039e2f731b2a"),
+    (2, 3, True, "9de2a9be6aa695f1a90748ac557abf14dc89936e8874345d4d208abc0ee21d80"),
+    (3, 1, False, "42fdb4e597df010b9f9b6f440f5c76c0ac6dcf79d7b2350e15f62e1f0645e235"),
+    (3, 1, True, "31ea0a7dc4101d42d1966e6d1337d4745d3a60828ea2516f923cfd266a69456e"),
+    (3, 2, False, "18a461dfae8f203eae3e92b89591e42b2a49e499126340c0c9f2d5469dfa9b4c"),
+    (3, 2, True, "cb8973e7c3781d86b0727941c7cb0719660812247e05ed44bf576f89191c5d95"),
+    (3, 3, False, "1776690ac691b932695128fe1d6615a5b60c859e3408a221a1835914fbce53cd"),
+    (3, 3, True, "48698f926d39b79476d6e3e2eb7124424a3f80f5db78824aad2d5c90e3ff0e04"),
     ],
 )
 @pytest.mark.parametrize("batch_points", [None, 1, 100])
 @pytest.mark.pinned
+@pytest.mark.blas_free
 def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_points, monkeypatch):
     if batch_points is not None:
         # one cell, or a few cells, per batch must not change a bit either
@@ -610,22 +630,24 @@ def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_poin
 # before the same-mesh de_rham and the identity gaps were reworked; the
 # k >= 2 ones were recorded when the coefficients moved to the basis dual
 # to the small cubes, after the evaluated values were shown to agree with
-# the product-basis path within 1e-15 relative on these meshes.
+# the product-basis path within 1e-15 relative on these meshes.  They were
+# re-recorded when map_points became elementwise, which moved the probe
+# points; the previous points still reproduce the previous digests.
 @pytest.mark.parametrize(
     "n,k,scrambled,digest",
     [
     (2, 1, False, "38012126697ed6c1ae69af60cfb3c3630f10aa40d7a7fa5c5508480d65b43f8d"),
-    (2, 1, True, "81fe90f095ce033ca2d0bec8c0604ef67e47e88f324999fc646bb83070e8856d"),
-    (2, 2, False, "8e6b092ef0631d98e44ba406b0adf924664545debced17b629bcb394ca41f566"),
+    (2, 1, True, "1d6aa4636ae8f7d954982ecd965d0320254a1775b662ef88103593063ab1e9fa"),
+    (2, 2, False, "18da0c763aa2c0263f58149c5b34183a329bc58840e5ef8810b5492523b2dc66"),
     (2, 2, True, "5fab322a5a05791f4ac476ffcb395ce4737c8553ba5025a6e5fc2139ce55e2c5"),
-    (2, 3, False, "99b341cb6bb14fadbf12f2d3a7f448f614faa5823ccb9f2a609e4ddfa99c654d"),
-    (2, 3, True, "226a0a7b9deaffee73df2b7d0f75a1bcce6ba6c15ae3bfaf5c3a35858b819a41"),
-    (3, 1, False, "8f50f78c2f58d7049412f3906e0d825a25e96d836c15be8a1aa14669e96587e2"),
-    (3, 1, True, "a2b68b6a093bca1eb53418fc68ccd587ebe42ff8ff1ed308c1c4bf0286762697"),
+    (2, 3, False, "a2d0ec83be04376e1315b6965cee193666c54a76e85b25f4854a356e048ea2ef"),
+    (2, 3, True, "8f377f81b44e71eaae430b0c4ccc95645aeae11f81a1e88d04e7317809c3bc88"),
+    (3, 1, False, "4627b4b9673b9c0d927ef2f33701e40e03378a84a1892d3750f88f02fcc566e0"),
+    (3, 1, True, "b260523a5c725026800ad21fea4206f1f1f4ab7f14a3c2efac6a5540c0732972"),
     (3, 2, False, "84d9c481018496d02b7683910d52836a1ab94bb1d7f3e8b354d24d690dc44e17"),
-    (3, 2, True, "0b210b553b2cf16506975465391bac56a0b765e6d2456e1a06a74acb9fb18202"),
-    (3, 3, False, "4e6dae3a30713d5623c8348d281eeca63596edc8828bc08d78345f10ade742d3"),
-    (3, 3, True, "ed365134ca4ff16f4992c54dfa7ed4b6d950646ac34d8c2a540cf1bd80e66702"),
+    (3, 2, True, "8e08cf07497055d4d7eda6981c226847cd33a4410d549100584163b3f0957ee1"),
+    (3, 3, False, "4bad5b35d5bb0d3f9e035d72fec73e8da7cc501b46e6dfdae8f93edeabb4c52c"),
+    (3, 3, True, "09b073f33a7045298cbcd3b19726a75eb0cdff3346b3c440b3b535fb48a6a9d5"),
     ],
 )
 @pytest.mark.pinned
@@ -684,12 +706,6 @@ def _trig_4d(p):
     return AnalyticForm(4, p, {dirs: component(dirs) for dirs in combinations(range(4), p)})
 
 
-def _skewed(mesh, seed):
-    n = mesh.dimension
-    linear = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
-    return CubicalMesh(n, mesh.vertices @ linear.T, mesh.cells)
-
-
 @pytest.mark.parametrize("batch_points", [None, 1])
 @pytest.mark.parametrize(
     "n,k,mesh",
@@ -699,16 +715,16 @@ def _skewed(mesh, seed):
         (4, 2, structured_mesh(4, 2, shear=0.3)),
         # a general affine image, where even corner coordinates 0 and 1 give
         # inexact sums, with one cell that owns a lone vertex
-        (4, 1, scramble_corners(_skewed(structured_mesh(4, 2), 7), np.random.default_rng(4))),
+        (4, 1, scramble_corners(skewed(structured_mesh(4, 2), 7), np.random.default_rng(4))),
     ],
 )
 @pytest.mark.pinned
+@pytest.mark.blas_free
 def test_owner_only_de_rham_keeps_the_bits_of_every_owner_mapping(
     n, k, mesh, batch_points, monkeypatch
 ):
-    # mapping only the owned cubes' points rounds as mapping all local cubes
-    # of a tuple in one product per cell, on BLAS that rounds a row the same
-    # whatever the number of rows (OpenBLAS 0.3 on x86-64 does)
+    # mapping only the owned cubes' points, a batch of cells at a time, rounds
+    # as mapping all local cubes of a tuple cell by cell
     if batch_points is not None:
         monkeypatch.setattr(interp, "DE_RHAM_BATCH_POINTS", batch_points)
     refined = refine(mesh, k)

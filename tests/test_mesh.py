@@ -47,6 +47,7 @@ from helpers import (
     graded_mesh,
     refine_by_full_keys,
     scramble_corners,
+    skewed,
 )
 
 
@@ -95,6 +96,25 @@ def test_cell_map_round_trip():
     back = amap.pull_to_reference(amap(pts))
     assert np.abs(back - pts).max() < 1e-13
     assert amap.determinant == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.blas_free
+def test_cell_maps_round_a_point_alike_in_every_batch(n):
+    rng = np.random.default_rng([19, n])
+    mesh = scramble_corners(skewed(structured_mesh(n, 2), [19, n]), rng)
+    x = rng.random((50, n))
+    order = rng.permutation(mesh.n_cells)
+    every, shuffled = mesh.map_points(x), mesh.map_points(x, order)
+    for c in range(mesh.n_cells):
+        among = mesh.map_points(x, [c])[0]
+        alone = np.concatenate([mesh.map_points(point[None], [c])[0] for point in x])
+        amap = mesh.cell_map(c)
+        for got in (alone, every[c], shuffled[np.flatnonzero(order == c)[0]], amap(x)):
+            assert got.tobytes() == among.tobytes()
+        assert amap(x[7]).tobytes() == among[7].tobytes()
+        want = mesh.origins[c] + x @ mesh.linears[c].T
+        assert np.abs(among - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _square(vertices, cells):
