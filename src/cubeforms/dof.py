@@ -9,7 +9,9 @@ The reference layer keeps only those two tables (:class:`DofMatrix`),
 built from integers: P_k from integer numerators, and F_k from
 differences of them by discrete Stokes.  :func:`check_unisolvence`
 certifies every block from their singular values.  :func:`axis_inverses`
-inverts the two tables once per order.  Those inverses change the
+inverts the two tables once per order, from the same integer numerators
+by fraction-free elimination, so each entry is its exact value rounded
+once, whatever the LAPACK or BLAS.  Those inverses change the
 product basis into the basis dual to the small cubes, in which
 interpolation needs no solve: Lagrange polynomials at the nodes r/k on
 fixed axes and histopolants of the segments [r/k, (r+1)/k] on spanned
@@ -208,18 +210,43 @@ def assemble_dof_matrix(dimension: int, degree: int, order: int) -> DofMatrix:
 
 @lru_cache(maxsize=None)
 def axis_inverses(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses of F_k and P_k, read-only.
+    """The inverses of F_k and P_k, read-only, every entry correctly rounded.
 
     Column r of the inverse of P_k holds the product-basis coefficients of
     the Lagrange polynomial of node r/k, and column r of the inverse of
     F_k those of the histopolant of segment [r/k, (r+1)/k]: the factors
-    whose values and segment integrals are 1 at r and 0 elsewhere.
+    whose values and segment integrals are 1 at r and 0 elsewhere.  Both
+    are inverted from the integer numerators of :func:`_axis_tables`
+    (every dimension and degree shares them), so no LAPACK or BLAS call
+    moves a bit.
     """
-    dm = assemble_dof_matrix(1, 0, order)  # every (dimension, degree) shares the two tables
-    inverses = np.linalg.inv(dm.spanned), np.linalg.inv(dm.fixed)
+    inverses = tuple(_rounded_inverse(num, den) for num, den in _axis_tables(order))
     for inverse in inverses:
         inverse.setflags(write=False)
     return inverses
+
+
+def _rounded_inverse(num, den) -> np.ndarray:
+    """The inverse of the matrix num / den, each entry rounded once from its exact value.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [num | I] keeps every
+    entry an integer, each division being exact, and ends at [d I | d num^-1]
+    with d = +-det(num).  Each entry den * (d num^-1) / d is then one Python
+    int division, which rounds correctly.
+    """
+    size = len(num)
+    rows = [[int(a) for a in row] + [int(i == j) for j in range(size)] for i, row in enumerate(num)]
+    last = 1
+    for col in range(size):
+        swap = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[swap] = rows[swap], rows[col]
+        pivot = rows[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                rows[r] = [(pivot[col] * a - row[col] * b) // last for a, b in zip(row, pivot)]
+        last = pivot[col]
+    scale, det = (den, last) if last > 0 else (-den, -last)
+    return np.array([[scale * a / det for a in row[size:]] for row in rows])
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,11 @@ def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     spanned = rise[:order] * fall[order - 1 :: -1]
     rise *= fall[::-1]  # in place: evaluate builds these tables for whole point batches
     inv_spanned, inv_fixed = axis_inverses(order)
-    return np.tensordot(inv_spanned.T, spanned, 1), np.tensordot(inv_fixed.T, rise, 1)
+    # interleaved, as einsum sums a table contiguous on axis 0 (a lone 1-D point's) in SIMD lanes
+    tables = np.empty((order + 1, 2, *x.T.shape))
+    np.einsum("ar,a...->r...", inv_spanned, spanned, out=tables[:order, 0])
+    np.einsum("ar,a...->r...", inv_fixed, rise, out=tables[:, 1])
+    return tables[:order, 0], tables[:, 1]
 
 
 @dataclass
@@ -339,8 +343,9 @@ class PiecewiseForm:
         """Components at one point (n,) or a batch (..., n) of physical points.
 
         Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
-        (the lowest cell index wins on shared faces); with ``cell=`` every point is
-        pulled back through that cell's map.  Then :meth:`evaluate_reference` runs.
+        (the lowest cell index wins on shared faces); ``cell=`` gives every point that cell,
+        pulled back by :meth:`CubicalMesh.pull_back` as in location.  Then the per-point
+        :meth:`evaluate_reference` runs, so a point has the same bits alone or in a batch.
         Raises ValueError if the points do not have n coordinates, if ``cell`` is not
         an integer in 0..n_cells-1, or if a point is not finite or lies in no cell.
         """
@@ -358,7 +363,7 @@ class PiecewiseForm:
             cells, x = mesh.locate(flat)
         else:
             _require_finite_points(flat)
-            cells, x = int(cell), (flat - mesh.origins[cell]) @ mesh.inverse_linears[cell].T
+            cells, x = cell, mesh.pull_back(flat, np.full(len(flat), cell))
         values = self.evaluate_reference(cells, x)
         if pts.ndim == 1:
             return {dirs: float(v[0]) for dirs, v in values.items()}
@@ -367,11 +372,10 @@ class PiecewiseForm:
     def evaluate_reference(self, cells, points) -> dict[tuple[int, ...], np.ndarray]:
         """Components at reference points (s, n) of one cell or of one cell per point.
 
-        One integer ``cells`` meets the factor tables of all points in one matrix
-        product; an integer array (s,) makes each point gather its own cell's
-        coefficients.  Sums run one axis at a time, and the minors of
-        :meth:`CubicalMesh.pushforward` turn them into ambient components, one
-        (s,) array per direction tuple.  Raises ValueError if the points are not
+        One integer ``cells`` stands for that cell at every point.  Each point gathers
+        its cell's coefficients, sums them out one axis at a time, in a fixed order,
+        and its cell's minors (:meth:`CubicalMesh.pushforward`) give ambient components,
+        one (s,) array per direction tuple.  Raises ValueError if the points are not
         (s, n), a point has a non-finite coordinate or a cell is outside 0..n_cells-1.
         """
         n, n_cells = self.dimension, self.refined.mesh.n_cells
@@ -383,9 +387,10 @@ class PiecewiseForm:
         inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
         if not (inside and index.shape in {(), x.shape[:1]}):
             raise ValueError(f"cells must be one integer or one per point in 0..{n_cells - 1}")
+        index = np.broadcast_to(index, x.shape[:1])
         push = self.refined.mesh.pushforward(self.degree).take(index, axis=0)
         tables = _factor_tables(x, self.refined.order)
-        out = _reference_values(self.coefficients, self.degree, cells, push, *tables)
+        out = _reference_values(self.coefficients, self.degree, index, push, *tables)
         return dict(zip(combinations(range(n), self.degree), out))
 
     def exterior_derivative(self) -> "PiecewiseForm":
@@ -413,34 +418,24 @@ def _differentiate(coefficients, n: int) -> dict:
 def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.ndarray:
     """Physical components of a piecewise form at reference points of cells.
 
-    ``coefficients`` holds the blocks of a ``degree``-form, one row per
-    cell as in :attr:`PiecewiseForm.coefficients`, and ``spanned`` and
-    ``fixed`` are the points' factor tables from :func:`_factor_tables`.
-    ``cells`` is one row index holding every point, whose coefficient
-    blocks then meet the last axis's table in one matrix product, or one
-    index per point, each point gathering its own block.  The remaining
-    axes are summed out point by point, and the result, one row per
-    direction tuple in ``combinations`` order, is pushed forward with
-    ``push``: the p-by-p minors of the inverse Jacobian
-    (:meth:`CubicalMesh.pushforward`), one matrix for a single cell or one
-    per point.
+    ``coefficients`` holds the blocks of a ``degree``-form, one row per cell as in
+    :attr:`PiecewiseForm.coefficients`, ``cells`` (s,) the row of each point, and
+    ``spanned`` and ``fixed`` the points' factor tables from :func:`_factor_tables`.
+    Each point gathers its block and sums out the anchor axes, the last first; the
+    result, one row per direction tuple in ``combinations`` order, is pushed forward
+    with ``push`` (s, C, C), each point's minors of the inverse Jacobian
+    (:meth:`CubicalMesh.pushforward`).  Every sum is an einsum (no BLAS call) over
+    one point's values in a fixed order, so a point rounds the same in any batch.
     """
     n, p = spanned.shape[1], degree
-    pinned = np.ndim(cells) == 0
     combos = list(combinations(range(n), p))
     ref = np.empty((len(combos), spanned.shape[-1]))
     for r, dirs in enumerate(combos):
         tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
-        block = coefficients[dirs].take(cells, axis=0)
-        if pinned:
-            val = block @ tables[-1]
-        else:
-            val = np.einsum("s...a,as->...s", block, tables[-1])
+        val = np.einsum("s...a,as->...s", coefficients[dirs].take(cells, axis=0), tables[-1])
         for table in reversed(tables[:-1]):  # sum out the last anchor axis
             val = np.einsum("...as,as->...s", val, table)
         ref[r] = val
-    if pinned:
-        return push.T @ ref
     return np.einsum("sij,is->js", push, ref)
 
 

@@ -159,6 +159,11 @@ class CubicalMesh:
         origins, linears = self.origins[cells, None], self.linears[cells, None]
         return map_reference_points(reference_points, origins, linears)
 
+    def pull_back(self, points, cells) -> np.ndarray:
+        """Points (s, n) pulled back through the maps of cells (s,), by einsum (no BLAS call)."""
+        shifted = points - self.origins.take(cells, axis=0)
+        return np.einsum("sj,sij->si", shifted, self.inverse_linears.take(cells, axis=0))
+
     @cached_property
     def inverse_linears(self) -> np.ndarray:
         """The cell maps' inverse Jacobians, stacked: shape (n_cells, n, n)."""
@@ -209,8 +214,7 @@ class CubicalMesh:
             lower, upper = grid.lower.take(cell, axis=0), grid.upper.take(cell, axis=0)
             boxed = np.flatnonzero(_all_columns((pts >= lower) & (pts <= upper)))
             point, cell = point.take(boxed), cell.take(boxed)
-            shifted = pts.take(boxed, axis=0) - self.origins.take(cell, axis=0)
-            x = np.einsum("sj,sij->si", shifted, self.inverse_linears.take(cell, axis=0))
+            x = self.pull_back(pts.take(boxed, axis=0), cell)
             hits = np.flatnonzero(_all_columns((x >= -grid.slack) & (x <= 1 + grid.slack)))
             first = hits[np.diff(point.take(hits), prepend=-1) != 0]
             cell, x, found = cell.take(first), x.take(first, axis=0), point.take(first)

@@ -320,7 +320,8 @@ def de_rham_by_cell(form, refined, quad_order=None):
         factors = _factor_tables(x, form.refined.order)
         for ci in range(refined.mesh.n_cells):
             push = compound_matrix(form.refined.mesh.inverse_linears[ci], p)
-            comps = _reference_values(form.coefficients, p, ci, push, *factors)
+            push = np.broadcast_to(push, (len(x), *push.shape))
+            comps = _reference_values(form.coefficients, p, np.full(len(x), ci), push, *factors)
             integrand = np.zeros(len(x))
             for minor, vals in zip(spans[ci, :, t], comps):
                 if minor != 0.0:

@@ -229,6 +229,30 @@ def test_derivative_of_the_nodal_basis_is_the_incidence(k):
     assert np.array_equal(d.T, incidence)
 
 
+def _fraction_inverse(matrix):
+    """Exact inverse of a square list of Fractions, by Gauss-Jordan elimination."""
+    size = len(matrix)
+    eye = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    rows = [list(row) + one for row, one in zip(matrix, eye)]
+    for col in range(size):
+        swap = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[swap] = rows[swap], rows[col]
+        rows[col] = [a / rows[col][col] for a in rows[col]]
+        for r in range(size):
+            if r != col:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axis_inverses_are_the_exact_inverses_rounded_once(k):
+    # no entry may depend on the LAPACK or BLAS kernel: each is its exact value, rounded
+    for (num, den), inverse in zip(dof._axis_tables(k), dof.axis_inverses(k)):
+        exact = _fraction_inverse([[Fraction(int(a), den) for a in row] for row in num])
+        want = np.array([[float(a) for a in row] for row in exact])
+        assert inverse.dtype == np.float64 and inverse.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_reference_solver_copies_the_one_cached_inversion(k):
     inverses = dof.axis_inverses(k)

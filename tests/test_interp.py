@@ -316,7 +316,7 @@ def _assert_locates_like_pairs_oracle(mesh, pts):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.pinned
+@pytest.mark.blas_free
 def test_locate_is_bit_identical_to_pair_oracle(n):
     # same cells, same reference bits, same message for a point in no cell
     rng = np.random.default_rng(20 + n)
@@ -530,13 +530,38 @@ def test_evaluate_reference_matches_pinned_physical_evaluation(n, k):
         per_point = approx.evaluate_reference(cells, x)
         for c in range(mesh.n_cells):
             want = approx.evaluate(mesh.map_points(x, [c])[0], cell=c)
-            _assert_components_close(approx.evaluate_reference(c, x), want)
+            pinned = approx.evaluate_reference(c, x)
+            _assert_components_close(pinned, want)
             mine = cells == c
             if mine.any():
                 _assert_components_close(
                     {dirs: v[mine] for dirs, v in per_point.items()},
                     {dirs: v[mine] for dirs, v in want.items()},
                 )
+                for dirs, v in pinned.items():
+                    assert np.array_equal(v[mine], per_point[dirs][mine])
+
+
+@pytest.mark.parametrize("n,k", product((1, 2, 3, 4), (1, 2, 3)))
+@pytest.mark.blas_free
+def test_a_point_has_the_same_bits_alone_pinned_and_located(n, k):
+    # one evaluation path: a point evaluated alone with cell=c, among a batch
+    # pinned to c and among every cell's points located unpinned gives equal
+    # values.  The points keep clear of the faces, where location may pick
+    # a lower-index neighbour
+    rng = np.random.default_rng([19, n, k])
+    mesh = scramble_corners(skewed(structured_mesh(n, 2), [19, n]), rng)
+    refined = refine(mesh, k)
+    phys = mesh.map_points(0.05 + 0.9 * rng.random((50, n)))
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+        located = approx.evaluate(phys)
+        for c, points in enumerate(phys):
+            batch = approx.evaluate(points, cell=c)
+            for i, point in enumerate(points):
+                alone = approx.evaluate(point, cell=c)
+                for dirs, v in batch.items():
+                    assert alone[dirs] == v[i] == located[dirs][c, i], (c, i, dirs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -590,27 +615,26 @@ class _PhysicalOnly:
 # cochains were shown to agree with the matrix-product path within 1e-15 of
 # the largest value on these meshes: every batch size, BLAS kernel and BLAS
 # thread count must reproduce every bit.
-@pytest.mark.parametrize(
-    "n,k,scrambled,digest",
-    [
-    (2, 1, False, "4b0ede6255d9f9a2f37490f3357aa1f06f70bed8f885300c2c26c68e9249c982"),
-    (2, 1, True, "8a506943a665f0569d07b40d67831daba542774c5f277328b93260a098b515f8"),
-    (2, 2, False, "66aae4e7b9ec10a668d6e3b1e56abbce94e62a52ea8a0a05a136b32432746c22"),
-    (2, 2, True, "b5b493143ef75525ba891f0ec910d036132cc98d92ae455e23ac31f704f163e8"),
-    (2, 3, False, "c4fff4c7b851b4dfe35b004d1e18a5dfd1499060dc7fa1575c9a039e2f731b2a"),
-    (2, 3, True, "9de2a9be6aa695f1a90748ac557abf14dc89936e8874345d4d208abc0ee21d80"),
-    (3, 1, False, "42fdb4e597df010b9f9b6f440f5c76c0ac6dcf79d7b2350e15f62e1f0645e235"),
-    (3, 1, True, "31ea0a7dc4101d42d1966e6d1337d4745d3a60828ea2516f923cfd266a69456e"),
-    (3, 2, False, "18a461dfae8f203eae3e92b89591e42b2a49e499126340c0c9f2d5469dfa9b4c"),
-    (3, 2, True, "cb8973e7c3781d86b0727941c7cb0719660812247e05ed44bf576f89191c5d95"),
-    (3, 3, False, "1776690ac691b932695128fe1d6615a5b60c859e3408a221a1835914fbce53cd"),
-    (3, 3, True, "48698f926d39b79476d6e3e2eb7124424a3f80f5db78824aad2d5c90e3ff0e04"),
-    ],
-)
+DE_RHAM_DIGESTS = {
+    (2, 1, False): "4b0ede6255d9f9a2f37490f3357aa1f06f70bed8f885300c2c26c68e9249c982",
+    (2, 1, True): "8a506943a665f0569d07b40d67831daba542774c5f277328b93260a098b515f8",
+    (2, 2, False): "66aae4e7b9ec10a668d6e3b1e56abbce94e62a52ea8a0a05a136b32432746c22",
+    (2, 2, True): "b5b493143ef75525ba891f0ec910d036132cc98d92ae455e23ac31f704f163e8",
+    (2, 3, False): "c4fff4c7b851b4dfe35b004d1e18a5dfd1499060dc7fa1575c9a039e2f731b2a",
+    (2, 3, True): "9de2a9be6aa695f1a90748ac557abf14dc89936e8874345d4d208abc0ee21d80",
+    (3, 1, False): "42fdb4e597df010b9f9b6f440f5c76c0ac6dcf79d7b2350e15f62e1f0645e235",
+    (3, 1, True): "31ea0a7dc4101d42d1966e6d1337d4745d3a60828ea2516f923cfd266a69456e",
+    (3, 2, False): "18a461dfae8f203eae3e92b89591e42b2a49e499126340c0c9f2d5469dfa9b4c",
+    (3, 2, True): "cb8973e7c3781d86b0727941c7cb0719660812247e05ed44bf576f89191c5d95",
+    (3, 3, False): "1776690ac691b932695128fe1d6615a5b60c859e3408a221a1835914fbce53cd",
+    (3, 3, True): "48698f926d39b79476d6e3e2eb7124424a3f80f5db78824aad2d5c90e3ff0e04",
+}
+
+
+@pytest.mark.parametrize("n,k,scrambled", DE_RHAM_DIGESTS)
 @pytest.mark.parametrize("batch_points", [None, 1, 100])
-@pytest.mark.pinned
 @pytest.mark.blas_free
-def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_points, monkeypatch):
+def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, batch_points, monkeypatch):
     if batch_points is not None:
         # one cell, or a few cells, per batch must not change a bit either
         monkeypatch.setattr(interp, "DE_RHAM_BATCH_POINTS", batch_points)
@@ -622,36 +646,35 @@ def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_poin
     for p in range(n + 1):
         values = de_rham(get_form(f"sin{n}d-{p}"), refined).values
         h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    assert h.hexdigest() == digest
+    assert h.hexdigest() == DE_RHAM_DIGESTS[n, k, scrambled]
 
 
 # Interpolation, evaluation (unpinned and pinned to each cell) and the
-# exterior derivative must keep every bit.  The k = 1 digests date from
-# before the same-mesh de_rham and the identity gaps were reworked; the
-# k >= 2 ones were recorded when the coefficients moved to the basis dual
-# to the small cubes, after the evaluated values were shown to agree with
-# the product-basis path within 1e-15 relative on these meshes.  They were
-# re-recorded when map_points became elementwise, which moved the probe
-# points; the previous points still reproduce the previous digests.
-@pytest.mark.parametrize(
-    "n,k,scrambled,digest",
-    [
-    (2, 1, False, "38012126697ed6c1ae69af60cfb3c3630f10aa40d7a7fa5c5508480d65b43f8d"),
-    (2, 1, True, "1d6aa4636ae8f7d954982ecd965d0320254a1775b662ef88103593063ab1e9fa"),
-    (2, 2, False, "18da0c763aa2c0263f58149c5b34183a329bc58840e5ef8810b5492523b2dc66"),
-    (2, 2, True, "5fab322a5a05791f4ac476ffcb395ce4737c8553ba5025a6e5fc2139ce55e2c5"),
-    (2, 3, False, "a2d0ec83be04376e1315b6965cee193666c54a76e85b25f4854a356e048ea2ef"),
-    (2, 3, True, "8f377f81b44e71eaae430b0c4ccc95645aeae11f81a1e88d04e7317809c3bc88"),
-    (3, 1, False, "4627b4b9673b9c0d927ef2f33701e40e03378a84a1892d3750f88f02fcc566e0"),
-    (3, 1, True, "b260523a5c725026800ad21fea4206f1f1f4ab7f14a3c2efac6a5540c0732972"),
-    (3, 2, False, "84d9c481018496d02b7683910d52836a1ab94bb1d7f3e8b354d24d690dc44e17"),
-    (3, 2, True, "8e08cf07497055d4d7eda6981c226847cd33a4410d549100584163b3f0957ee1"),
-    (3, 3, False, "4bad5b35d5bb0d3f9e035d72fec73e8da7cc501b46e6dfdae8f93edeabb4c52c"),
-    (3, 3, True, "09b073f33a7045298cbcd3b19726a75eb0cdff3346b3c440b3b535fb48a6a9d5"),
-    ],
-)
-@pytest.mark.pinned
-def test_interpolants_and_their_values_are_pinned(n, k, scrambled, digest):
+# exterior derivative must keep every bit.  Recorded when pinned evaluation
+# became the per-point path (one einsum pull-back, BLAS-free factor tables)
+# and the 1-D inverses were rounded once from their exact values, after the
+# hashed arrays were shown to agree with the matrix-product path within
+# 5.3e-16 of their largest value on these meshes: every BLAS kernel and
+# BLAS thread count must reproduce every bit.
+INTERPOLANT_DIGESTS = {
+    (2, 1, False): "dc62f344fa979e32bef261001744718fa38cd56706630677f632ec024436ce46",
+    (2, 1, True): "576ecb8ffa83cbcc628e11b2fb402a57fd8bb4ade233b7fee9e2fcd9c7f29a2b",
+    (2, 2, False): "b0898de3c337d55a7cc9e8d4bb67c61aad705830d6f33da80797a433f72175d0",
+    (2, 2, True): "a1673eb907924cbbf3c6496480d4937e73af991f5b9253cc39ac551de69efc05",
+    (2, 3, False): "9ddad68a9928a97aa4b5d96f79509adb0e2587c579348cfdd5ecff244473a70f",
+    (2, 3, True): "35c284ea8d0611592c9f71aedd722f29189aef65dc719dac81c23866aff76f8c",
+    (3, 1, False): "09ac3226df78dd1ee9a4a7f495de6b04ca62ffb69bee6428b5052c7bbb276223",
+    (3, 1, True): "d28d2d8444de21e53f421d8f94007784cc49e39c61518d98b3d1bb45c9437ce9",
+    (3, 2, False): "253931917ebe8b058d3f885459b40b1daa327562a3b9fcc1f798458dc819eb13",
+    (3, 2, True): "d84a7da0af7e1a68762f561a09b3ba2119d6df42111ac576a93fbd1a582049f3",
+    (3, 3, False): "85c3af4bbd0c0cae44b287a73e8a1be47123778d8da54483a077875d4225de9f",
+    (3, 3, True): "4cf54b38b2a61d1eed333b128adf249c681b7bad2b5e39293d5d6a33a926b1c9",
+}
+
+
+@pytest.mark.parametrize("n,k,scrambled", INTERPOLANT_DIGESTS)
+@pytest.mark.blas_free
+def test_interpolants_and_their_values_are_pinned(n, k, scrambled):
     rng = np.random.default_rng([n, k, int(scrambled)])
     mesh = structured_mesh(n, 2, shear=0.3)
     if scrambled:
@@ -668,7 +691,7 @@ def test_interpolants_and_their_values_are_pinned(n, k, scrambled, digest):
                 arrays += form.evaluate(phys[c], cell=c).values()
             for a in arrays:
                 h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    assert h.hexdigest() == digest
+    assert h.hexdigest() == INTERPOLANT_DIGESTS[n, k, scrambled]
 
 
 class _CountingForm:
@@ -718,7 +741,6 @@ def _trig_4d(p):
         (4, 1, scramble_corners(skewed(structured_mesh(4, 2), 7), np.random.default_rng(4))),
     ],
 )
-@pytest.mark.pinned
 @pytest.mark.blas_free
 def test_owner_only_de_rham_keeps_the_bits_of_every_owner_mapping(
     n, k, mesh, batch_points, monkeypatch
@@ -898,7 +920,7 @@ def test_identity_report_matches_per_trial_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("one_trial_batches", [False, True])
-@pytest.mark.pinned
+@pytest.mark.blas_free
 def test_identity_report_equals_every_cell_oracle(n, one_trial_batches, monkeypatch):
     # batching the trials and gathering only the sampled rows keeps every bit
     # of the report: some meshes have more cells than samples, others far
