@@ -615,26 +615,26 @@ class _PhysicalOnly:
 # cochains were shown to agree with the matrix-product path within 1e-15 of
 # the largest value on these meshes: every batch size, BLAS kernel and BLAS
 # thread count must reproduce every bit.
-DE_RHAM_DIGESTS = {
-    (2, 1, False): "4b0ede6255d9f9a2f37490f3357aa1f06f70bed8f885300c2c26c68e9249c982",
-    (2, 1, True): "8a506943a665f0569d07b40d67831daba542774c5f277328b93260a098b515f8",
-    (2, 2, False): "66aae4e7b9ec10a668d6e3b1e56abbce94e62a52ea8a0a05a136b32432746c22",
-    (2, 2, True): "b5b493143ef75525ba891f0ec910d036132cc98d92ae455e23ac31f704f163e8",
-    (2, 3, False): "c4fff4c7b851b4dfe35b004d1e18a5dfd1499060dc7fa1575c9a039e2f731b2a",
-    (2, 3, True): "9de2a9be6aa695f1a90748ac557abf14dc89936e8874345d4d208abc0ee21d80",
-    (3, 1, False): "42fdb4e597df010b9f9b6f440f5c76c0ac6dcf79d7b2350e15f62e1f0645e235",
-    (3, 1, True): "31ea0a7dc4101d42d1966e6d1337d4745d3a60828ea2516f923cfd266a69456e",
-    (3, 2, False): "18a461dfae8f203eae3e92b89591e42b2a49e499126340c0c9f2d5469dfa9b4c",
-    (3, 2, True): "cb8973e7c3781d86b0727941c7cb0719660812247e05ed44bf576f89191c5d95",
-    (3, 3, False): "1776690ac691b932695128fe1d6615a5b60c859e3408a221a1835914fbce53cd",
-    (3, 3, True): "48698f926d39b79476d6e3e2eb7124424a3f80f5db78824aad2d5c90e3ff0e04",
-}
-
-
-@pytest.mark.parametrize("n,k,scrambled", DE_RHAM_DIGESTS)
+@pytest.mark.parametrize(
+    "n,k,scrambled,digest",
+    [
+    (2, 1, False, "4b0ede6255d9f9a2f37490f3357aa1f06f70bed8f885300c2c26c68e9249c982"),
+    (2, 1, True, "8a506943a665f0569d07b40d67831daba542774c5f277328b93260a098b515f8"),
+    (2, 2, False, "66aae4e7b9ec10a668d6e3b1e56abbce94e62a52ea8a0a05a136b32432746c22"),
+    (2, 2, True, "b5b493143ef75525ba891f0ec910d036132cc98d92ae455e23ac31f704f163e8"),
+    (2, 3, False, "c4fff4c7b851b4dfe35b004d1e18a5dfd1499060dc7fa1575c9a039e2f731b2a"),
+    (2, 3, True, "9de2a9be6aa695f1a90748ac557abf14dc89936e8874345d4d208abc0ee21d80"),
+    (3, 1, False, "42fdb4e597df010b9f9b6f440f5c76c0ac6dcf79d7b2350e15f62e1f0645e235"),
+    (3, 1, True, "31ea0a7dc4101d42d1966e6d1337d4745d3a60828ea2516f923cfd266a69456e"),
+    (3, 2, False, "18a461dfae8f203eae3e92b89591e42b2a49e499126340c0c9f2d5469dfa9b4c"),
+    (3, 2, True, "cb8973e7c3781d86b0727941c7cb0719660812247e05ed44bf576f89191c5d95"),
+    (3, 3, False, "1776690ac691b932695128fe1d6615a5b60c859e3408a221a1835914fbce53cd"),
+    (3, 3, True, "48698f926d39b79476d6e3e2eb7124424a3f80f5db78824aad2d5c90e3ff0e04"),
+    ],
+)
 @pytest.mark.parametrize("batch_points", [None, 1, 100])
 @pytest.mark.blas_free
-def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, batch_points, monkeypatch):
+def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, digest, batch_points, monkeypatch):
     if batch_points is not None:
         # one cell, or a few cells, per batch must not change a bit either
         monkeypatch.setattr(interp, "DE_RHAM_BATCH_POINTS", batch_points)
@@ -646,7 +646,7 @@ def test_de_rham_of_analytic_forms_is_pinned(n, k, scrambled, batch_points, monk
     for p in range(n + 1):
         values = de_rham(get_form(f"sin{n}d-{p}"), refined).values
         h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    assert h.hexdigest() == DE_RHAM_DIGESTS[n, k, scrambled]
+    assert h.hexdigest() == digest
 
 
 # Interpolation, evaluation (unpinned and pinned to each cell) and the
