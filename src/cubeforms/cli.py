@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from math import ceil, log
@@ -35,6 +35,20 @@ EXIT_USAGE = 2
 
 #: Largest total small-cube count the dims table will enumerate.
 _DIMS_ENUMERATION_CAP = 500_000
+
+#: Each subcommand's largest k per dimension n, checked before any work (n runs
+#: from 1 to the largest key; ``interpolate`` reads it from its mesh, and no error
+#: was ever measured past 4D).  The reference-matrix commands stop at k = 4, a
+#: leftover of slow exact assembly.  In 3D, k = 7 is singular for p <= 2, and in 4D
+#: k = 6 for every p; (3, 3, 7) and 4D k = 5 meet the default identity tolerance
+#: (worst errors 1.0e-10, 3.0e-11) but stay refused until the envelope is measured.
+LIMITS = {
+    "dims": dict.fromkeys(range(1, 7), 8),
+    "check-unisolvence": dict.fromkeys(range(1, 5), 4),
+    "dof-matrix": dict.fromkeys(range(1, 5), 4),
+    "interpolate": {1: 8, 2: 8, 3: 6, 4: 4},
+    "convergence": dict.fromkeys(range(1, 4), 4),
+}
 
 
 def dimension_table(dimension: int, order: int) -> list[tuple[int, int, int]]:
@@ -124,13 +138,12 @@ def run_convergence(
 # -- helpers ---------------------------------------------------------
 
 
-@contextmanager
-def _open_out(path):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and the rows as CSV to ``path``, or to stdout if it is None."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:
@@ -138,9 +151,13 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
 
 
-def _check_degree(dimension: int, degree: int) -> None:
-    if not 0 <= degree <= dimension:
-        raise ValueError(f"p must be in 0..{dimension}, got {degree}")
+def _check_limits(args, n: int) -> None:
+    """Refuse, before any work, what :data:`LIMITS` leaves out: n first, then k, then p."""
+    caps = LIMITS[args.command]
+    _check_range("--n" if "n" in args else "mesh dimension", n, 1, max(caps))
+    _check_range("--k", args.k, 1, caps[n])
+    if "p" in args:
+        _check_range("p", args.p, 0, n)
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -169,57 +186,36 @@ def _read_points(path, dimension: int) -> np.ndarray:
                 ) from None
     pts = np.array(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dimension:
-        raise ValueError(
-            f"points file {path} must have {dimension} columns per row"
-        )
+        raise ValueError(f"points file {path} must have {dimension} columns per row")
     return pts
-
-
-def _component_label(dirs: tuple[int, ...]) -> str:
-    return "w" + "".join(str(d) for d in dirs)
 
 
 # -- subcommands -----------------------------------------------------
 
 
 def _cmd_dims(args) -> int:
-    _check_range("--n", args.n, 1, 6)
-    _check_range("--k", args.k, 1, 8)
     total_formula = (2 * args.k + 1) ** args.n
     if total_formula > _DIMS_ENUMERATION_CAP:
         raise ValueError(
             f"table for n={args.n}, k={args.k} has {total_formula} small cubes; "
             f"enumeration is capped at {_DIMS_ENUMERATION_CAP}"
         )
-    rows = dimension_table(args.n, args.k)
-    ok = True
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "enumerated", "formula", "match"])
-        for p, enumerated, formula in rows:
-            match = enumerated == formula
-            ok = ok and match
-            writer.writerow([p, enumerated, formula, str(match).lower()])
-        total = sum(r[1] for r in rows)
-        match = total == total_formula
-        ok = ok and match
-        writer.writerow(["total", total, total_formula, str(match).lower()])
-    return EXIT_OK if ok else EXIT_FAIL
+    rows = [[p, e, f, str(e == f).lower()] for p, e, f in dimension_table(args.n, args.k)]
+    total = sum(row[1] for row in rows)
+    rows.append(["total", total, total_formula, str(total == total_formula).lower()])
+    _write_csv(args.out, ["p", "enumerated", "formula", "match"], rows)
+    return EXIT_OK if all(row[3] == "true" for row in rows) else EXIT_FAIL
 
 
 def _cmd_check_unisolvence(args) -> int:
-    _check_range("--n", args.n, 1, 4)
-    _check_range("--k", args.k, 1, 4)
-    _check_degree(args.n, args.p)
     report = check_unisolvence(args.n, args.p, args.k)
     blocks = assemble_dof_matrix(args.n, args.p, args.k).blocks
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "size", "condition"])
-        for dirs, cond in report.block_conditions.items():
-            label = "scalar" if not dirs else "d" + "d".join(str(d) for d in dirs)
-            writer.writerow([label, blocks[dirs].stop - blocks[dirs].start, repr(cond)])
-        writer.writerow(["all", report.size, repr(report.condition_estimate)])
+    rows = []
+    for dirs, cond in report.block_conditions.items():
+        label = "scalar" if not dirs else "d" + "d".join(str(d) for d in dirs)
+        rows.append([label, blocks[dirs].stop - blocks[dirs].start, repr(cond)])
+    rows.append(["all", report.size, repr(report.condition_estimate)])
+    _write_csv(args.out, ["block", "size", "condition"], rows)
     print(
         f"n={args.n} p={args.p} k={args.k}: {report.size} degrees of freedom, "
         f"min singular value {report.min_singular:.6e}, "
@@ -230,58 +226,41 @@ def _cmd_check_unisolvence(args) -> int:
 
 
 def _cmd_dof_matrix(args) -> int:
-    _check_range("--n", args.n, 1, 4)
-    _check_range("--k", args.k, 1, 4)
-    _check_degree(args.n, args.p)
     dm = assemble_dof_matrix(args.n, args.p, args.k)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for dirs, sl in dm.blocks.items():
-            for (r, c), value in np.ndenumerate(dm.block(dirs)):
-                writer.writerow([sl.start + r, sl.start + c, f"{value:.12e}"])
+    rows = (
+        [sl.start + r, sl.start + c, f"{value:.12e}"]
+        for dirs, sl in dm.blocks.items()
+        for (r, c), value in np.ndenumerate(dm.block(dirs))
+    )
+    _write_csv(args.out, ["row", "col", "value"], rows)
     return EXIT_OK
 
 
 def _cmd_interpolate(args) -> int:
     mesh = load_mesh(args.mesh)
-    # k = 7 in 3D is singular for p <= 2 and k = 6 in 4D for every p; (3, 3, 7) and
-    # 4D k = 5 meet the default identity tolerance (worst errors 1.0e-10 and 3.0e-11
-    # on one sheared cell) but stay refused until the envelope is tabulated per (n, k)
-    _check_range("--k", args.k, 1, {3: 6, 4: 4}.get(mesh.dimension, 8))
-    _check_degree(mesh.dimension, args.p)
+    _check_limits(args, mesh.dimension)
     refined = refine(mesh, args.k, degrees=(args.p,))
-    cochain = Cochain.from_csv(args.cochain, args.p)
-    if len(cochain) != refined.count(args.p):
-        raise ValueError(
-            f"cochain has {len(cochain)} values but the refined mesh has "
-            f"{refined.count(args.p)} small cubes of degree {args.p}"
-        )
-    form = interpolate(cochain, refined)
+    form = interpolate(Cochain.from_csv(args.cochain, args.p), refined)
     if args.points:
         pts = _read_points(args.points, mesh.dimension)
     else:
         pts = mesh.map_points(np.full((1, mesh.dimension), 0.5))[:, 0]
     values = form.evaluate(pts)
     combos = sorted(values)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{i}" for i in range(mesh.dimension)]
-            + [_component_label(dirs) for dirs in combos]
-        )
-        for i, pt in enumerate(pts):
-            writer.writerow(
-                [repr(float(x)) for x in pt]
-                + [repr(float(np.asarray(values[dirs]).reshape(-1)[i])) for dirs in combos]
-            )
+    columns = [np.asarray(values[dirs]).reshape(-1) for dirs in combos]
+    _write_csv(
+        args.out,
+        [f"x{i}" for i in range(mesh.dimension)]
+        + ["w" + "".join(str(d) for d in dirs) for dirs in combos],
+        (
+            [repr(float(x)) for x in pt] + [repr(float(col[i])) for col in columns]
+            for i, pt in enumerate(pts)
+        ),
+    )
     return EXIT_OK
 
 
 def _cmd_convergence(args) -> int:
-    _check_range("--n", args.n, 1, 3)
-    _check_range("--k", args.k, 1, 4)
-    _check_degree(args.n, args.p)
     m_list = _parse_m_list(args.m_list)
     if len(m_list) < 2:
         raise ValueError("--m-list needs at least two mesh sizes to estimate an order")
@@ -295,18 +274,15 @@ def _cmd_convergence(args) -> int:
         quad_order=args.quad_order,
         form_id=args.form,
     )
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "h", "sup_error", "eoc"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.subdivisions,
-                    repr(row.mesh_size),
-                    repr(row.sup_error),
-                    "" if row.eoc is None else repr(row.eoc),
-                ]
-            )
+    _write_csv(
+        args.out,
+        ["m", "h", "sup_error", "eoc"],
+        (
+            [row.subdivisions, repr(row.mesh_size), repr(row.sup_error)]
+            + ["" if row.eoc is None else repr(row.eoc)]
+            for row in rows
+        ),
+    )
     final = rows[-1].eoc
     if final is None:
         print(
@@ -336,78 +312,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dims", help="dimension table of the discrete spaces")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--k", type=int, required=True, help="polynomial order")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_dims)
+    def shared(*names: str, k_help: str = "polynomial order") -> list:
+        """A subcommand's parent parser: the integer flags ``names``, then ``--out``."""
+        parent = argparse.ArgumentParser(add_help=False)
+        helps = {"--n": "ambient dimension", "--p": "form degree", "--k": k_help}
+        for name in names:
+            parent.add_argument(name, type=int, required=True, help=helps[name])
+        parent.add_argument("--out", help="write CSV here instead of stdout")
+        return [parent]
 
-    p = sub.add_parser(
-        "check-unisolvence", help="certify invertibility of the reference DOF matrix"
+    sub.add_parser(
+        "dims", parents=shared("--n", "--k"), help="dimension table of the discrete spaces"
+    ).set_defaults(func=_cmd_dims)
+    sub.add_parser(
+        "check-unisolvence",
+        parents=shared("--n", "--p", "--k"),
+        help="certify invertibility of the reference DOF matrix",
+    ).set_defaults(func=_cmd_check_unisolvence)
+    sub.add_parser(
+        "dof-matrix",
+        parents=shared("--n", "--p", "--k"),
+        help="dump the reference DOF matrix as CSV",
+    ).set_defaults(func=_cmd_dof_matrix)
+
+    caps = ", ".join(f"1..{k} on a {n}D mesh" for n, k in LIMITS["interpolate"].items())
+    k_help = (
+        f"polynomial order: {caps}; other dimensions are refused, and on a 3D or 4D mesh "
+        "one order more misses the default identity tolerance, and two are singular"
     )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--p", type=int, required=True, help="form degree")
-    p.add_argument("--k", type=int, required=True, help="polynomial order")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_check_unisolvence)
-
-    p = sub.add_parser("dof-matrix", help="dump the reference DOF matrix as CSV")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--p", type=int, required=True, help="form degree")
-    p.add_argument("--k", type=int, required=True, help="polynomial order")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_dof_matrix)
-
     p = sub.add_parser(
-        "interpolate", help="evaluate the interpolant of a cochain on a mesh"
+        "interpolate",
+        parents=shared("--p", "--k", k_help=k_help),
+        help="evaluate the interpolant of a cochain on a mesh",
     )
     p.add_argument("--mesh", required=True, help="mesh JSON file")
     p.add_argument("--cochain", required=True, help="cochain CSV file (id,value)")
-    p.add_argument("--p", type=int, required=True, help="form degree")
-    p.add_argument(
-        "--k",
-        type=int,
-        required=True,
-        help="polynomial order, 1..8, or 1..6 on a 3D mesh and 1..4 on a 4D mesh: "
-        "one order more misses the default identity tolerance there, and two "
-        "are numerically singular",
-    )
-    p.add_argument(
-        "--points", help="CSV of evaluation points (default: cell centres)"
-    )
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--points", help="CSV of evaluation points (default: cell centres)")
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser(
-        "convergence", help="interpolation-error study on structured meshes"
+        "convergence",
+        parents=shared("--n", "--p", "--k"),
+        help="interpolation-error study on structured meshes",
     )
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--p", type=int, required=True, help="form degree")
-    p.add_argument("--k", type=int, required=True, help="polynomial order")
-    p.add_argument(
-        "--m-list", required=True, help="comma-separated subdivision counts"
-    )
+    p.add_argument("--m-list", required=True, help="comma-separated subdivision counts")
     p.add_argument("--shear", type=float, default=0.0, help="mesh shear factor")
-    p.add_argument(
-        "--samples", type=int, default=64, help="evaluation points per cell"
-    )
-    p.add_argument(
-        "--quad-order", type=int, default=None, help="Gauss points per axis"
-    )
+    p.add_argument("--samples", type=int, default=64, help="evaluation points per cell")
+    p.add_argument("--quad-order", type=int, default=None, help="Gauss points per axis")
     p.add_argument(
         "--form",
         default=None,
         help=f"catalog form id (default sin<n>d-<p>; known: {', '.join(list_forms())})",
     )
-    p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_convergence)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "n" in args:
+            _check_limits(args, args.n)
         return args.func(args)
     except (
         MeshValidationError,

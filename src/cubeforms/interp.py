@@ -223,10 +223,9 @@ def _own_mesh_integrals(
         for j in range(n):  # each step sums out the leading anchor axis
             block = np.tensordot(block, edges if j in dirs else nodes, ([1], [0]))
         cube_vals = k**-p * block.reshape(-1, n_cells, len(anchors))
-        mine = owned[:, sl]
-        ids = table[:, sl][mine]
-        for row, signed in zip(values, signs[:, sl] * cube_vals):
-            row[ids] = signed[mine]
+        mine = np.flatnonzero(owned[:, sl])
+        signed = (signs[:, sl] * cube_vals).reshape(trials, -1)
+        values[:, table[:, sl].take(mine)] = signed.take(mine, axis=1)
     return values
 
 
@@ -257,12 +256,18 @@ def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
     small cubes of (n, p, k) are not unisolvent (:class:`~cubeforms.dof.ReferenceSolver`).
     """
     p = cochain.degree
+    _require_count(cochain, refined)
+    return PiecewiseForm(refined, p, _gather_rows(cochain.values[None], refined, p))
+
+
+def _require_count(cochain: Cochain, refined: RefinedMesh) -> None:
+    """ValueError unless the cochain has one value per small cube of its degree."""
+    p = cochain.degree
     if len(cochain) != refined.count(p):
         raise ValueError(
             f"cochain has {len(cochain)} values, mesh has {refined.count(p)} "
             f"small cubes of degree {p}"
         )
-    return PiecewiseForm(refined, p, _gather_rows(cochain.values[None], refined, p))
 
 
 def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> dict:
@@ -271,8 +276,8 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
     ``values`` holds one p-cochain per row, shape (trials, count).  Row
     ``t * n_cells + c`` of the result is cell c of cochain t's interpolant;
     ``rows`` picks some of them, in order, and by default every row is
-    kept, gathered by one ``take`` (a third of the time of gathering
-    picked rows, on every :func:`interpolate` call).  Each picked cell's
+    kept; either way one ``take`` gathers them, faster than indexing by
+    (trial, cell) pairs.  Each picked cell's
     values are pulled to local orientation, and they are its coefficients.
     """
     n, k = refined.dimension, refined.order
@@ -282,7 +287,7 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
         local = (values.take(table, axis=1) * signs).reshape(-1, table.shape[1])
     else:
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
-        local = values[trial[:, None], table[cell]] * signs[cell]
+        local = values.take(trial[:, None] * values.shape[1] + table[cell]) * signs[cell]
     return {d: local[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks.items()}
 
 
@@ -440,9 +445,19 @@ def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.n
 
 
 def coboundary(cochain: Cochain, refined: RefinedMesh) -> Cochain:
-    """Apply the discrete exterior derivative to a cochain."""
-    matrix = refined.coboundary_matrix(cochain.degree)
-    return Cochain(cochain.degree + 1, matrix @ cochain.values)
+    """Apply the discrete exterior derivative to a cochain.
+
+    Before any work, raises ValueError if the cochain has the top degree or
+    above, which has no coboundary, or if its length is not the count of
+    small cubes of its degree.
+    """
+    p, n = cochain.degree, refined.dimension
+    if p >= n:
+        raise ValueError(
+            f"a {p}-cochain has no coboundary on a {n}D mesh: the top degree is {n}"
+        )
+    _require_count(cochain, refined)
+    return Cochain(p + 1, refined.coboundary_matrix(p) @ cochain.values)
 
 
 @dataclass(frozen=True)
@@ -490,8 +505,8 @@ def verify_identities(
     top degree): interpolating the coboundary dx equals differentiating w.
     The round trip covers every cell, in batches of whole trials holding
     at most :data:`IDENTITY_BATCH_VALUES` local values, each batch one
-    gather and one integration on the reference cube; only the
-    rows of w at sampled (trial, cell) pairs outlive their batch.  The two
+    gather and one integration on the reference cube; the rows of w at
+    sampled (trial, cell) pairs are gathered again afterwards.  The two
     form identities are compared at the sampled points alone, so y and dx
     are interpolated, and w differentiated, on those rows only, and each
     gap is evaluated once over every trial's points, on the coefficient
@@ -531,14 +546,11 @@ def verify_identities(
 
     per_batch = max(1, IDENTITY_BATCH_VALUES // refined.cell_tables[p].size)
     y = np.empty_like(x)
-    kept = []
     for t0 in range(0, trials, per_batch):
-        w = _gather_rows(x[t0 : t0 + per_batch], refined, p)
-        y[t0 : t0 + per_batch] = _own_mesh_integrals(w, k, refined, p, q)
-        lo, hi = np.searchsorted(rows, [t0 * n_cells, (t0 + per_batch) * n_cells])
-        kept.append({d: block[rows[lo:hi] - t0 * n_cells] for d, block in w.items()})
-    w = {d: np.concatenate([part[d] for part in kept]) for d in kept[0]}
+        batch = _gather_rows(x[t0 : t0 + per_batch], refined, p)
+        y[t0 : t0 + per_batch] = _own_mesh_integrals(batch, k, refined, p, q)
     _require_finite(y)
+    w = _gather_rows(x, refined, p, rows)
 
     tables = _factor_tables(points.reshape(-1, n), k)
 

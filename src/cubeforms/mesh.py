@@ -878,11 +878,13 @@ class RefinedMesh:
         cube_signs = self.cell_signs[degree + 1][cells, local]
         cols = table[cells[:, None], faces]
         vals = cube_signs[:, None] * face_signs * signs[cells[:, None], faces]
-        rows = np.repeat(np.arange(len(cells)), faces.shape[1])
+        # every row holds the 2(p+1) faces of one cube
+        indptr = np.arange(len(cells) + 1) * faces.shape[1]
         matrix = sparse.csr_matrix(
-            (vals.ravel().astype(float), (rows, cols.ravel())),
+            (vals.ravel().astype(float), cols.ravel(), indptr),
             shape=(self.count(degree + 1), self.count(degree)),
         )
+        matrix.sort_indices()
         self._coboundaries[degree] = matrix
         return matrix
 

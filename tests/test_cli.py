@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and output formats."""
 
+import argparse
 import ast
 import subprocess
 import sys
@@ -267,6 +268,19 @@ def test_interpolate_caps_4d_order_at_four(tmp_path, capsys):
     assert lines[0].startswith("x0,x1,x2,x3,") and len(lines) == 2
 
 
+def test_interpolate_refuses_meshes_past_4d(tmp_path, capsys):
+    # no interpolation error was measured past 4D; the mesh is checked before any work
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(5, 1), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    Cochain(2, np.ones(small_cube_count(5, 2, 4))).to_csv(cochain_path)
+    argv = ["interpolate", "--mesh", str(mesh_path), "--cochain", str(cochain_path)]
+    assert main(argv + ["--p", "2", "--k", "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mesh dimension must be in 1..4, got 5\n"
+
+
 def test_interpolate_accepts_order_eight_in_2d(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(2, 1, shear=0.3), mesh_path)
@@ -404,6 +418,30 @@ def test_convergence_rejects_unknown_form(capsys):
     )
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_subcommand_options_and_interpolate_caps():
+    sub = next(
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "dims": {"--n", "--k", "--out"},
+        "check-unisolvence": {"--n", "--p", "--k", "--out"},
+        "dof-matrix": {"--n", "--p", "--k", "--out"},
+        "interpolate": {"--mesh", "--cochain", "--p", "--k", "--points", "--out"},
+        "convergence": {"--n", "--p", "--k", "--m-list", "--shear", "--samples"}
+        | {"--quad-order", "--form", "--out"},
+    }
+    help_text = " ".join(sub.choices["interpolate"].format_help().split())
+    for n, k in cli.LIMITS["interpolate"].items():
+        assert f"1..{k} on a {n}D mesh" in help_text
 
 
 def test_cli_imports_no_private_names():

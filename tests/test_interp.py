@@ -209,6 +209,20 @@ def test_integration_commutes_with_derivative(form_id, n, m, k, shear):
     assert np.abs(lhs.values - rhs.values).max() < 1e-8
 
 
+@pytest.mark.parametrize(
+    "degree,size,want",
+    [
+        (1, 5, "cochain has 5 values, mesh has 12 small cubes of degree 1"),
+        (2, 4, "a 2-cochain has no coboundary on a 2D mesh: the top degree is 2"),
+    ],
+)
+def test_coboundary_checks_its_cochain_before_any_work(degree, size, want):
+    refined = refine(structured_mesh(2, 1), 2)
+    with pytest.raises(ValueError) as info:
+        coboundary(Cochain(degree, np.zeros(size)), refined)
+    assert str(info.value) == want
+
+
 # -- piecewise evaluation --------------------------------------------
 
 
