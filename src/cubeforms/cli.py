@@ -26,24 +26,23 @@ import numpy as np
 from .catalog import get_form, list_forms
 from .dof import assemble_dof_matrix, check_unisolvence
 from .interp import Cochain, de_rham, interpolate
-from .mesh import MeshValidationError, load_mesh, refine, structured_mesh
+from .mesh import load_mesh, refine, structured_mesh
 from .smallcubes import enumerate_small_cubes, small_cube_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-#: Largest total small-cube count the dims table will enumerate.
-_DIMS_ENUMERATION_CAP = 500_000
-
 #: Each subcommand's largest k per dimension n, checked before any work (n runs
 #: from 1 to the largest key; ``interpolate`` reads it from its mesh, and no error
-#: was ever measured past 4D).  The reference-matrix commands stop at k = 4, a
-#: leftover of slow exact assembly.  In 3D, k = 7 is singular for p <= 2, and in 4D
-#: k = 6 for every p; (3, 3, 7) and 4D k = 5 meet the default identity tolerance
-#: (worst errors 1.0e-10, 3.0e-11) but stay refused until the envelope is measured.
+#: was ever measured past 4D).  ``dims`` enumerates (2k + 1)^n small cubes in all,
+#: so from 5D its cap is the largest k with at most 500,000 of them.  The
+#: reference-matrix commands stop at k = 4, a leftover of slow exact assembly.  In
+#: 3D, k = 7 is singular for p <= 2, and in 4D k = 6 for every p; (3, 3, 7) and 4D
+#: k = 5 meet the default identity tolerance (worst errors 1.0e-10, 3.0e-11) but
+#: stay refused until the envelope is measured.
 LIMITS = {
-    "dims": dict.fromkeys(range(1, 7), 8),
+    "dims": {1: 8, 2: 8, 3: 8, 4: 8, 5: 6, 6: 3},
     "check-unisolvence": dict.fromkeys(range(1, 5), 4),
     "dof-matrix": dict.fromkeys(range(1, 5), 4),
     "interpolate": {1: 8, 2: 8, 3: 6, 4: 4},
@@ -195,11 +194,6 @@ def _read_points(path, dimension: int) -> np.ndarray:
 
 def _cmd_dims(args) -> int:
     total_formula = (2 * args.k + 1) ** args.n
-    if total_formula > _DIMS_ENUMERATION_CAP:
-        raise ValueError(
-            f"table for n={args.n}, k={args.k} has {total_formula} small cubes; "
-            f"enumeration is capped at {_DIMS_ENUMERATION_CAP}"
-        )
     rows = [[p, e, f, str(e == f).lower()] for p, e, f in dimension_table(args.n, args.k)]
     total = sum(row[1] for row in rows)
     rows.append(["total", total, total_formula, str(total == total_formula).lower()])
@@ -374,13 +368,12 @@ def main(argv=None) -> int:
         if "n" in args:
             _check_limits(args, args.n)
         return args.func(args)
-    except (
-        MeshValidationError,
-        FileNotFoundError,
-        IsADirectoryError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except OSError as exc:
+        # a file that cannot be read or written: name it, not only the errno
+        message = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    except (KeyError, ValueError) as exc:  # MeshValidationError is a ValueError
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,7 @@ with the (co)boundary.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dof import axis_inverses, reference_solver
 from .forms import wedge_insert
-from .mesh import RefinedMesh, compound_matrix
+from .mesh import RefinedMesh, _frozen, compound_matrix
 from .quadrature import gauss_unit_cube, gauss_unit_interval
 from .smallcubes import anchor_runs, pattern_shape
 
@@ -154,7 +154,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     k = refined.order
     q = _rule_order(quad_order, k)
     if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
-        integrals = _own_mesh_integrals(form.coefficients, form.refined.order, refined, p, q)
+        integrals = _own_mesh_integrals(form._blocks, form.refined.order, refined, p, q)
         return Cochain(p, integrals[0])
     n_cells = refined.mesh.n_cells
     values = np.empty(refined.count(p))
@@ -199,29 +199,34 @@ def _rule_order(quad_order: int | None, k: int) -> int:
     return q
 
 
-def _own_mesh_integrals(
-    coefficients, order: int, refined: RefinedMesh, p: int, q: int
-) -> np.ndarray:
+def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int) -> np.ndarray:
     """Integrals of stacked interpolants on their own mesh, one cochain per row.
 
-    ``coefficients`` holds p-form blocks of basis order ``order`` with
-    ``trials * n_cells`` rows, cell fastest, as :attr:`PiecewiseForm.coefficients`
-    holds one form's; the result, shape (trials, count), is the value of
-    :func:`de_rham` on ``refined`` with a ``q``-point rule, form by form.
+    ``blocks`` holds p-form blocks of basis order ``order``, stored cells last
+    as :class:`PiecewiseForm` stores one form's, with ``trials * n_cells``
+    rows on the last axis, cell fastest; the result, shape (trials, count),
+    is the value of :func:`de_rham` on ``refined`` with a ``q``-point rule,
+    form by form.
     """
     n, k = refined.dimension, refined.order
     n_cells = refined.mesh.n_cells
     table = refined.cell_tables[p]
     signs = refined.cell_signs[p]
     owned = refined.integration_owners(p)
-    trials = len(next(iter(coefficients.values()))) // n_cells
+    trials = next(iter(blocks.values())).shape[-1] // n_cells
     values = np.empty((trials, refined.count(p)))
     # point values (p = 0) span no axis, so they need no rule
     edges, nodes = _own_mesh_tables(order, k, q if p else 1)
     for dirs, sl, anchors in anchor_runs(n, p, k):
-        block = coefficients[dirs]
-        for j in range(n):  # each step sums out the leading anchor axis
-            block = np.tensordot(block, edges if j in dirs else nodes, ([1], [0]))
+        axis_tables = [edges if j in dirs else nodes for j in range(n)]
+        # each step sums out the leading anchor axis; the first multiplies the C-ordered
+        # (rows * a_1 * ... * a_{n-1}, a_0) matrix, one copy of the block, so that this
+        # and every later tensordot hand BLAS the same operands for any stored layout
+        first = np.ascontiguousarray(blocks[dirs].transpose(-1, *range(1, n), 0))
+        block = np.dot(first.reshape(-1, first.shape[-1]), axis_tables[0])  # as tensordot
+        block = block.reshape(*first.shape[:-1], -1)
+        for axis_table in axis_tables[1:]:
+            block = np.tensordot(block, axis_table, ([1], [0]))
         cube_vals = k**-p * block.reshape(-1, n_cells, len(anchors))
         mine = np.flatnonzero(owned[:, sl])
         signed = (signs[:, sl] * cube_vals).reshape(trials, -1)
@@ -257,7 +262,7 @@ def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
     """
     p = cochain.degree
     _require_count(cochain, refined)
-    return PiecewiseForm(refined, p, _gather_rows(cochain.values[None], refined, p))
+    return PiecewiseForm(refined, p, _cells_first(_gather_rows(cochain.values[None], refined, p)))
 
 
 def _require_count(cochain: Cochain, refined: RefinedMesh) -> None:
@@ -271,14 +276,14 @@ def _require_count(cochain: Cochain, refined: RefinedMesh) -> None:
 
 
 def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> dict:
-    """Coefficient blocks of the interpolants of stacked cochains, at chosen rows.
+    """Coefficient blocks of the interpolants of stacked cochains, at chosen rows, cells last.
 
     ``values`` holds one p-cochain per row, shape (trials, count).  Row
-    ``t * n_cells + c`` of the result is cell c of cochain t's interpolant;
-    ``rows`` picks some of them, in order, and by default every row is
-    kept; either way one ``take`` gathers them, faster than indexing by
-    (trial, cell) pairs.  Each picked cell's
-    values are pulled to local orientation, and they are its coefficients.
+    ``t * n_cells + c`` of the result, its last axis, is cell c of cochain
+    t's interpolant; ``rows`` picks some of them, in order, and by default
+    every row is kept; either way one ``take`` gathers them, faster than
+    indexing by (trial, cell) pairs.  Each picked cell's values are pulled
+    to local orientation, and they are its coefficients.
     """
     n, k = refined.dimension, refined.order
     blocks = reference_solver(n, p, k).matrix.blocks  # the unisolvence gate: LinAlgError
@@ -288,7 +293,8 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
     else:
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
         local = values.take(trial[:, None] * values.shape[1] + table[cell]) * signs[cell]
-    return {d: local[:, sl].reshape(-1, *pattern_shape(n, d, k)) for d, sl in blocks.items()}
+    by_cube = np.ascontiguousarray(local.T)  # one row per local cube, the rows contiguous
+    return {d: by_cube[sl].reshape(*pattern_shape(n, d, k), -1) for d, sl in blocks.items()}
 
 
 def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,11 +305,15 @@ def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     the nodes r/k (fixed axes), from the product factors x^a (1-x)^(k-1-a) and
     x^a (1-x)^(k-a) by the inverses of F_k and P_k.
     """
-    rise = np.ones((order + 1, *x.T.shape))
-    fall = np.ones_like(rise)
-    for a in range(1, order + 1):
-        rise[a] = rise[a - 1] * x.T
-        fall[a] = fall[a - 1] * (1 - x.T)
+    # powers[a] holds x^a and (1-x)^a, one multiply raising both
+    powers = np.empty((order + 1, 2, *x.T.shape))
+    powers[0] = 1
+    if order:
+        powers[1, 0] = x.T
+        np.subtract(1, x.T, out=powers[1, 1])
+    for a in range(2, order + 1):
+        np.multiply(powers[a - 1], powers[1], out=powers[a])
+    rise, fall = powers[:, 0], powers[:, 1]
     spanned = rise[:order] * fall[order - 1 :: -1]
     rise *= fall[::-1]  # in place: evaluate builds these tables for whole point batches
     inv_spanned, inv_fixed = axis_inverses(order)
@@ -326,6 +336,12 @@ class PiecewiseForm:
     the small cubes, so the entry is the form's integral over the small cube
     anchored at a, in the canonical small-cube order (axis 0 slowest).
 
+    Each block is stored once, with the cell axis last and contiguous, so
+    that evaluation gathers a point batch's values along contiguous rows;
+    ``coefficients`` holds views of it with the cell axis moved first.  The
+    constructor takes blocks of the documented shape, and copies one only
+    if it is not already such a view.
+
     Evaluation locates points (lowest cell index wins on shared faces,
     or pass ``cell=`` to pin one) and pushes the cell's reference form
     through the cell map, so components refer to ambient coordinate
@@ -335,10 +351,14 @@ class PiecewiseForm:
     refined: RefinedMesh
     degree: int
     coefficients: dict[tuple[int, ...], np.ndarray]
+    _blocks: dict[tuple[int, ...], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for block in self.coefficients.values():
-            block.setflags(write=False)
+        self._blocks = {
+            dirs: _frozen(np.ascontiguousarray(block.transpose(*range(1, block.ndim), 0)))
+            for dirs, block in self.coefficients.items()
+        }
+        self.coefficients = _cells_first(self._blocks)
 
     @property
     def dimension(self) -> int:
@@ -350,9 +370,11 @@ class PiecewiseForm:
         Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
         (the lowest cell index wins on shared faces); ``cell=`` gives every point that cell,
         pulled back by :meth:`CubicalMesh.pull_back` as in location.  Then the per-point
-        :meth:`evaluate_reference` runs, so a point has the same bits alone or in a batch.
-        Raises ValueError if the points do not have n coordinates, if ``cell`` is not
-        an integer in 0..n_cells-1, or if a point is not finite or lies in no cell.
+        kernel of :meth:`evaluate_reference` runs, so a point has the same bits alone or in
+        a batch.  Raises ValueError if the points do not have n coordinates, if ``cell`` is
+        not an integer in 0..n_cells-1, or if a point is not finite or lies in no cell.
+        These are the only checks: location and the pull-back yield valid cells and, from
+        finite points, finite reference points, so the kernel runs on them unchecked.
         """
         n, n_cells = self.dimension, self.refined.mesh.n_cells
         pts = np.asarray(points, dtype=float)
@@ -368,8 +390,9 @@ class PiecewiseForm:
             cells, x = mesh.locate(flat)
         else:
             _require_finite_points(flat)
-            cells, x = cell, mesh.pull_back(flat, np.full(len(flat), cell))
-        values = self.evaluate_reference(cells, x)
+            cells = np.full(len(flat), cell)
+            x = mesh.pull_back(flat, cells)
+        values = self._values(cells, x)
         if pts.ndim == 1:
             return {dirs: float(v[0]) for dirs, v in values.items()}
         return {dirs: v.reshape(pts.shape[:-1]) for dirs, v in values.items()}
@@ -392,11 +415,14 @@ class PiecewiseForm:
         inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
         if not (inside and index.shape in {(), x.shape[:1]}):
             raise ValueError(f"cells must be one integer or one per point in 0..{n_cells - 1}")
-        index = np.broadcast_to(index, x.shape[:1])
-        push = self.refined.mesh.pushforward(self.degree).take(index, axis=0)
+        return self._values(np.broadcast_to(index, x.shape[:1]), x)
+
+    def _values(self, cells: np.ndarray, x: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+        """The kernel of :meth:`evaluate_reference`, on valid cells (s,) and finite points."""
+        push = self.refined.mesh.pushforward(self.degree).take(cells, axis=0)
         tables = _factor_tables(x, self.refined.order)
-        out = _reference_values(self.coefficients, self.degree, index, push, *tables)
-        return dict(zip(combinations(range(n), self.degree), out))
+        out = _reference_values(self._blocks, self.degree, cells, push, *tables)
+        return dict(zip(combinations(range(self.dimension), self.degree), out))
 
     def exterior_derivative(self) -> "PiecewiseForm":
         """Differentiate cell by cell (commutes with the cell maps).
@@ -405,41 +431,47 @@ class PiecewiseForm:
         the nodal values across it: d is the reference coboundary, times the
         sign of dx_j ^ dx_I.
         """
-        blocks = _differentiate(self.coefficients, self.dimension)
-        return PiecewiseForm(self.refined, self.degree + 1, blocks)
+        blocks = _differentiate(self._blocks, self.dimension)
+        return PiecewiseForm(self.refined, self.degree + 1, _cells_first(blocks))
 
 
-def _differentiate(coefficients, n: int) -> dict:
-    """The blocks of d of a form's coefficient blocks, row by row (see
+def _cells_first(blocks: dict) -> dict:
+    """Views of cells-last blocks with the cell axis moved first (a transpose:
+    ``np.moveaxis`` costs several times more per call on these small blocks)."""
+    return {d: block.transpose(-1, *range(block.ndim - 1)) for d, block in blocks.items()}
+
+
+def _differentiate(blocks, n: int) -> dict:
+    """The blocks of d of cells-last coefficient blocks (see
     :meth:`PiecewiseForm.exterior_derivative`); rows need not be cells."""
     terms: dict[tuple[int, ...], np.ndarray] = {}
-    for dirs, block in coefficients.items():
+    for dirs, block in blocks.items():
         for axis in sorted(set(range(n)) - set(dirs)):
             sign, new_dirs = wedge_insert(axis, dirs)
-            terms[new_dirs] = terms.get(new_dirs, 0) + sign * np.diff(block, axis=axis + 1)
+            terms[new_dirs] = terms.get(new_dirs, 0) + sign * np.diff(block, axis=axis)
     return dict(sorted(terms.items()))
 
 
-def _reference_values(coefficients, degree, cells, push, spanned, fixed) -> np.ndarray:
+def _reference_values(blocks, degree, cells, push, spanned, fixed) -> np.ndarray:
     """Physical components of a piecewise form at reference points of cells.
 
-    ``coefficients`` holds the blocks of a ``degree``-form, one row per cell as in
-    :attr:`PiecewiseForm.coefficients`, ``cells`` (s,) the row of each point, and
-    ``spanned`` and ``fixed`` the points' factor tables from :func:`_factor_tables`.
-    Each point gathers its block and sums out the anchor axes, the last first; the
-    result, one row per direction tuple in ``combinations`` order, is pushed forward
-    with ``push`` (s, C, C), each point's minors of the inverse Jacobian
-    (:meth:`CubicalMesh.pushforward`).  Every sum is an einsum (no BLAS call) over
-    one point's values in a fixed order, so a point rounds the same in any batch.
+    ``blocks`` holds the blocks of a ``degree``-form, one row per cell on the last
+    axis as :class:`PiecewiseForm` stores them, ``cells`` (s,) the row of each point,
+    and ``spanned`` and ``fixed`` the points' factor tables from :func:`_factor_tables`.
+    Each point gathers its values, contiguous along the points, and sums out the
+    anchor axes, the last first; the result, one row per direction tuple in
+    ``combinations`` order, is pushed forward with ``push`` (s, C, C), each point's
+    minors of the inverse Jacobian (:meth:`CubicalMesh.pushforward`).  Every sum is an
+    einsum (no BLAS call) over one point's values in a fixed order, so a point rounds
+    the same in any batch.
     """
     n, p = spanned.shape[1], degree
     combos = list(combinations(range(n), p))
     ref = np.empty((len(combos), spanned.shape[-1]))
     for r, dirs in enumerate(combos):
-        tables = [(spanned if j in dirs else fixed)[:, j] for j in range(n)]
-        val = np.einsum("s...a,as->...s", coefficients[dirs].take(cells, axis=0), tables[-1])
-        for table in reversed(tables[:-1]):  # sum out the last anchor axis
-            val = np.einsum("...as,as->...s", val, table)
+        val = blocks[dirs].take(cells, axis=-1)
+        for j in reversed(range(n)):  # sum out the last anchor axis
+            val = np.einsum("...as,as->...s", val, (spanned if j in dirs else fixed)[:, j])
         ref[r] = val
     return np.einsum("sij,is->js", push, ref)
 

@@ -197,7 +197,8 @@ class CubicalMesh:
         n = self.dimension
         if points.ndim != 2 or points.shape[1] != n:
             raise ValueError(f"points must have shape (*, {n}), got {points.shape}")
-        cell, x, found = np.empty(0, dtype=np.int64), np.empty((0, n)), np.empty(0, dtype=np.int64)
+        point = first = cell = np.empty(0, dtype=np.int64)
+        x = np.empty((0, n))
         if self.n_cells:
             grid = self.cell_grid
             coords = _bucket_coords(points, grid.start, grid.width, grid.shape)
@@ -206,8 +207,10 @@ class CubicalMesh:
             begin = grid.indptr[slot]
             count = np.where(grid.keys[slot] == keys, grid.indptr[slot + 1] - begin, 0)
             point = np.repeat(np.arange(len(points)), count)
-            offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
-            cell = grid.cells.take(np.repeat(begin, count) + offset)
+            # pair i of a point whose pairs start at r = cumsum(count) - count takes
+            # grid.cells[begin + i - r]
+            shift = np.repeat(begin + count - np.cumsum(count), count)
+            cell = grid.cells.take(np.arange(len(point)) + shift)
             pts = points.take(point, axis=0)
             # .take and per-axis ANDs: fancy indexing and np.all(axis=1) cost
             # several times more per call on these short (pairs, n) arrays
@@ -216,10 +219,15 @@ class CubicalMesh:
             point, cell = point.take(boxed), cell.take(boxed)
             x = self.pull_back(pts.take(boxed, axis=0), cell)
             hits = np.flatnonzero(_all_columns((x >= -grid.slack) & (x <= 1 + grid.slack)))
-            first = hits[np.diff(point.take(hits), prepend=-1) != 0]
-            cell, x, found = cell.take(first), x.take(first, axis=0), point.take(first)
-        if len(found) < len(points):
-            # found is increasing, so the lowest missing point is the first gap
+            # a run of equal points starts where the point differs from the one before
+            at = point.take(hits)
+            first = np.ones(len(at), dtype=bool)
+            np.not_equal(at[1:], at[:-1], out=first[1:])
+            first = hits.compress(first)
+            cell, x = cell.take(first), x.take(first, axis=0)
+        if len(cell) < len(points):
+            # the points found are increasing, so the lowest missing point is the first gap
+            found = point.take(first)
             gaps = np.flatnonzero(found != np.arange(len(found)))
             lowest = int(gaps[0]) if gaps.size else len(found)
             raise ValueError(f"point {points[lowest].tolist()} lies in no mesh cell")
@@ -600,17 +608,22 @@ class CellGrid:
 
 def _all_columns(mask: np.ndarray) -> np.ndarray:
     """Rows of a boolean (s, n) array that are true in every column."""
-    rows = mask[:, 0].copy()
+    rows = mask[:, 0]
     for j in range(1, mask.shape[1]):
-        rows &= mask[:, j]
+        rows = rows & mask[:, j]
     return rows
 
 
 def _bucket_coords(points, start, width, shape) -> np.ndarray:
     """Grid index per axis: monotone in each coordinate, clipped to the grid."""
-    coords = np.floor((points - start) / width)
-    coords[~np.isfinite(coords)] = 0
-    return np.clip(coords, 0, np.array(shape) - 1).astype(np.intp)
+    coords = np.subtract(points, start)
+    coords /= width
+    np.floor(coords, out=coords)
+    # fmax sends NaN to 0 and fmin sends +inf to the last bucket: a point that is
+    # not finite lies in no box, whatever bucket it is looked up in
+    np.fmax(coords, 0, out=coords)
+    np.fmin(coords, np.subtract(shape, 1), out=coords)
+    return coords.astype(np.intp)
 
 
 # -- refinement ------------------------------------------------------

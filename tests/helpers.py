@@ -321,7 +321,9 @@ def de_rham_by_cell(form, refined, quad_order=None):
         for ci in range(refined.mesh.n_cells):
             push = compound_matrix(form.refined.mesh.inverse_linears[ci], p)
             push = np.broadcast_to(push, (len(x), *push.shape))
-            comps = _reference_values(form.coefficients, p, np.full(len(x), ci), push, *factors)
+            comps = _reference_values(
+                cells_last(form.coefficients), p, np.full(len(x), ci), push, *factors
+            )
             integrand = np.zeros(len(x))
             for minor, vals in zip(spans[ci, :, t], comps):
                 if minor != 0.0:
@@ -381,7 +383,10 @@ def verify_identities_by_trial(
     def gap(a, b, cells, ref_pts):
         tables = _factor_tables(ref_pts, refined.order)
         push = compound_matrix(refined.mesh.inverse_linears[cells], a.degree)
-        va, vb = (_reference_values(f.coefficients, f.degree, cells, push, *tables) for f in (a, b))
+        va, vb = (
+            _reference_values(cells_last(f.coefficients), f.degree, cells, push, *tables)
+            for f in (a, b)
+        )
         return float(np.abs(va - vb).max(initial=0.0))
 
     e_round = e_recon = 0.0
@@ -527,8 +532,14 @@ def evaluate_product_basis(blocks, degree, refined, cells, x):
     n = refined.dimension
     push = refined.mesh.pushforward(degree).take(cells, axis=0)
     tables = product_factor_tables(x, refined.order)
-    values = _reference_values(blocks, degree, cells, push, *tables)
+    values = _reference_values(cells_last(blocks), degree, cells, push, *tables)
     return dict(zip(combinations(range(n), degree), values))
+
+
+def cells_last(blocks):
+    """Views of cell-first coefficient blocks, as ``PiecewiseForm.coefficients``
+    holds them, with the cell axis last, as the private kernels take them."""
+    return {dirs: np.moveaxis(block, 0, -1) for dirs, block in blocks.items()}
 
 
 def _face_between(cell_a, cell_b, dimension):

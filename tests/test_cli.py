@@ -46,6 +46,15 @@ def test_dims_rejects_out_of_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,k", [(5, 7), (6, 4)])
+def test_dims_caps_k_by_the_small_cube_count(n, k, capsys):
+    # (2k + 1)^n small cubes in all: the cap is the largest k with at most 500,000
+    assert (2 * k + 1) ** n > 500_000 >= (2 * k - 1) ** n
+    assert cli.LIMITS["dims"][n] == k - 1
+    assert main(["dims", "--n", str(n), "--k", str(k)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --k must be in 1..{k - 1}, got {k}\n"
+
+
 def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -214,6 +223,29 @@ def test_interpolate_rejects_non_finite_cochain_value(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cochain id 2 has a non-finite value (nan)\n"
+
+
+def test_interpolate_names_a_missing_mesh_or_cochain_file(tmp_path, capsys):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(structured_mesh(2, 1), mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    Cochain(0, np.zeros(4)).to_csv(cochain_path)
+    missing = tmp_path / "nope"
+    for mesh, cochain in ((missing, cochain_path), (mesh_path, missing)):
+        argv = ["interpolate", "--mesh", str(mesh), "--cochain", str(cochain)]
+        assert main(argv + ["--p", "0", "--k", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {missing}: No such file or directory\n"
+
+
+def test_an_unwritable_out_is_named(tmp_path, capsys):
+    # --out inside a regular file: the directory does not exist as one
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "x.csv"
+    assert main(["dims", "--n", "2", "--k", "1", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
 
 
 def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):

@@ -556,6 +556,87 @@ def test_evaluate_reference_matches_pinned_physical_evaluation(n, k):
                     assert np.array_equal(v[mine], per_point[dirs][mine])
 
 
+def _skewed_scrambled(n, rng):
+    mesh = structured_mesh(n, 2 if n < 4 else 1, shear=0.3 if n > 1 else 0.0)
+    return scramble_corners(skewed(mesh, n), rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coefficients_keep_their_shape_and_stay_read_only(n):
+    rng = np.random.default_rng(n)
+    mesh = _skewed_scrambled(n, rng)
+    refined = refine(mesh, 2)
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+        forms = [approx] + ([approx.exterior_derivative()] if p < n else [])
+        for form in forms:
+            assert sorted(form.coefficients) == list(combinations(range(n), form.degree))
+            local = refined.cell_tables[form.degree].shape[1]
+            assert sum(b[0].size for b in form.coefficients.values()) == local
+            for dirs, block in form.coefficients.items():
+                sizes = tuple(2 if j in dirs else 3 for j in range(n))
+                assert block.shape == (mesh.n_cells, *sizes)
+                assert not block.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_form_built_from_cell_first_blocks_evaluates_as_its_source(n):
+    # the documented constructor takes (n_cells, *sizes) blocks, here fresh
+    # C-ordered copies, as a user would build them
+    rng = np.random.default_rng([n, 5])
+    mesh = _skewed_scrambled(n, rng)
+    refined = refine(mesh, 3)
+    phys = mesh.map_points(rng.random((4, n))).reshape(-1, n)
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+        blocks = {dirs: np.array(block) for dirs, block in approx.coefficients.items()}
+        built = PiecewiseForm(refined, p, blocks)
+        for dirs, block in built.coefficients.items():
+            assert np.array_equal(block, blocks[dirs]) and not block.flags.writeable
+        pairs = [(approx, built)]
+        if p < n:
+            pairs.append((approx.exterior_derivative(), built.exterior_derivative()))
+        for want, got in pairs:
+            for cell in (None, mesh.n_cells - 1):
+                a, b = want.evaluate(phys, cell=cell), got.evaluate(phys, cell=cell)
+                assert all(a[dirs].tobytes() == b[dirs].tobytes() for dirs in a)
+            assert de_rham(got, refined).values.tobytes() == de_rham(want, refined).values.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unpinned_evaluation_is_the_reference_kernel_at_located_points(n):
+    rng = np.random.default_rng([n, 9])
+    mesh = _skewed_scrambled(n, rng)
+    refined = refine(mesh, 2)
+    # interior points, and every cell's corners, which lie on shared faces
+    phys = np.concatenate(
+        [
+            mesh.map_points(rng.random((5, n))).reshape(-1, n),
+            mesh.map_points(np.indices((2,) * n).reshape(n, -1).T).reshape(-1, n),
+        ]
+    )
+    cells, x = mesh.locate(phys)
+    for p in range(n + 1):
+        approx = interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined)
+        got, want = approx.evaluate(phys), approx.evaluate_reference(cells, x)
+        assert sorted(got) == sorted(want)
+        assert all(got[dirs].tobytes() == want[dirs].tobytes() for dirs in want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unpinned_evaluation_rejects_a_non_finite_point_by_location(bad):
+    refined = refine(structured_mesh(3, 2, shear=0.3), 1)
+    approx = interpolate(de_rham(get_form("sin3d-1"), refined), refined)
+    batch = np.full((3, 3), 0.5)
+    batch[2, 1] = bad
+    message = re.escape(f"point {batch[2].tolist()} lies in no mesh cell")
+    for points in (batch, batch[2], batch[None]):
+        with pytest.raises(ValueError, match=message):
+            approx.evaluate(points)
+
+
 @pytest.mark.parametrize("n,k", product((1, 2, 3, 4), (1, 2, 3)))
 @pytest.mark.blas_free
 def test_a_point_has_the_same_bits_alone_pinned_and_located(n, k):
