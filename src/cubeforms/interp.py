@@ -372,9 +372,10 @@ class PiecewiseForm:
         pulled back by :meth:`CubicalMesh.pull_back` as in location.  Then the per-point
         kernel of :meth:`evaluate_reference` runs, so a point has the same bits alone or in
         a batch.  Raises ValueError if the points do not have n coordinates, if ``cell`` is
-        not an integer in 0..n_cells-1, or if a point is not finite or lies in no cell.
-        These are the only checks: location and the pull-back yield valid cells and, from
-        finite points, finite reference points, so the kernel runs on them unchecked.
+        not an integer in 0..n_cells-1, if a point is not finite or lies in no cell, or if
+        a pinned point pulls back to a point that is not finite.  The kernel then runs
+        without :meth:`evaluate_reference`'s checks, since its cells and reference points
+        have passed these.
         """
         n, n_cells = self.dimension, self.refined.mesh.n_cells
         pts = np.asarray(points, dtype=float)
@@ -389,9 +390,17 @@ class PiecewiseForm:
         if cell is None:
             cells, x = mesh.locate(flat)
         else:
-            _require_finite_points(flat)
             cells = np.full(len(flat), cell)
             x = mesh.pull_back(flat, cells)
+            # one check, on what the kernel reads: a point that is not finite pulls back
+            # to one that is not, and so does a finite point far enough outside the cell
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
+                point = flat[np.argmin(finite)]
+                if np.isfinite(point).all():
+                    where = f"pulls back to a non-finite point of cell {cell}"
+                    raise ValueError(f"point {point.tolist()} {where}")
+                raise ValueError(f"point {point.tolist()} has a non-finite coordinate")
         values = self._values(cells, x)
         if pts.ndim == 1:
             return {dirs: float(v[0]) for dirs, v in values.items()}

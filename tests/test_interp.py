@@ -556,6 +556,17 @@ def test_evaluate_reference_matches_pinned_physical_evaluation(n, k):
                     assert np.array_equal(v[mine], per_point[dirs][mine])
 
 
+def test_pinned_evaluation_rejects_a_point_whose_pull_back_overflows():
+    # a finite point far enough outside its cell has no finite reference point
+    refined = refine(structured_mesh(3, 2, shear=0.3), 1)
+    approx = interpolate(de_rham(get_form("sin3d-1"), refined), refined)
+    batch = np.array([[0.5, 0.5, 0.5], [1e308, 0.5, 0.5], [np.nan, 0.5, 0.5]])
+    message = re.escape(f"point {batch[1].tolist()} pulls back to a non-finite point of cell 3")
+    for points in (batch, batch[1]):
+        with pytest.raises(ValueError, match=message):
+            approx.evaluate(points, cell=3)
+
+
 def _skewed_scrambled(n, rng):
     mesh = structured_mesh(n, 2 if n < 4 else 1, shear=0.3 if n > 1 else 0.0)
     return scramble_corners(skewed(mesh, n), rng)
