@@ -170,9 +170,15 @@ class CubicalMesh:
         return _frozen(np.linalg.inv(self.linears))
 
     def pushforward(self, degree: int) -> np.ndarray:
-        """The minors ``compound_matrix(inverse_linears, degree)``, formed once and read-only."""
+        """The minors ``compound_matrix(inverse_linears, degree)``, formed once and read-only.
+
+        They are stored C-ordered, one cell's minors contiguous: ``np.linalg.det`` returns
+        them in another order, and ``take`` along the cells would copy the whole table on
+        every call to reorder it.
+        """
         if degree not in self._pushforwards:
-            self._pushforwards[degree] = _frozen(compound_matrix(self.inverse_linears, degree))
+            minors = np.ascontiguousarray(compound_matrix(self.inverse_linears, degree))
+            self._pushforwards[degree] = _frozen(minors)
         return self._pushforwards[degree]
 
     @cached_property
@@ -221,9 +227,9 @@ class CubicalMesh:
             hits = np.flatnonzero(_all_columns((x >= -grid.slack) & (x <= 1 + grid.slack)))
             # a run of equal points starts where the point differs from the one before
             at = point.take(hits)
-            first = np.ones(len(at), dtype=bool)
-            np.not_equal(at[1:], at[:-1], out=first[1:])
-            first = hits.compress(first)
+            starts = np.ones(len(at), dtype=bool)
+            np.not_equal(at[1:], at[:-1], out=starts[1:])
+            first = hits.compress(starts)
             cell, x = cell.take(first), x.take(first, axis=0)
         if len(cell) < len(points):
             # the points found are increasing, so the lowest missing point is the first gap

@@ -915,6 +915,7 @@ def test_pushforward_is_each_cells_compound_formed_once(n):
         for c in range(mesh.n_cells):
             assert push[c].tobytes() == compound_matrix(mesh.inverse_linears[c], p).tobytes()
         assert not push.flags.writeable
+        assert push.flags.c_contiguous  # so a take along the cells copies only its rows
         assert mesh.pushforward(p) is push
         assert refine(mesh, 1).mesh.pushforward(p) is refine(mesh, 2).mesh.pushforward(p) is push
 
