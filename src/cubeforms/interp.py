@@ -222,9 +222,9 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
         # each step sums out the leading anchor axis; the first multiplies the C-ordered
         # (rows * a_1 * ... * a_{n-1}, a_0) matrix, one copy of the block, so that this
         # and every later tensordot hand BLAS the same operands for any stored layout
-        first = np.ascontiguousarray(blocks[dirs].transpose(-1, *range(1, n), 0))
-        block = np.dot(first.reshape(-1, first.shape[-1]), axis_tables[0])  # as tensordot
-        block = block.reshape(*first.shape[:-1], -1)
+        block = np.ascontiguousarray(blocks[dirs].transpose(-1, *range(1, n), 0))
+        shape = block.shape[:-1]
+        block = np.dot(block.reshape(-1, block.shape[-1]), axis_tables[0]).reshape(*shape, -1)
         for axis_table in axis_tables[1:]:
             block = np.tensordot(block, axis_table, ([1], [0]))
         cube_vals = k**-p * block.reshape(-1, n_cells, len(anchors))
