@@ -220,8 +220,8 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
     for dirs, sl, anchors in anchor_runs(n, p, k):
         axis_tables = [edges if j in dirs else nodes for j in range(n)]
         # each step sums out the leading anchor axis; the first multiplies the C-ordered
-        # (rows * a_1 * ... * a_{n-1}, a_0) matrix, one copy of the block, so that this
-        # and every later tensordot hand BLAS the same operands for any stored layout
+        # (rows * a_1 * ... * a_{n-1}, a_0) matrix, one copy of the block, which is what
+        # tensordot formed from rows-first blocks, so BLAS gets the same operands throughout
         block = np.ascontiguousarray(blocks[dirs].transpose(-1, *range(1, n), 0))
         shape = block.shape[:-1]
         block = np.dot(block.reshape(-1, block.shape[-1]), axis_tables[0]).reshape(*shape, -1)
