@@ -37,10 +37,9 @@ EXIT_USAGE = 2
 #: from 1 to the largest key; ``interpolate`` reads it from its mesh, and no error
 #: was ever measured past 4D).  ``dims`` enumerates (2k + 1)^n small cubes in all,
 #: so from 5D its cap is the largest k with at most 500,000 of them.  The
-#: reference-matrix commands stop at k = 4, a leftover of slow exact assembly.  In
-#: 3D, k = 7 is singular for p <= 2, and in 4D k = 6 for every p; (3, 3, 7) and 4D
-#: k = 5 meet the default identity tolerance (worst errors 1.0e-10, 3.0e-11) but
-#: stay refused until the envelope is measured.
+#: reference-matrix commands stop at k = 4, a leftover of slow exact assembly.  The
+#: library interpolates at every k; the ``interpolate`` caps are this command's own
+#: and stay until the supported envelope is measured and tabulated per (n, k).
 LIMITS = {
     "dims": {1: 8, 2: 8, 3: 8, 4: 8, 5: 6, 6: 3},
     "check-unisolvence": dict.fromkeys(range(1, 5), 4),
@@ -331,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     caps = ", ".join(f"1..{k} on a {n}D mesh" for n, k in LIMITS["interpolate"].items())
     k_help = (
-        f"polynomial order: {caps}; other dimensions are refused, and on a 3D or 4D mesh "
-        "one order more misses the default identity tolerance, and two are singular"
+        f"polynomial order: {caps}; other dimensions are refused, and these caps stay "
+        "until the supported envelope is tabulated per (n, k)"
     )
     p = sub.add_parser(
         "interpolate",

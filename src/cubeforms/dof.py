@@ -7,22 +7,21 @@ diagonal, and each block is the Kronecker product of two 1-D tables:
 segment integrals F_k on spanned axes, point values P_k on fixed axes.
 The reference layer keeps only those two tables (:class:`DofMatrix`),
 built from integers: P_k from integer numerators, and F_k from
-differences of them by discrete Stokes.  :func:`check_unisolvence`
-certifies every block from their singular values.  :func:`axis_inverses`
-inverts the two tables once per order, from the same integer numerators
-by fraction-free elimination, so each entry is its exact value rounded
-once, whatever the LAPACK or BLAS.  Those inverses change the
-product basis into the basis dual to the small cubes, in which
-interpolation needs no solve: Lagrange polynomials at the nodes r/k on
-fixed axes and histopolants of the segments [r/k, (r+1)/k] on spanned
-axes (Bonazzoli & Rapetti 2017; Gerritsma 2011).  :class:`ReferenceSolver`
-applies them one axis at a time, the fast diagonalisation of Lynch,
-Rice & Thomas (1964), to map DOF values to product-basis coefficients;
-building one is the unisolvence gate, and its solve serves the tests as
-an oracle.  Exact :class:`fractions.Fraction` arithmetic is only an
-oracle too, off the production path: :func:`integral_1d` and
-:func:`dof_value_exact` compute single entries to check those tables and
-their Kronecker products.
+differences of them by discrete Stokes.  :func:`axis_inverses` inverts
+the two tables once per order, from the same integer numerators by
+fraction-free elimination, so each entry is its exact value rounded
+once, whatever the LAPACK or BLAS.  Those inverses change the product
+basis into the basis dual to the small cubes, in which interpolation
+needs no solve: Lagrange polynomials at the nodes r/k on fixed axes and
+histopolants of the segments [r/k, (r+1)/k] on spanned axes (Bonazzoli
+& Rapetti 2017; Gerritsma 2011).  The small cubes are unisolvent for
+every (n, p, k), so the pipeline reads only those inverses from here.
+:func:`check_unisolvence` certifies the product basis's blocks from
+their singular values, and :class:`ReferenceSolver` applies the inverses
+one axis at a time (Lynch, Rice & Thomas 1964) to map DOF values to
+product-basis coefficients; both serve the tests, as do the exact
+:class:`fractions.Fraction` functionals :func:`integral_1d` and
+:func:`dof_value_exact`, which check the tables entry by entry.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import numpy as np
 
 from .smallcubes import SmallCube, anchor_runs
 
-#: Singular-value ratio below which a block counts as singular: 3D passes k <= 6 (cond <= 1.6e9)
-#: and stops p <= 2 at k = 7 (cond >= 2.0e10).  The ratio is the product basis's; interpolants,
-#: stored in the dual basis, keep identity errors <= 1.2e-11 at 3D k = 6.
+#: Singular-value ratio below which :func:`check_unisolvence` calls the product basis singular:
+#: 3D passes k <= 6 (cond <= 1.6e9), not p <= 2 at k = 7 (cond >= 2.0e10).  A certificate of the
+#: product basis only: the pipeline does not read it, and its errors at 3D k = 7 are <= 4.0e-11.
 RANK_TOL = 1e-10
 
 #: Relative residual bound of reference solves; per-axis solves stay <= 3.0e-12 (n <= 3, k <= 7).
@@ -317,8 +316,8 @@ class ReferenceSolver:
     P_k from :func:`axis_inverses`, of which each solver holds its own
     copies.  :meth:`solve` handles a single value vector or a whole matrix
     of right-hand sides (one column per cell, say) in one pass.  Building
-    one is the unisolvence gate that :func:`~cubeforms.interp.interpolate`
-    passes; the pipeline itself never solves.
+    one raises ``LinAlgError`` where :func:`check_unisolvence` finds the
+    product basis singular.  The pipeline, in the dual basis, builds none.
     """
 
     matrix: DofMatrix

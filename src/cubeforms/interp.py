@@ -20,9 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .dof import axis_inverses, reference_solver
+from .dof import axis_inverses
 from .forms import wedge_insert
-from .mesh import RefinedMesh, _frozen, compound_matrix
+from .mesh import RefinedMesh, _frozen, _require_integer, compound_matrix
 from .quadrature import gauss_unit_cube, gauss_unit_interval
 from .smallcubes import anchor_runs, pattern_shape
 
@@ -130,22 +130,17 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     the sums are elementwise, in a fixed order, so each cube's value has
     the same bits whatever the batch, the BLAS or its thread count.
     Raises ValueError if the form declares another ``dimension`` than the
-    mesh's or ``quad_order`` is below one (at every degree, though point
-    evaluation uses no rule), and KeyError if its degree was not refined.
+    mesh's or ``quad_order`` is not an integer >= 1 (at every degree, though
+    point evaluation uses no rule), and KeyError if its degree was not refined.
 
     A :class:`PiecewiseForm` on the same mesh is integrated on the
-    reference cube instead.  Integrating it over the image of a
-    reference small cube gives the integral of its reference form over
-    that small cube, so the cell geometry cancels: only the reference
-    component dx_I of the cube's own directions I contributes, scaled by
-    k^-p for the small cube's size, and no minor of the cell map is
-    formed.  That component is a sum of products of 1-D factors, and the
-    Gauss rule is a tensor product too, so the integrals are
-    sum-factorised: per axis, each factor is integrated by the 1-D rule
-    over the k segments [b/k, (b+1)/k] (axes in I) or evaluated at the
-    k + 1 nodes b/k (other axes), and all cells' coefficient blocks are
-    contracted with these tables one axis at a time.  No quadrature point
-    is formed, so this path needs no batching.
+    reference cube instead: over the image of a reference small cube its
+    integral is its reference form's over that small cube, so the cell
+    geometry cancels, and only the component dx_I of the cube's own
+    directions I contributes, scaled by k^-p.  That component and the
+    Gauss rule are tensor products, so the integrals are sum-factorised
+    by :func:`_own_mesh_integrals`, with no quadrature point formed and
+    no batching.
     """
     n = refined.dimension
     if getattr(form, "dimension", n) != n:
@@ -192,11 +187,12 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
 
 
 def _rule_order(quad_order: int | None, k: int) -> int:
-    """Gauss points per axis: ``quad_order``, by default 2k + 2; ValueError below one."""
-    q = quad_order if quad_order is not None else 2 * k + 2
-    if q < 1:
-        raise ValueError(f"need at least one quadrature point, got {q}")
-    return q
+    """Gauss points per axis: ``quad_order``, an integer of at least one, or 2k + 2."""
+    if quad_order is None:
+        return 2 * k + 2
+    if _require_integer("quad_order", quad_order) < 1:
+        raise ValueError(f"need at least one quadrature point, got {quad_order}")
+    return quad_order
 
 
 def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int) -> np.ndarray:
@@ -206,7 +202,12 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
     as :class:`PiecewiseForm` stores one form's, with ``trials * n_cells``
     rows on the last axis, cell fastest; the result, shape (trials, count),
     is the value of :func:`de_rham` on ``refined`` with a ``q``-point rule,
-    form by form.
+    form by form.  Per axis j, each factor is integrated by the 1-D rule over
+    the k segments [b/k, (b+1)/k] (j in I) or evaluated at the k + 1 nodes
+    b/k (j not in I), and one einsum per anchor axis, axis 0 first, sums that
+    axis against its table into the small cubes' axis in its place, the rows
+    kept last: no block is copied and no BLAS call is made, so each value is
+    summed in one fixed order whatever the kernel or the number of rows.
     """
     n, k = refined.dimension, refined.order
     n_cells = refined.mesh.n_cells
@@ -217,20 +218,15 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
     values = np.empty((trials, refined.count(p)))
     # point values (p = 0) span no axis, so they need no rule
     edges, nodes = _own_mesh_tables(order, k, q if p else 1)
+    axes = list(range(n + 1))  # the anchor axes, then the rows
+    outs = [axes[:j] + [n + 1] + axes[j + 1 :] for j in range(n)]  # axis j becomes the cubes'
     for dirs, sl, anchors in anchor_runs(n, p, k):
-        axis_tables = [edges if j in dirs else nodes for j in range(n)]
-        # each step sums out the leading anchor axis; the first multiplies the C-ordered
-        # (rows * a_1 * ... * a_{n-1}, a_0) matrix, one copy of the block, which is what
-        # tensordot formed from rows-first blocks, so BLAS gets the same operands throughout
-        block = np.ascontiguousarray(blocks[dirs].transpose(-1, *range(1, n), 0))
-        shape = block.shape[:-1]
-        block = np.dot(block.reshape(-1, block.shape[-1]), axis_tables[0]).reshape(*shape, -1)
-        for axis_table in axis_tables[1:]:
-            block = np.tensordot(block, axis_table, ([1], [0]))
-        cube_vals = k**-p * block.reshape(-1, n_cells, len(anchors))
-        mine = np.flatnonzero(owned[:, sl])
-        signed = (signs[:, sl] * cube_vals).reshape(trials, -1)
-        values[:, table[:, sl].take(mine)] = signed.take(mine, axis=1)
+        block = blocks[dirs]
+        for j in range(n):
+            block = np.einsum(block, axes, edges if j in dirs else nodes, [j, n + 1], outs[j])
+        vals = k**-p * block.reshape(len(anchors), trials, n_cells)
+        cell, anchor = np.nonzero(owned[:, sl])
+        values[:, table[:, sl][cell, anchor]] = signs[:, sl][cell, anchor] * vals[anchor, :, cell].T
     return values
 
 
@@ -246,19 +242,17 @@ def _own_mesh_tables(order: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray
     """
     pts, wts = gauss_unit_interval(q)
     x = (np.arange(k)[:, None] + pts) / k
-    edges = _factor_tables(x.reshape(-1, 1), order)[0].reshape(order, k, q) @ wts
+    edges = (_factor_tables(x.reshape(-1, 1), order)[0].reshape(order, k, q) * wts).sum(axis=-1)
     nodes = _factor_tables(np.arange(k + 1)[:, None] / k, order)[1][:, 0]
-    edges.setflags(write=False)
-    nodes.setflags(write=False)
-    return edges, nodes
+    return _frozen(edges), _frozen(nodes)
 
 
 def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
     """The discrete-space form whose small-cube integrals match the cochain.
 
     A cell's coefficients are its local cochain values (see :class:`PiecewiseForm`),
-    so this is one signed gather, with no solve.  Raises ``LinAlgError`` where the
-    small cubes of (n, p, k) are not unisolvent (:class:`~cubeforms.dof.ReferenceSolver`).
+    so this is one signed gather: no solve, and no check, since the small cubes are
+    unisolvent for every (n, p, k).  ValueError if the cochain has the wrong length.
     """
     p = cochain.degree
     _require_count(cochain, refined)
@@ -286,7 +280,6 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
     to local orientation, and they are its coefficients.
     """
     n, k = refined.dimension, refined.order
-    blocks = reference_solver(n, p, k).matrix.blocks  # the unisolvence gate: LinAlgError
     table, signs = refined.cell_tables[p], refined.cell_signs[p]
     if rows is None:
         local = (values.take(table, axis=1) * signs).reshape(-1, table.shape[1])
@@ -294,7 +287,8 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
         local = values.take(trial[:, None] * values.shape[1] + table[cell]) * signs[cell]
     by_cube = np.ascontiguousarray(local.T)  # one row per local cube, the rows contiguous
-    return {d: by_cube[sl].reshape(*pattern_shape(n, d, k), -1) for d, sl in blocks.items()}
+    runs = anchor_runs(n, p, k)
+    return {d: by_cube[sl].reshape(*pattern_shape(n, d, k), -1) for d, sl, _ in runs}
 
 
 def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -552,18 +546,16 @@ def verify_identities(
     are interpolated, and w differentiated, on those rows only, and each
     gap is evaluated once over every trial's points, on the coefficient
     difference a - b.
-    Before any work, raises ValueError if ``degree``, ``trials`` or
-    ``samples`` is not an integer, if ``trials`` or ``samples`` is below 1
-    (no identity would be checked) or ``quad_order`` is below 1, and
+    Before any work, raises ValueError if ``degree``, ``trials``, ``samples``
+    or a given ``quad_order`` is not an integer, or if ``trials``, ``samples``
+    or ``quad_order`` is below 1 (no identity, or no rule, to check with), and
     KeyError if degree p, or p + 1 below the top degree, was not refined.
     """
     for name, value in (("degree", degree), ("trials", trials), ("samples", samples)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        _require_integer(name, value)
+    for name, value in (("trials", trials), ("samples", samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     n, k, n_cells = refined.dimension, refined.order, refined.mesh.n_cells
     p = degree
     q = _rule_order(quad_order, k)

@@ -65,6 +65,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a Python or NumPy integer, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def map_reference_points(reference_points, origins, linears) -> np.ndarray:
     """Points x (..., n) mapped to origins + linears @ x, broadcasting the leading axes.
 
@@ -930,15 +937,16 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
     a cell (d = n) get ids without a match, and the groups merge by first
     appearance (see :func:`_number_cubes`).  ``degrees`` restricts which
     p-levels are built (default all); the coboundary between p and p+1
-    needs both present.
+    needs both present.  Before any work, raises ValueError unless ``order`` is
+    an integer of at least 1 and every degree an integer in 0..n.
     """
     n = mesh.dimension
-    if order < 1:
+    if _require_integer("order", order) < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if degrees is None:
         wanted = tuple(range(n + 1))
     else:
-        wanted = tuple(sorted(set(int(p) for p in degrees)))
+        wanted = tuple(sorted({_require_integer("degree", p) for p in degrees}))
         if any(not 0 <= p <= n for p in wanted):
             raise ValueError(f"degrees {wanted} outside 0..{n}")
     edges = mesh.linears / order

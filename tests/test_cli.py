@@ -249,7 +249,8 @@ def test_an_unwritable_out_is_named(tmp_path, capsys):
 
 
 def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
-    # in 3D the reference solve is singular from k = 7 at p = 0; --k stops at 6 there
+    # the library interpolates 3D at k = 7 (p = 0 included), but --k stops at 6 there
+    # until the envelope is tabulated per (n, k)
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(3, 1), mesh_path)
     cochain_path = tmp_path / "cochain.csv"
@@ -270,8 +271,8 @@ def test_interpolate_rejects_singular_3d_order(tmp_path, capsys):
 
 
 def test_interpolate_caps_3d_order_at_six(tmp_path, capsys):
-    # (n, p, k) = (3, 3, 7) passes the rank gate, which refuses p <= 2 there,
-    # and the cap is checked before any interpolation
+    # the cap is the command's own, not the library's, and it is checked before
+    # any interpolation
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(3, 1, shear=0.3), mesh_path)
     cochain_path = tmp_path / "cochain.csv"
@@ -282,9 +283,9 @@ def test_interpolate_caps_3d_order_at_six(tmp_path, capsys):
 
 
 def test_interpolate_caps_4d_order_at_four(tmp_path, capsys):
-    # (n, p, k) = (4, 3, 5) passes the rank gate, and its identity errors
-    # (1.1e-11 at seed 0) meet the default tolerance, but the cap stays at
-    # four until the envelope is tabulated per (n, k); k = 6 is singular
+    # the identity errors of (n, p, k) = (4, 3, 5) (1.1e-11 at seed 0) and of 4D
+    # k = 6 (3.0e-10 worst over p) meet the default tolerance, but the cap stays
+    # at four until the envelope is tabulated per (n, k)
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(4, 1, shear=0.3), mesh_path)
     argv = ["interpolate", "--mesh", str(mesh_path), "--p", "3"]

@@ -864,11 +864,25 @@ def test_refine_empty_mesh_gives_empty_levels():
 
 
 def test_refine_rejects_bad_arguments():
+    # a non-integer order or degree fails before any work, naming itself; a bool
+    # is no integer, while NumPy integers are accepted
     mesh = structured_mesh(2, 1)
     with pytest.raises(ValueError):
         refine(mesh, 0)
     with pytest.raises(ValueError):
         refine(mesh, 2, degrees=(3,))
+    cases = [
+        ((2.5,), {}, "order must be an integer, got 2.5"),
+        ((2.0,), {}, "order must be an integer, got 2.0"),
+        ((True,), {}, "order must be an integer, got True"),
+        ((2,), {"degrees": [1.5]}, "degree must be an integer, got 1.5"),
+        ((2,), {"degrees": [0, True]}, "degree must be an integer, got True"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refine(mesh, *args, **kwargs)
+    refined = refine(mesh, np.int64(2), degrees=[np.int32(1)])
+    assert refined.degrees == (1,) and refined.count(1) == refine(mesh, 2).count(1)
 
 
 def test_to_csv_lists_every_cube(tmp_path):
