@@ -9,7 +9,11 @@ order, ``refine``, analytic ``de_rham``, ``interpolate``, ``de_rham`` of
 the interpolant on its own mesh, ``locate``, unpinned ``evaluate``,
 ``evaluate_reference`` at the located cells and reference points (the
 per-point kernel behind ``evaluate``, split from location), pinned
-``evaluate`` and one ``verify_identities`` trial.  For each stage it
+``evaluate`` and one ``verify_identities`` trial.  A mesh remembers the
+batches it has located, so ``locate`` and ``evaluate`` run each call on the
+points in a new order, which the mesh has not located before, and
+``locate_repeat`` and ``evaluate_repeat`` time the same batch again and
+again, as a time-stepper's fixed probes repeat it.  For each stage it
 records the cold first call, the median and quartiles of warm repeats,
 sizes, the ``tracemalloc`` peak of one more call and a SHA-256 digest of
 the outputs, so that a change can show its outputs did not move.  The
@@ -29,6 +33,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from importlib import metadata
 from pathlib import Path
@@ -77,6 +82,13 @@ def _digest(*arrays) -> str:
 
 def _values_digest(values: dict) -> str:
     return _digest(*(values[dirs] for dirs in sorted(values)))
+
+
+def _new_orders(points, seed) -> Iterator[np.ndarray]:
+    """The points in a new order for every call one stage can make, drawn from ``seed``:
+    the same work in each call, on bytes that no call has located before."""
+    rng = np.random.default_rng(seed)
+    return iter([points.take(rng.permutation(len(points)), axis=0) for _ in range(MAX_REPEATS + 2)])
 
 
 def _time_stage(call, digest) -> tuple[dict, object]:
@@ -136,10 +148,18 @@ def run_workload(w: Workload) -> dict:
     stages["de_rham_pw"], _ = _time_stage(
         lambda: cf.de_rham(approx, refined), lambda c: _digest(c.values)
     )
-    stages["locate"], (located, ref) = _time_stage(
+    locate_orders = _new_orders(points, [w.seed, 1])
+    stages["locate"], _ = _time_stage(
+        lambda: mesh.locate(next(locate_orders)), lambda out: _digest(out[0], out[1])
+    )
+    stages["locate_repeat"], (located, ref) = _time_stage(
         lambda: mesh.locate(points), lambda out: _digest(out[0], out[1])
     )
-    stages["evaluate"], _ = _time_stage(lambda: approx.evaluate(points), _values_digest)
+    evaluate_orders = _new_orders(points, [w.seed, 2])
+    stages["evaluate"], _ = _time_stage(
+        lambda: approx.evaluate(next(evaluate_orders)), _values_digest
+    )
+    stages["evaluate_repeat"], _ = _time_stage(lambda: approx.evaluate(points), _values_digest)
     stages["evaluate_reference"], _ = _time_stage(
         lambda: approx.evaluate_reference(located, ref), _values_digest
     )

@@ -275,18 +275,24 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
     ``values`` holds one p-cochain per row, shape (trials, count).  Row
     ``t * n_cells + c`` of the result, its last axis, is cell c of cochain
     t's interpolant; ``rows`` picks some of them, in order, and by default
-    every row is kept; either way one ``take`` gathers them, faster than
-    indexing by (trial, cell) pairs.  Each picked cell's values are pulled
-    to local orientation, and they are its coefficients.
+    every row is kept, gathered through :meth:`RefinedMesh.cells_last`; either
+    way one ``take`` gathers them, faster than indexing by (trial, cell)
+    pairs.  Each picked cell's values are pulled to local orientation, and
+    they are its coefficients.
     """
     n, k = refined.dimension, refined.order
-    table, signs = refined.cell_tables[p], refined.cell_signs[p]
     if rows is None:
-        local = (values.take(table, axis=1) * signs).reshape(-1, table.shape[1])
+        # signed in place, then viewed (local cubes, trials, cells): at one trial no copy follows
+        table, signs = refined.cells_last(p)
+        local = values.take(table, axis=1)
+        local *= signs
+        local = local.transpose(1, 0, 2)
     else:
+        table, signs = refined.cell_tables[p], refined.cell_signs[p]
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
-        local = values.take(trial[:, None] * values.shape[1] + table[cell]) * signs[cell]
-    by_cube = np.ascontiguousarray(local.T)  # one row per local cube, the rows contiguous
+        local = (values.take(trial[:, None] * values.shape[1] + table[cell]) * signs[cell]).T
+    # one row per local cube, the rows contiguous
+    by_cube = np.ascontiguousarray(local).reshape(len(local), -1)
     runs = anchor_runs(n, p, k)
     return {d: by_cube[sl].reshape(*pattern_shape(n, d, k), -1) for d, sl, _ in runs}
 

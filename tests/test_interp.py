@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeforms import dof, interp
+from cubeforms import mesh as mesh_module
 from cubeforms.catalog import get_form, list_forms
 from cubeforms.forms import AnalyticForm, PolyForm, basis_grid_stack, exterior_derivative
 from cubeforms.interp import (
@@ -327,9 +328,10 @@ def _assert_locates_like_pairs_oracle(mesh, pts):
             mesh.locate(pts)
         assert str(raised.value) == str(error)
         return
-    got = mesh.locate(pts)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the second call finds the batch remembered, and must return the same
+    for got in (mesh.locate(pts), mesh.locate(pts.copy())):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -378,6 +380,131 @@ def test_locate_edge_cases(n):
         mesh.locate(pts)
     with pytest.raises(ValueError, match=re.escape(f"point {pts[4].tolist()} lies in no mesh cell")):
         mesh.locate(pts[[0, 2, 4]])
+
+
+def _probe_points(mesh, rng, count):
+    cells = rng.integers(0, mesh.n_cells, count)
+    return mesh.map_points(rng.random((count, mesh.dimension))[:, None], cells)[:, 0]
+
+
+def _count_location_work(monkeypatch, mesh):
+    """A list that grows by one each time ``mesh`` locates a batch, not looks it up."""
+    mesh.cell_grid  # built before counting: it buckets the cells' boxes too
+    calls = []
+    bucket_coords = mesh_module._bucket_coords
+
+    def counted(*args):
+        calls.append(1)
+        return bucket_coords(*args)
+
+    monkeypatch.setattr(mesh_module, "_bucket_coords", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_returns_a_repeated_batch_bit_equal_and_read_only(n):
+    mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+    pts = _probe_points(mesh, np.random.default_rng([n, 30]), 50)
+    first = mesh.locate(pts)
+    for again in (mesh.locate(pts), mesh.locate(pts.copy()), mesh.locate(np.asfortranarray(pts))):
+        for a, b in zip(again, first):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    cells, x = first
+    with pytest.raises(ValueError, match="read-only"):
+        cells[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_remembered_batch_is_not_located_again(n, monkeypatch):
+    mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+    refined = refine(mesh, 2, degrees=(1,))
+    approx = interpolate(Cochain(1, np.random.default_rng(n).standard_normal(refined.count(1))), refined)
+    pts = _probe_points(mesh, np.random.default_rng([n, 31]), 40)
+    bucket_coords = mesh_module._bucket_coords
+
+    def refuse(*args):
+        raise AssertionError("located a remembered batch again")
+
+    def once(*args):
+        monkeypatch.setattr(mesh_module, "_bucket_coords", refuse)
+        return bucket_coords(*args)
+
+    mesh.cell_grid  # built before the patch: it buckets the cells' boxes too
+    monkeypatch.setattr(mesh_module, "_bucket_coords", once)
+    cells, x = mesh.locate(pts)
+    want = approx.evaluate_reference(cells, x)
+    for _ in range(2):
+        assert all(a is b for a, b in zip(mesh.locate(pts), (cells, x)))
+        # unpinned evaluate locates the same bytes, here reshaped, through the cache
+        got = approx.evaluate(pts.reshape(2, -1, n))
+        assert all(got[d].tobytes() == want[d].tobytes() for d in want)
+    with pytest.raises(AssertionError, match="remembered"):
+        mesh.locate(pts[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_batch_that_raises_is_not_remembered(n, monkeypatch):
+    mesh = structured_mesh(n, 2)
+    calls = _count_location_work(monkeypatch, mesh)
+    inside = np.full(n, 0.25)
+    for bad in (inside + 5, np.full(n, np.nan), np.full(n, np.inf)):
+        pts = np.array([inside, bad])
+        message = re.escape(f"point {bad.tolist()} lies in no mesh cell")
+        before = len(calls)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                mesh.locate(pts)
+        assert len(calls) == before + 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batches_whose_bytes_differ_are_separate_entries(n, monkeypatch):
+    mesh = structured_mesh(n, 2)
+    calls = _count_location_work(monkeypatch, mesh)
+    zero, negative_zero = np.zeros((1, n)), np.full((1, n), -0.0)
+    assert zero.tobytes() != negative_zero.tobytes()
+    for pts in (zero, negative_zero, zero, negative_zero):
+        cells, x = mesh.locate(pts)
+        assert cells.tolist() == [0] and np.array_equal(x, zero)
+    assert len(calls) == 2
+
+
+def _held_bytes(mesh):
+    return sum(mesh_module._entry_bytes(*entry) for entry in mesh._located.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_remembers_within_its_bound_least_recently_used_first(n, monkeypatch):
+    bound = 1 << 14
+    monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", bound)
+    mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+    rng = np.random.default_rng([n, 32])
+    batches = [_probe_points(mesh, rng, size) for size in rng.integers(1, 80, 60)]
+    calls = _count_location_work(monkeypatch, mesh)
+    for pts in batches:
+        mesh.locate(pts)
+        mesh.locate(batches[0])  # used again after every batch, so never the oldest
+        assert _held_bytes(mesh) == mesh._located_bytes <= bound
+    assert len(calls) == len(batches)
+    assert len(mesh._located) < len(batches) // 2
+    mesh.locate(batches[-1])
+    mesh.locate(batches[0])
+    assert len(calls) == len(batches)  # both still held
+    mesh.locate(batches[1])
+    assert len(calls) == len(batches) + 1  # long evicted
+    # never kept: a batch whose bytes exceed the bound, and one whose key fits
+    # but whose whole entry does not
+    held = list(mesh._located)
+    for size in (bound // (8 * n) + 1, bound // (8 * n)):
+        pts = _probe_points(mesh, rng, size)
+        before = len(calls)
+        mesh.locate(pts)
+        mesh.locate(pts)
+        assert len(calls) == before + 2
+        assert list(mesh._located) == held
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)

@@ -665,30 +665,30 @@ def _refinement_digest(refined):
 
 # Recorded from the per-cube gluing that keyed cubes by their corner sets;
 # refinement must reproduce its ids, signs and coboundaries exactly.
-@pytest.mark.parametrize(
-    "n,k,scrambled,digest",
-    [
-    (2, 1, False, "b984137656ab7f2d15a1ea06a855b5a17a1d3d122c5fa1faa4128437706e542e"),
-    (2, 1, True, "4f72440b3681617c09efa6e9fdd816990c4cd66377b416772b151bb13d6d083e"),
-    (2, 2, False, "dc7ef76f341ea4a24fef3d1b7723c5f87d2d2c0cb0c46d02f8058fbd96abf95d"),
-    (2, 2, True, "213ce410941ac8f0c10fb32edec7ea843cfe4327602e08ff938592cb8f2e6b50"),
-    (2, 3, False, "2ad4eedbb4f814d30eeac7a0a32997f96d1de3fe6f6f08f016cc06fa31498d80"),
-    (2, 3, True, "1d444e9e49288bb1e8f3d6ddf93c15809c4766ba44a9901ad100bec5caa3fd8f"),
-    (3, 1, False, "ea8d66882de7b462655a2414004a69f602889c4a896b11d71a5d760091228a1f"),
-    (3, 1, True, "9b94a0e593e0ec70172c0b455a11953072e17ec7941c1f7dc694a21f7b07522c"),
-    (3, 2, False, "b3181f5f4723b9f18264d60d85bf41e815c4cecf307ec0bb410695c7d17cd268"),
-    (3, 2, True, "0070af8a21fc698a1f52d62bb1143845e0e404718e276e2ace1ee5236d015dcf"),
-    (3, 3, False, "c1bed83149e238e768996836e7294d37339b835e6fa8b7e4c77ec985d6e74552"),
-    (3, 3, True, "9da23b06c48a10ef2e8afe1adb61136987a0624daf05ff06cbeea2f37cd297fc"),
-    ],
-)
+REFINEMENT_DIGESTS = {
+    (2, 1, False): "b984137656ab7f2d15a1ea06a855b5a17a1d3d122c5fa1faa4128437706e542e",
+    (2, 1, True): "4f72440b3681617c09efa6e9fdd816990c4cd66377b416772b151bb13d6d083e",
+    (2, 2, False): "dc7ef76f341ea4a24fef3d1b7723c5f87d2d2c0cb0c46d02f8058fbd96abf95d",
+    (2, 2, True): "213ce410941ac8f0c10fb32edec7ea843cfe4327602e08ff938592cb8f2e6b50",
+    (2, 3, False): "2ad4eedbb4f814d30eeac7a0a32997f96d1de3fe6f6f08f016cc06fa31498d80",
+    (2, 3, True): "1d444e9e49288bb1e8f3d6ddf93c15809c4766ba44a9901ad100bec5caa3fd8f",
+    (3, 1, False): "ea8d66882de7b462655a2414004a69f602889c4a896b11d71a5d760091228a1f",
+    (3, 1, True): "9b94a0e593e0ec70172c0b455a11953072e17ec7941c1f7dc694a21f7b07522c",
+    (3, 2, False): "b3181f5f4723b9f18264d60d85bf41e815c4cecf307ec0bb410695c7d17cd268",
+    (3, 2, True): "0070af8a21fc698a1f52d62bb1143845e0e404718e276e2ace1ee5236d015dcf",
+    (3, 3, False): "c1bed83149e238e768996836e7294d37339b835e6fa8b7e4c77ec985d6e74552",
+    (3, 3, True): "9da23b06c48a10ef2e8afe1adb61136987a0624daf05ff06cbeea2f37cd297fc",
+}
+
+
+@pytest.mark.parametrize("n,k,scrambled", REFINEMENT_DIGESTS)
 @pytest.mark.blas_free
-def test_refinement_outputs_are_pinned(n, k, scrambled, digest):
+def test_refinement_outputs_are_pinned(n, k, scrambled):
     mesh = structured_mesh(n, 2, shear=0.3)
     if scrambled:
         mesh = scramble_corners(mesh, np.random.default_rng([n, k]))
     refined = refine(mesh, k)
-    assert _refinement_digest(refined) == digest
+    assert _refinement_digest(refined) == REFINEMENT_DIGESTS[n, k, scrambled]
     for p in refined.degrees:
         # global ids are handed out in order of first appearance
         flat = refined.cell_tables[p].ravel()
@@ -754,6 +754,19 @@ def test_integration_owners_are_the_last_owners(name):
             want[c, local] = True
         assert np.array_equal(owned, want)
         assert refined.integration_owners(p) is owned
+
+
+@pytest.mark.parametrize("name", ["2d-scrambled", "3d-graded", "4d"])
+def test_cells_last_tables_are_read_only_cached_transposes(name):
+    refined = refine(_oracle_mesh(name), 2)
+    for p in refined.degrees:
+        table, signs = refined.cells_last(p)
+        for got, want in ((table, refined.cell_tables[p]), (signs, refined.cell_signs[p])):
+            assert got.dtype == want.dtype and np.array_equal(got, want.T)
+            assert got.flags.c_contiguous and not got.flags.writeable
+        assert all(a is b for a, b in zip(refined.cells_last(p), (table, signs)))
+    with pytest.raises(KeyError, match="was not refined"):
+        refine(_oracle_mesh(name), 2, degrees=(1,)).cells_last(0)
 
 
 _INT64 = np.iinfo(np.int64)
