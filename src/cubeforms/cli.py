@@ -25,7 +25,7 @@ import numpy as np
 
 from .catalog import get_form, list_forms
 from .dof import assemble_dof_matrix, check_unisolvence
-from .interp import Cochain, de_rham, interpolate
+from .interp import Cochain, de_rham, interpolate, read_csv_rows
 from .mesh import load_mesh, refine, structured_mesh
 from .smallcubes import enumerate_small_cubes, small_cube_count
 
@@ -170,18 +170,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 def _read_points(path, dimension: int) -> np.ndarray:
     """Rows of coordinates; only the first non-blank line may be a header."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        lines = [(reader.line_num, row) for row in reader if row and row[0].strip()]
-    rows = []
-    for index, (line, row) in enumerate(lines):
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            if index:  # only the first non-blank line may be a header
-                raise ValueError(
-                    f"points file {path} line {line}: expected numbers, got {row}"
-                ) from None
+    rows = read_csv_rows(path, lambda r: [float(v) for v in r], f"points file {path}", "numbers")
     pts = np.array(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dimension:
         raise ValueError(f"points file {path} must have {dimension} columns per row")

@@ -61,17 +61,8 @@ class Cochain:
         Only the first non-blank line may be a header; any other line that
         is not ``id,value`` raises ValueError naming the file and the line.
         """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row and row[0].strip()]
         pairs: dict[int, float] = {}
-        for index, (line, row) in enumerate(rows):
-            try:
-                i, value = int(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                if index == 0 and not row[0].strip().isdigit():
-                    continue  # header line
-                raise ValueError(f"{path} line {line}: expected 'id,value', got {row}") from None
+        for i, value in read_csv_rows(path, _id_value, str(path), "'id,value'"):
             if i in pairs:
                 raise ValueError(f"duplicate cochain id {i} in {path}")
             pairs[i] = value
@@ -80,6 +71,29 @@ class Cochain:
                 f"cochain ids in {path} must be exactly 0..{len(pairs) - 1}"
             )
         return cls(degree, np.array([pairs[i] for i in range(len(pairs))]))
+
+
+def _id_value(row: list[str]) -> tuple[int, float]:
+    i, value = row
+    return int(i), float(value)
+
+
+def read_csv_rows(path, parse, name: str, expected: str) -> list:
+    """``parse`` of each non-blank line of a CSV file.  Only the first may be a header,
+    skipped if ``parse`` raises ValueError on it and its first field is not digits; any
+    other such line raises ValueError "<name> line <line>: expected <expected>, got <row>".
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, row) for row in reader if row and row[0].strip()]
+    parsed = []
+    for index, (line, row) in enumerate(lines):
+        try:
+            parsed.append(parse(row))
+        except ValueError:
+            if index or row[0].strip().isdigit():
+                raise ValueError(f"{name} line {line}: expected {expected}, got {row}") from None
+    return parsed
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -98,14 +112,14 @@ def _require_finite_points(points: np.ndarray) -> None:
         raise ValueError(f"point {points[first].tolist()} has a non-finite coordinate")
 
 
-#: Quadrature points of local cubes that ``de_rham`` handles per batch of
-#: cells when integrating a form at physical points (analytic forms, or
-#: a piecewise form on another mesh; it maps and evaluates the points of
-#: the cubes each cell owns, one call each per batch): enough to make the
-#: per-batch overhead negligible, few enough that the form's temporaries
-#: stay a few megabytes however large the mesh, and no bit depends on it.
-#: An interpolant on its own mesh is integrated by per-axis tables and
-#: never evaluated point by point, so this bound does not apply to it.
+#: Quadrature points that ``de_rham`` handles per batch of owned cubes
+#: when integrating a form at physical points (analytic forms, or a
+#: piecewise form on another mesh; it maps and evaluates each batch's
+#: points, one call each): enough to make the per-batch overhead
+#: negligible, few enough that the form's temporaries stay a few
+#: megabytes however large the mesh, and no bit depends on it.  An
+#: interpolant on its own mesh is integrated by per-axis tables and never
+#: evaluated point by point, so this bound does not apply to it.
 DE_RHAM_BATCH_POINTS = 1 << 16
 
 
@@ -120,15 +134,16 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     global orientation.  Each global cube is integrated once, at the one
     owner that :meth:`RefinedMesh.integration_owners` marks.  The
     quadrature points sit at the same reference coordinates in every
-    cell.  One direction tuple at a time, cells are taken in index order,
-    in batches whose local cubes hold at most :data:`DE_RHAM_BATCH_POINTS`
-    points (to bound the temporaries): the points of each batch's owned
-    cubes are mapped into their cells by one :meth:`CubicalMesh.map_points`
-    call and the form is evaluated there in one call, with no loop over
-    cells; each cube's integrands times the weights are summed along one
-    row and scattered to the global cubes in one assignment.  The map and
-    the sums are elementwise, in a fixed order, so each cube's value has
-    the same bits whatever the batch, the BLAS or its thread count.
+    cell.  One direction tuple at a time, the owned cubes (see
+    :func:`_owned_cubes`) are taken in batches of at most
+    :data:`DE_RHAM_BATCH_POINTS` points (to bound the temporaries): each
+    batch's points are mapped into their cells by one
+    :meth:`CubicalMesh.map_points` call and the form is evaluated there in
+    one call, with no loop over cells; each cube's integrands times the
+    weights are summed along one row and scattered to the global cubes in
+    one assignment.  The map and the sums are elementwise, in a fixed
+    order, so each cube's value has the same bits whatever the batch, the
+    BLAS or its thread count.
     Raises ValueError if the form declares another ``dimension`` than the
     mesh's or ``quad_order`` is not an integer >= 1 (at every degree, though
     point evaluation uses no rule), and KeyError if its degree was not refined.
@@ -151,13 +166,10 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
         integrals = _own_mesh_integrals(form._blocks, form.refined.order, refined, p, q)
         return Cochain(p, integrals[0])
-    n_cells = refined.mesh.n_cells
     values = np.empty(refined.count(p))
-    table = refined.cell_tables[p]
-    signs = refined.cell_signs[p]
-    owned = refined.integration_owners(p)
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
+    size = max(1, DE_RHAM_BATCH_POINTS // nq)
     combos = list(combinations(range(n), p))
     # spans[c, r, t]: minor of cell c's scaled edges on rows combos[r], columns combos[t]
     spans = compound_matrix(refined.mesh.linears / k, p)
@@ -168,22 +180,29 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
         for j, axis in enumerate(dirs):
             x[axis] += tpts[:, j, None]
         x /= k
-        size = max(1, DE_RHAM_BATCH_POINTS // x[0].size)
-        for lo in range(0, n_cells, size):
-            row, anchor = np.nonzero(owned[lo : lo + size, sl])
-            if not row.size:
-                continue
-            cells = lo + row
-            # points (rows, nq, n) viewed on (n, nq, rows): the map and the form run along rows
-            comps = form.evaluate(refined.mesh.map_points(x.take(anchor, axis=2).T, cells))
-            minors = spans[cells, :, t]
-            integrand = np.zeros((nq, len(row))).T
+        ids, signs, cells, anchor = _owned_cubes(refined, p, sl)
+        for lo in range(0, len(ids), size):
+            batch = slice(lo, lo + size)
+            # points (cubes, nq, n) viewed on (n, nq, cubes): the map and the form run along cubes
+            points = refined.mesh.map_points(x.take(anchor[batch], axis=2).T, cells[batch])
+            comps = form.evaluate(points)
+            minors = spans[cells[batch], :, t]
+            integrand = np.zeros((nq, len(minors))).T
             for dirs_i, minor, used in zip(combos, minors.T, minors.any(axis=0)):
                 if used and dirs_i in comps:
                     integrand += minor[:, None] * np.asarray(comps[dirs_i], dtype=float)
             cube_vals = np.multiply(integrand, twts, order="C").sum(axis=1)
-            values[table[:, sl][cells, anchor]] = signs[:, sl][cells, anchor] * cube_vals
+            values[ids[batch]] = signs[batch] * cube_vals
     return Cochain(p, values)
+
+
+def _owned_cubes(refined: RefinedMesh, p: int, sl: slice):
+    """Global ids, signs, cells and anchors (from ``sl.start``) of the cubes that
+    :meth:`RefinedMesh.integration_owners` marks in the local cubes ``sl``, anchor by
+    anchor, read from the run's contiguous rows of the cells-last stores."""
+    owned = refined.integration_owners(p).T[sl]
+    anchor, cells = np.nonzero(owned)
+    return refined.cell_tables[p].T[sl][owned], refined.cell_signs[p].T[sl][owned], cells, anchor
 
 
 def _rule_order(quad_order: int | None, k: int) -> int:
@@ -211,9 +230,6 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
     """
     n, k = refined.dimension, refined.order
     n_cells = refined.mesh.n_cells
-    table = refined.cell_tables[p]
-    signs = refined.cell_signs[p]
-    owned = refined.integration_owners(p)
     trials = next(iter(blocks.values())).shape[-1] // n_cells
     values = np.empty((trials, refined.count(p)))
     # point values (p = 0) span no axis, so they need no rule
@@ -225,8 +241,8 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
         for j in range(n):
             block = np.einsum(block, axes, edges if j in dirs else nodes, [j, n + 1], outs[j])
         vals = k**-p * block.reshape(len(anchors), trials, n_cells)
-        cell, anchor = np.nonzero(owned[:, sl])
-        values[:, table[:, sl][cell, anchor]] = signs[:, sl][cell, anchor] * vals[anchor, :, cell].T
+        ids, signs, cells, anchor = _owned_cubes(refined, p, sl)
+        values[:, ids] = signs * vals[anchor, :, cells].T
     return values
 
 
@@ -275,22 +291,22 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
     ``values`` holds one p-cochain per row, shape (trials, count).  Row
     ``t * n_cells + c`` of the result, its last axis, is cell c of cochain
     t's interpolant; ``rows`` picks some of them, in order, and by default
-    every row is kept, gathered through :meth:`RefinedMesh.cells_last`; either
-    way one ``take`` gathers them, faster than indexing by (trial, cell)
+    every row is kept.  Either way one ``take`` through the refinement's
+    cells-last tables gathers them, faster than indexing by (trial, cell)
     pairs.  Each picked cell's values are pulled to local orientation, and
     they are its coefficients.
     """
     n, k = refined.dimension, refined.order
+    # the stores, (local cubes, cells)
+    table, signs = refined.cell_tables[p].T, refined.cell_signs[p].T
     if rows is None:
         # signed in place, then viewed (local cubes, trials, cells): at one trial no copy follows
-        table, signs = refined.cells_last(p)
         local = values.take(table, axis=1)
         local *= signs
         local = local.transpose(1, 0, 2)
     else:
-        table, signs = refined.cell_tables[p], refined.cell_signs[p]
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
-        local = (values.take(trial[:, None] * values.shape[1] + table[cell]) * signs[cell]).T
+        local = values.take(table[:, cell] + trial * values.shape[1]) * signs[:, cell]
     # one row per local cube, the rows contiguous
     by_cube = np.ascontiguousarray(local).reshape(len(local), -1)
     runs = anchor_runs(n, p, k)
@@ -420,7 +436,7 @@ class PiecewiseForm:
         if x.ndim != 2 or x.shape[1] != n:
             raise ValueError(f"reference points must have shape (*, {n}), got {x.shape}")
         _require_finite_points(x)
-        index = np.asarray(cells)
+        index = np.asarray(cells, dtype=None if np.size(cells) else np.intp)  # [] reads as floats
         inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
         if not (inside and index.shape in {(), x.shape[:1]}):
             raise ValueError(f"cells must be one integer or one per point in 0..{n_cells - 1}")

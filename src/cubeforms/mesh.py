@@ -467,9 +467,11 @@ def structured_mesh(dimension: int, subdivisions: int, shear: float = 0.0) -> Cu
 
     A nonzero ``shear`` tilts the grid by adding shear * x_1 to the
     first coordinate of every vertex, turning squares into congruent
-    parallelograms (needs dimension >= 2).
+    parallelograms (needs dimension >= 2).  Raises ValueError unless
+    ``dimension`` and ``subdivisions`` are integers of at least 1.
     """
-    n, m = dimension, subdivisions
+    n = _require_integer("dimension", dimension)
+    m = _require_integer("subdivisions", subdivisions)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if m < 1:
@@ -798,7 +800,8 @@ def _reference_pattern(dimension: int, degree: int, order: int):
 def _number_cubes(
     cells: np.ndarray, order: int, groups, n_local: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Global ids (n_cells, n_local) by first appearance, and each id's first flat index.
+    """Global ids (n_local, n_cells) by first appearance, and each id's first flat index
+    (cell * n_local + local).
 
     A cube in the relative interior of a d-face of a cell (d < n) is keyed
     by its centre's nonzero weights on the face's vertex ids: each (vertex
@@ -825,9 +828,9 @@ def _number_cubes(
     for first in firsts:
         appears[first] = True
     ids = np.cumsum(appears) - 1
-    table = np.empty((n_cells, n_local), dtype=np.intp)
+    table = np.empty((n_local, n_cells), dtype=np.intp)
     for (local, _, _), first, inverse in zip(groups, firsts, inverses):
-        table[:, local] = ids[first][inverse].reshape(n_cells, len(local))
+        table[local] = ids[first][inverse].reshape(n_cells, len(local)).T
     return table, np.flatnonzero(appears)
 
 
@@ -870,6 +873,10 @@ class RefinedMesh:
     cubes in order within a cell; ``first_owners[p][g]`` is the
     (cell, local index) where cube g first appears.  The cell geometry is
     read from ``mesh``, shared by every refinement of it.
+    Each degree's ids, signs and :meth:`integration_owners` are stored once, read-only
+    and C-contiguous with the cells last, as :class:`~cubeforms.interp.PiecewiseForm`
+    stores its blocks (the owners on first use); these attributes and that method give
+    their transposed views.
     """
 
     mesh: CubicalMesh
@@ -882,9 +889,6 @@ class RefinedMesh:
         default_factory=dict, init=False, repr=False
     )
     _integration_owners: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _cells_last: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -907,7 +911,7 @@ class RefinedMesh:
         """Number of cells holding each global small cube of one degree."""
         self._require(degree)
         return np.bincount(
-            self.cell_tables[degree].ravel(), minlength=self.count(degree)
+            self.cell_tables[degree].T.ravel(), minlength=self.count(degree)
         )
 
     def integration_owners(self, degree: int) -> np.ndarray:
@@ -919,27 +923,15 @@ class RefinedMesh:
         """
         if degree not in self._integration_owners:
             self._require(degree)
-            table = self.cell_tables[degree]
-            n_cells, n_local = table.shape
+            table = self.cell_tables[degree].T
+            n_local, n_cells = table.shape
             direction, _ = _reference_pattern(self.dimension, degree, self.order)
-            rank = (direction * n_cells + np.arange(n_cells)[:, None]) * n_local + np.arange(n_local)
+            rank = (direction[:, None] * n_cells + np.arange(n_cells)) * n_local
+            rank += np.arange(n_local)[:, None]
             last = np.full(self.count(degree), -1, dtype=rank.dtype)
             np.maximum.at(last, table.ravel(), rank.ravel())
-            self._integration_owners[degree] = _frozen(rank == last[table])
+            self._integration_owners[degree] = _frozen(rank == last[table]).T
         return self._integration_owners[degree]
-
-    def cells_last(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only copies (n_local, n_cells) of one degree's cell table and signs, cached.
-
-        With the cells last, one ``take`` through them writes the local values of
-        every cell in the layout :class:`~cubeforms.interp.PiecewiseForm` stores.
-        """
-        if degree not in self._cells_last:
-            self._require(degree)
-            self._cells_last[degree] = tuple(
-                _frozen(np.ascontiguousarray(a[degree].T)) for a in (self.cell_tables, self.cell_signs)
-            )
-        return self._cells_last[degree]
 
     @cached_property
     def maps(self) -> tuple[AffineMap, ...]:
@@ -1031,15 +1023,15 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         shared = orientations.reshape(-1, n_tuples, n_tuples)[first_cell, direction[first_local]]
         dot = np.empty(table.shape)
         for t, (_, sl, _) in enumerate(anchor_runs(n, p, order)):
-            dot[:, sl] = np.einsum("ct,clt->cl", wedges[:, t], shared[table[:, sl]])
-        disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(wedges, axis=2)[:, direction]
+            dot[sl] = np.einsum("ct,lct->lc", wedges[:, t], shared[table[sl]])
+        disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(wedges, axis=2).T[direction]
         if disagree.any():
-            ci = int(np.argmax(disagree.any(axis=1)))
+            ci = int(np.argmax(disagree.any(axis=0)))
             raise MeshValidationError(
                 f"cells disagree on the span of a shared small cube near cell {ci}"
             )
-        tables[p] = _frozen(table)
-        signs[p] = _frozen(np.where(dot > 0, 1, -1).astype(np.int8))
+        tables[p] = _frozen(table).T
+        signs[p] = _frozen(np.where(dot > 0, 1, -1).astype(np.int8)).T
         owners[p] = _frozen(np.stack([first_cell, first_local], axis=1))
     return RefinedMesh(
         mesh=mesh,

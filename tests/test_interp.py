@@ -88,6 +88,16 @@ def test_cochain_csv_takes_only_the_first_line_as_a_header(tmp_path):
         Cochain.from_csv(path, 0)
 
 
+@pytest.mark.parametrize(
+    "text,line", [("0,1.0,extra\n1,2.0\n", 1), ("id,value\n0,1.0\n1,2.0,extra\n", 3)]
+)
+def test_cochain_csv_rejects_a_line_with_more_fields(tmp_path, text, line):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line {line}: expected 'id,value'"):
+        Cochain.from_csv(path, 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cochain_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match=rf"cochain id 2 has a non-finite value \({bad}\)"):
@@ -837,6 +847,19 @@ def test_evaluate_reference_rejects_bad_points_and_cells(cells, points):
     approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
     with pytest.raises(ValueError, match=r"^(reference points must have shape|cells must be)"):
         approx.evaluate_reference(cells, points)
+
+
+def test_evaluate_on_an_empty_batch_gives_empty_components():
+    refined = refine(structured_mesh(2, 2), 1)
+    approx = interpolate(de_rham(get_form("sin2d-1"), refined), refined)
+    empty = np.empty((0, 2))
+    for values in (
+        approx.evaluate(empty),
+        approx.evaluate_reference([], empty),
+        approx.evaluate_reference(np.array([], dtype=int), empty),
+    ):
+        assert list(values) == [(0,), (1,)]
+        assert all(v.shape == (0,) for v in values.values())
 
 
 class _PhysicalOnly:

@@ -131,6 +131,21 @@ def test_rejects_dimension_zero(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "dimension,subdivisions,message",
+    [
+        (2, 2.5, "subdivisions must be an integer, got 2.5"),
+        (2, True, "subdivisions must be an integer, got True"),
+        (2.0, 2, "dimension must be an integer, got 2.0"),
+        (0, 2, "dimension must be >= 1, got 0"),
+        (2, 0, "need at least one subdivision, got 0"),
+    ],
+)
+def test_structured_mesh_rejects_bad_sizes(dimension, subdivisions, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        structured_mesh(dimension, subdivisions)
+
+
 def test_rejects_bad_vertex_shape():
     with pytest.raises(MeshValidationError, match="shape"):
         CubicalMesh(2, np.zeros((4, 3)), ((0, 1, 2, 3),))
@@ -757,16 +772,22 @@ def test_integration_owners_are_the_last_owners(name):
 
 
 @pytest.mark.parametrize("name", ["2d-scrambled", "3d-graded", "4d"])
-def test_cells_last_tables_are_read_only_cached_transposes(name):
+def test_cell_tables_are_read_only_views_of_one_cells_last_store(name):
     refined = refine(_oracle_mesh(name), 2)
     for p in refined.degrees:
-        table, signs = refined.cells_last(p)
-        for got, want in ((table, refined.cell_tables[p]), (signs, refined.cell_signs[p])):
-            assert got.dtype == want.dtype and np.array_equal(got, want.T)
-            assert got.flags.c_contiguous and not got.flags.writeable
-        assert all(a is b for a, b in zip(refined.cells_last(p), (table, signs)))
+        n_local = sum(len(anchors) for _, _, anchors in anchor_runs(refined.dimension, p, 2))
+        shape = (refined.mesh.n_cells, n_local)
+        for get, dtype in (
+            (lambda: refined.cell_tables[p], np.intp),
+            (lambda: refined.cell_signs[p], np.int8),
+            (lambda: refined.integration_owners(p), bool),
+        ):
+            view = get()
+            assert view.shape == shape and view.dtype == dtype
+            assert view.T.flags.c_contiguous and not view.flags.writeable
+            assert view.base is not None and get().base is view.base
     with pytest.raises(KeyError, match="was not refined"):
-        refine(_oracle_mesh(name), 2, degrees=(1,)).cells_last(0)
+        refine(_oracle_mesh(name), 2, degrees=(1,)).integration_owners(0)
 
 
 _INT64 = np.iinfo(np.int64)
