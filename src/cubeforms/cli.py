@@ -95,9 +95,12 @@ def run_convergence(
     Each grid point lies in its own cell by construction, so a mesh's
     points are evaluated in one :meth:`PiecewiseForm.evaluate_reference` call.
     The observed order eoc compares consecutive rows; it is None on the
-    first row and wherever either error is exactly zero.  Raises
-    ValueError if a mesh size repeats, which leaves no order to observe.
+    first row and wherever either error is exactly zero.  Raises ValueError
+    if a mesh size repeats, which leaves no order to observe, or, before any
+    work, unless ``samples`` is an integer (not a bool) of at least 1.
     """
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     m_list = list(m_list)

@@ -80,7 +80,7 @@ def _id_value(row: list[str]) -> tuple[int, float]:
 
 def read_csv_rows(path, parse, name: str, expected: str) -> list:
     """``parse`` of each non-blank line of a CSV file.  Only the first may be a header,
-    skipped if ``parse`` raises ValueError on it and its first field is not digits; any
+    skipped if ``parse`` raises ValueError on it and its first field is not a number; any
     other such line raises ValueError "<name> line <line>: expected <expected>, got <row>".
     """
     with open(path, newline="") as fh:
@@ -91,9 +91,17 @@ def read_csv_rows(path, parse, name: str, expected: str) -> list:
         try:
             parsed.append(parse(row))
         except ValueError:
-            if index or row[0].strip().isdigit():
+            if index or _is_number(row[0]):
                 raise ValueError(f"{name} line {line}: expected {expected}, got {row}") from None
     return parsed
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -130,12 +138,11 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     returning per-direction components; analytic, polynomial and
     piecewise forms all qualify.  Integrals use a tensor Gauss rule with
     ``quad_order`` points per axis (default 2k + 2); degree zero reduces
-    to point evaluation.  Each cube's value is oriented by its stored
-    global orientation.  Each global cube is integrated once, at the one
-    owner that :meth:`RefinedMesh.integration_owners` marks.  The
-    quadrature points sit at the same reference coordinates in every
-    cell.  One direction tuple at a time, the owned cubes (see
-    :func:`_owned_cubes`) are taken in batches of at most
+    to point evaluation.  Each global cube is integrated once, at its
+    first owner (``RefinedMesh.first_owners``), and signed there by its
+    stored orientation.  The quadrature points sit at the same reference
+    coordinates in every cell.  One direction tuple at a time, the owned
+    cubes (see :func:`_owned_cubes`) are taken in batches of at most
     :data:`DE_RHAM_BATCH_POINTS` points (to bound the temporaries): each
     batch's points are mapped into their cells by one
     :meth:`CubicalMesh.map_points` call and the form is evaluated there in
@@ -197,12 +204,12 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
 
 
 def _owned_cubes(refined: RefinedMesh, p: int, sl: slice):
-    """Global ids, signs, cells and anchors (from ``sl.start``) of the cubes that
-    :meth:`RefinedMesh.integration_owners` marks in the local cubes ``sl``, anchor by
-    anchor, read from the run's contiguous rows of the cells-last stores."""
-    owned = refined.integration_owners(p).T[sl]
-    anchor, cells = np.nonzero(owned)
-    return refined.cell_tables[p].T[sl][owned], refined.cell_signs[p].T[sl][owned], cells, anchor
+    """Global ids, signs, cells and anchors (from ``sl.start``) of the cubes whose first
+    owner's local index falls in the run ``sl``, in id order, read from ``first_owners``."""
+    cells, local = refined.first_owners[p].T
+    ids = np.flatnonzero((local >= sl.start) & (local < sl.stop))
+    cells, local = cells[ids], local[ids]
+    return ids, refined.cell_signs[p][cells, local], cells, local - sl.start
 
 
 def _rule_order(quad_order: int | None, k: int) -> int:
@@ -226,12 +233,13 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
     b/k (j not in I), and one einsum per anchor axis, axis 0 first, sums that
     axis against its table into the small cubes' axis in its place, the rows
     kept last: no block is copied and no BLAS call is made, so each value is
-    summed in one fixed order whatever the kernel or the number of rows.
+    summed in one fixed order whatever the kernel or the number of rows.  Each
+    global cube then takes, in one gather, its first owner's integral and sign.
     """
     n, k = refined.dimension, refined.order
     n_cells = refined.mesh.n_cells
     trials = next(iter(blocks.values())).shape[-1] // n_cells
-    values = np.empty((trials, refined.count(p)))
+    integrals = np.empty((refined.cell_tables[p].shape[1], trials, n_cells))
     # point values (p = 0) span no axis, so they need no rule
     edges, nodes = _own_mesh_tables(order, k, q if p else 1)
     axes = list(range(n + 1))  # the anchor axes, then the rows
@@ -240,10 +248,9 @@ def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int
         block = blocks[dirs]
         for j in range(n):
             block = np.einsum(block, axes, edges if j in dirs else nodes, [j, n + 1], outs[j])
-        vals = k**-p * block.reshape(len(anchors), trials, n_cells)
-        ids, signs, cells, anchor = _owned_cubes(refined, p, sl)
-        values[:, ids] = signs * vals[anchor, :, cells].T
-    return values
+        integrals[sl] = block.reshape(len(anchors), trials, n_cells)
+    cells, local = refined.first_owners[p].T
+    return refined.cell_signs[p][cells, local] * (k**-p * integrals[local, :, cells]).T
 
 
 @lru_cache(maxsize=None)

@@ -343,7 +343,8 @@ class CubicalMesh:
         skewed = deviation > SHAPE_TOL * scale[:, None] * (1 << n)
         linears = np.swapaxes(edges, 1, 2).copy()
         determinant = np.linalg.det(linears)
-        degenerate = np.abs(determinant) <= SHAPE_TOL * lengths.prod(axis=1)
+        # negated, so that a NaN determinant (from edges that overflow) fails too
+        degenerate = ~(np.abs(determinant) > SHAPE_TOL * lengths.prod(axis=1))
         failing = np.flatnonzero(skewed.any(axis=1) | degenerate)
         if not failing.size:
             object.__setattr__(self, "origins", _frozen(corners[:, 0].copy()))
@@ -695,48 +696,23 @@ def _bucket_coords(points, start, width, shape) -> np.ndarray:
 #: cube picks the same leading component.
 EDGE_SNAP_TOL = 1e-9
 
-#: An owner whose span meets the shared orientation at |cos| at most this
-#: is rejected: owners of one cube agree up to roundoff (|cos| = 1), so
-#: only cells that do not really share the cube come near it.
-SPAN_AGREEMENT_TOL = 1e-8
 
+def _orientation_parities(edges: np.ndarray) -> np.ndarray:
+    """+-1 per pair of ``edges`` (pairs, n, p), the p edge vectors of one direction tuple
+    as columns: times the pair's wedge, the owner-independent orientation of its span.
 
-def _canonical_orientations(edges: np.ndarray, wedges: np.ndarray) -> np.ndarray:
-    """Owner-independent unit orientation vectors of many small-cube spans.
-
-    ``edges`` has shape (pairs, n, p): per pair, the p edge vectors of one
-    direction tuple as columns; ``wedges`` (pairs, C(n, p)) holds their
-    p-by-p row minors.  All pairs are handled in one array pass.  Edge
-    vectors are sign-normalised (first significant component made
-    positive) and sorted, removing any dependence on the local direction
-    order; the orientation is the wedge of the normalised edges, which is
-    ``wedge`` times the parity of the flips and the sort, scaled to unit
-    length.  The sort's parity counts the edge pairs out of lexicographic
-    order, compared at their first differing component (equal edges keep
-    their order).  Components below :data:`EDGE_SNAP_TOL` of the edge
-    length are treated as zero so that every owner of a shared cube makes
-    identical decisions despite roundoff.  Raises
-    :class:`MeshValidationError` for the first failing pair, checking its
-    edges in order before its span.
+    Edge vectors are sign-normalised (first significant component made positive) and
+    sorted, removing any dependence on the local direction order; the parity is that
+    of the flips and the sort, which counts the edge pairs out of lexicographic order,
+    compared at their first differing component (equal edges keep their order).
+    Components below :data:`EDGE_SNAP_TOL` of the edge length count as zero, so every
+    owner of a shared cube decides alike despite roundoff.  All pairs are handled in
+    one array pass; the edges of a validated cell are finite and nonzero.
     """
     p = edges.shape[-1]
-    if p == 0:
-        return np.ones_like(wedges)
     norms = np.linalg.norm(edges, axis=1)
     snapped = np.where(np.abs(edges) > EDGE_SNAP_TOL * norms[:, None, :], edges, 0.0)
-    nonzero = snapped != 0.0
-    zero = norms == 0.0
-    bad_edge = zero | ~nonzero.any(axis=1)
-    span = np.linalg.norm(wedges, axis=1)
-    failing = np.flatnonzero(bad_edge.any(axis=1) | (span == 0.0))
-    if failing.size:
-        pair = int(failing[0])
-        if not bad_edge[pair].any():
-            raise MeshValidationError("small cube spans a degenerate plane")
-        if zero[pair, np.argmax(bad_edge[pair])]:
-            raise MeshValidationError("small cube has a zero edge vector")
-        raise MeshValidationError("small cube has a vanishing edge vector")
-    lead = np.take_along_axis(snapped, nonzero.argmax(axis=1)[:, None, :], axis=1)[:, 0]
+    lead = np.take_along_axis(snapped, (snapped != 0.0).argmax(axis=1)[:, None, :], axis=1)[:, 0]
     snapped = np.where(lead[:, None, :] < 0, -snapped, snapped)
     a, b = np.array(list(combinations(range(p), 2)), dtype=np.intp).reshape(-1, 2).T
     differ = snapped[:, :, a] != snapped[:, :, b]
@@ -746,7 +722,7 @@ def _canonical_orientations(edges: np.ndarray, wedges: np.ndarray) -> np.ndarray
         > np.take_along_axis(snapped[:, :, b], at, axis=1)[:, 0]
     )
     odd = ((lead < 0).sum(axis=1) + swapped.sum(axis=1)) % 2
-    return np.where(odd, -1.0, 1.0)[:, None] * wedges / span[:, None]
+    return np.where(odd, -1.0, 1.0)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -871,12 +847,13 @@ class RefinedMesh:
     whose relative interior holds it, and a cube inside a cell has that
     cell alone.  Ids follow first appearance, cells in order and local
     cubes in order within a cell; ``first_owners[p][g]`` is the
-    (cell, local index) where cube g first appears.  The cell geometry is
-    read from ``mesh``, shared by every refinement of it.
-    Each degree's ids, signs and :meth:`integration_owners` are stored once, read-only
-    and C-contiguous with the cells last, as :class:`~cubeforms.interp.PiecewiseForm`
-    stores its blocks (the owners on first use); these attributes and that method give
-    their transposed views.
+    (cell, local index) where cube g first appears: its span orients the cube,
+    its reference boundary gives the cube's coboundary row, and
+    :func:`~cubeforms.interp.de_rham` integrates there.  The cell geometry is
+    read from ``mesh``, shared by every refinement of it.  Each degree's ids and
+    signs are stored once, read-only and C-contiguous with the cells last, as
+    :class:`~cubeforms.interp.PiecewiseForm` stores its blocks; these attributes
+    hold their transposed views.
     """
 
     mesh: CubicalMesh
@@ -886,9 +863,6 @@ class RefinedMesh:
     cell_signs: dict[int, np.ndarray]
     first_owners: dict[int, np.ndarray]
     _coboundaries: dict[int, sparse.csr_matrix] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _integration_owners: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -913,25 +887,6 @@ class RefinedMesh:
         return np.bincount(
             self.cell_tables[degree].T.ravel(), minlength=self.count(degree)
         )
-
-    def integration_owners(self, degree: int) -> np.ndarray:
-        """Read-only mask (n_cells, n_local) of the owner that integrates each cube, cached.
-
-        Each global cube has exactly one True entry: its last owner in
-        (direction tuple, cell, local index) order, the owner whose write
-        of a shared cube lasted when every owner wrote its value.
-        """
-        if degree not in self._integration_owners:
-            self._require(degree)
-            table = self.cell_tables[degree].T
-            n_local, n_cells = table.shape
-            direction, _ = _reference_pattern(self.dimension, degree, self.order)
-            rank = (direction[:, None] * n_cells + np.arange(n_cells)) * n_local
-            rank += np.arange(n_local)[:, None]
-            last = np.full(self.count(degree), -1, dtype=rank.dtype)
-            np.maximum.at(last, table.ravel(), rank.ravel())
-            self._integration_owners[degree] = _frozen(rank == last[table]).T
-        return self._integration_owners[degree]
 
     @cached_property
     def maps(self) -> tuple[AffineMap, ...]:
@@ -1013,23 +968,17 @@ def refine(mesh: CubicalMesh, order: int, degrees=None) -> RefinedMesh:
         table, first = _number_cubes(mesh.cells, order, groups, n_local)
         first_cell, first_local = np.divmod(first, n_local)
 
-        # wedges[c, t]: the row minors of cell c's edges along direction tuple t;
-        # every (cell, tuple) pair is oriented, and a cube takes its first owner's
+        # wedges[c, t]: the row minors of cell c's edges along direction tuple t; every
+        # (cell, tuple) pair gets a parity, and a cube takes its first owner's wedge times it
         wedges = np.swapaxes(compound_matrix(edges, p), 1, 2)
         n_tuples = comb(n, p)
         tuples = np.array(list(combinations(range(n), p)), dtype=np.intp).reshape(n_tuples, p)
         pair_edges = np.moveaxis(edges[:, :, tuples], 2, 1).reshape(mesh.n_cells * n_tuples, n, p)
-        orientations = _canonical_orientations(pair_edges, wedges.reshape(-1, n_tuples))
-        shared = orientations.reshape(-1, n_tuples, n_tuples)[first_cell, direction[first_local]]
+        oriented = _orientation_parities(pair_edges).reshape(-1, n_tuples, 1) * wedges
+        shared = oriented[first_cell, direction[first_local]]
         dot = np.empty(table.shape)
         for t, (_, sl, _) in enumerate(anchor_runs(n, p, order)):
             dot[sl] = np.einsum("ct,lct->lc", wedges[:, t], shared[table[sl]])
-        disagree = np.abs(dot) <= SPAN_AGREEMENT_TOL * np.linalg.norm(wedges, axis=2).T[direction]
-        if disagree.any():
-            ci = int(np.argmax(disagree.any(axis=0)))
-            raise MeshValidationError(
-                f"cells disagree on the span of a shared small cube near cell {ci}"
-            )
         tables[p] = _frozen(table).T
         signs[p] = _frozen(np.where(dot > 0, 1, -1).astype(np.int8)).T
         owners[p] = _frozen(np.stack([first_cell, first_local], axis=1))

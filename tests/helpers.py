@@ -300,8 +300,8 @@ def de_rham_by_cell(form, refined, quad_order=None):
     The oracle for the sum-factorised same-mesh path of ``de_rham``: each
     cell evaluates the form at the tensor Gauss points of every small
     cube, at their reference coordinates, and sums the integrands
-    against the tensor weights.  As in ``de_rham``, the last owner of a
-    cube in (tuple, cell) order writes its value.
+    against the tensor weights.  As in ``de_rham``, a cube's first owner
+    writes its value.
     """
     n, p, k = refined.dimension, form.degree, refined.order
     q = quad_order if quad_order is not None else 2 * k + 2
@@ -328,7 +328,8 @@ def de_rham_by_cell(form, refined, quad_order=None):
             for minor, vals in zip(spans[ci, :, t], comps):
                 if minor != 0.0:
                     integrand += minor * vals
-            values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) @ twts)
+            first = _first_owned(refined, p, ci, sl)
+            values[table[ci, sl][first]] = (signs[ci, sl] * (integrand.reshape(-1, nq) @ twts))[first]
     return Cochain(p, values)
 
 
@@ -338,8 +339,8 @@ def de_rham_at_every_local_cube(form, refined, quad_order=None):
     The oracle for the owner-only analytic path of ``de_rham``: each cell
     maps the Gauss points of all its local cubes of one direction tuple
     in one call, evaluates the form there and sums each cube's integrands
-    times the tensor weights.  Owners write in (tuple, cell) order, so
-    the last owner of a shared cube keeps its value.
+    times the tensor weights.  Only a cube's first owner writes its
+    value.
     """
     n, p, k = refined.dimension, form.degree, refined.order
     q = quad_order if quad_order is not None else 2 * k + 2
@@ -363,8 +364,16 @@ def de_rham_at_every_local_cube(form, refined, quad_order=None):
             for dirs_i, minor in zip(combos, spans[ci, :, t]):
                 if minor != 0.0 and dirs_i in comps:
                     integrand += minor * np.asarray(comps[dirs_i], dtype=float)
-            values[table[ci, sl]] = signs[ci, sl] * (integrand.reshape(-1, nq) * twts).sum(axis=1)
+            cube_vals = signs[ci, sl] * (integrand.reshape(-1, nq) * twts).sum(axis=1)
+            first = _first_owned(refined, p, ci, sl)
+            values[table[ci, sl][first]] = cube_vals[first]
     return Cochain(p, values)
+
+
+def _first_owned(refined, p, cell, sl):
+    """Which local cubes ``sl`` of ``cell`` are their global cube's first owner."""
+    owners = refined.first_owners[p][refined.cell_tables[p][cell, sl]]
+    return (owners[:, 0] == cell) & (owners[:, 1] == np.arange(sl.start, sl.stop))
 
 
 def verify_identities_by_trial(

@@ -205,6 +205,25 @@ def test_interpolate_rejects_a_malformed_points_row(tmp_path, capsys):
     assert captured.err.startswith(f"error: points file {points_path} line 3:")
 
 
+@pytest.mark.parametrize("first", ["0.5,oops", "-1,y", "nan,x"])
+def test_interpolate_reads_a_numeric_first_points_row_as_data(tmp_path, capsys, first):
+    # a first line is a header only if its first field is not a number
+    mesh = structured_mesh(2, 1)
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(mesh, mesh_path)
+    cochain_path = tmp_path / "cochain.csv"
+    de_rham(get_form("linear2d-1"), refine(mesh, 1, degrees=(1,))).to_csv(cochain_path)
+    points_path = tmp_path / "points.csv"
+    points_path.write_text(f"{first}\n0.25,0.75\n")
+    argv = ["interpolate", "--mesh", str(mesh_path), "--cochain", str(cochain_path)]
+    code = main(argv + ["--p", "1", "--k", "1", "--points", str(points_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"error: points file {points_path} line 1: expected numbers, got {first.split(',')}"
+    assert captured.err.startswith(want)
+
+
 def test_interpolate_rejects_non_finite_cochain_value(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.json"
     save_mesh(structured_mesh(2, 1), mesh_path)
@@ -436,6 +455,18 @@ def test_convergence_rejects_nonpositive_samples(capsys, samples):
     argv = ["convergence", "--n", "2", "--p", "1", "--k", "1", "--m-list", "2,4"]
     assert main(argv + ["--samples", samples]) == EXIT_USAGE
     assert "error: samples must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [2.5, 4.0, True])
+def test_run_convergence_rejects_non_integer_samples(samples, monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before samples was checked")
+
+    monkeypatch.setattr(cli, "structured_mesh", no_mesh)
+    with pytest.raises(ValueError, match=f"^samples must be an integer, got {samples!r}$"):
+        run_convergence(2, 1, 1, [2, 4], samples=samples)
+    monkeypatch.undo()
+    assert len(run_convergence(2, 1, 1, [2], samples=np.int64(4))) == 1
 
 
 def test_convergence_rejects_unknown_form(capsys):
