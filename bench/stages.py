@@ -13,7 +13,10 @@ per-point kernel behind ``evaluate``, split from location), pinned
 batches it has located, so ``locate`` and ``evaluate`` run each call on the
 points in a new order, which the mesh has not located before, and
 ``locate_repeat`` and ``evaluate_repeat`` time the same batch again and
-again, as a time-stepper's fixed probes repeat it.  For each stage it
+again, as a time-stepper's fixed probes repeat it.  ``step`` is one step of
+such a time-stepper, as the ``probe-3d`` benchmark workload times it: it
+interpolates a new multiple of the cochain and evaluates the repeated batch
+(each call draws its own amplitude).  For each stage it
 records the cold first call, the median and quartiles of warm repeats,
 sizes, the ``tracemalloc`` peak of one more call and a SHA-256 digest of
 the outputs, so that a change can show its outputs did not move.  The
@@ -91,6 +94,11 @@ def _new_orders(points, seed) -> Iterator[np.ndarray]:
     return iter([points.take(rng.permutation(len(points)), axis=0) for _ in range(MAX_REPEATS + 2)])
 
 
+def _amplitudes(seed) -> Iterator[float]:
+    """An amplitude in [0.5, 2) for every call one stage can make, drawn from ``seed``."""
+    return iter(np.random.default_rng(seed).uniform(0.5, 2.0, MAX_REPEATS + 2))
+
+
 def _time_stage(call, digest) -> tuple[dict, object]:
     """Cold call, warm repeats and one traced call of ``call``; returns (record, output)."""
     start = time.perf_counter()
@@ -160,6 +168,13 @@ def run_workload(w: Workload) -> dict:
         lambda: approx.evaluate(next(evaluate_orders)), _values_digest
     )
     stages["evaluate_repeat"], _ = _time_stage(lambda: approx.evaluate(points), _values_digest)
+    amplitudes = _amplitudes([w.seed, 3])
+
+    def step():
+        field = cf.interpolate(cf.Cochain(p, next(amplitudes) * cochain.values), refined)
+        return field.evaluate(points)
+
+    stages["step"], _ = _time_stage(step, _values_digest)
     stages["evaluate_reference"], _ = _time_stage(
         lambda: approx.evaluate_reference(located, ref), _values_digest
     )

@@ -34,8 +34,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 #: Each subcommand's largest k per dimension n, checked before any work (n runs
-#: from 1 to the largest key; ``interpolate`` reads it from its mesh, and no error
-#: was ever measured past 4D).  ``dims`` enumerates (2k + 1)^n small cubes in all,
+#: from the smallest key to the largest; ``interpolate`` reads it from its mesh, and
+#: no error was ever measured past 4D; ``convergence`` starts at 2D, as the catalog
+#: has no 1-D form).  ``dims`` enumerates (2k + 1)^n small cubes in all,
 #: so from 5D its cap is the largest k with at most 500,000 of them.  The
 #: reference-matrix commands stop at k = 4, a leftover of slow exact assembly.  The
 #: library interpolates at every k; the ``interpolate`` caps are this command's own
@@ -45,7 +46,7 @@ LIMITS = {
     "check-unisolvence": dict.fromkeys(range(1, 5), 4),
     "dof-matrix": dict.fromkeys(range(1, 5), 4),
     "interpolate": {1: 8, 2: 8, 3: 6, 4: 4},
-    "convergence": dict.fromkeys(range(1, 4), 4),
+    "convergence": dict.fromkeys(range(2, 4), 4),
 }
 
 
@@ -66,6 +67,13 @@ class ConvergenceRow:
     mesh_size: float
     sup_error: float
     eoc: float | None
+
+
+def expected_order(degree: int, order: int) -> int:
+    """The sup-error order of interpolating a smooth p-form at order k: k + 1 at p = 0,
+    whose space holds the Lagrange Q_k functions, and k for p >= 1, whose spanned
+    factors have degree k - 1."""
+    return order + 1 if degree == 0 else order
 
 
 def _sample_grid(dimension: int, samples: int) -> np.ndarray:
@@ -155,7 +163,7 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
 def _check_limits(args, n: int) -> None:
     """Refuse, before any work, what :data:`LIMITS` leaves out: n first, then k, then p."""
     caps = LIMITS[args.command]
-    _check_range("--n" if "n" in args else "mesh dimension", n, 1, max(caps))
+    _check_range("--n" if "n" in args else "mesh dimension", n, min(caps), max(caps))
     _check_range("--k", args.k, 1, caps[n])
     if "p" in args:
         _check_range("p", args.p, 0, n)
@@ -277,7 +285,8 @@ def _cmd_convergence(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    lo, hi = args.k - 0.3, args.k + 0.5
+    order = expected_order(args.p, args.k)
+    lo, hi = order - 0.3, order + 0.5
     ok = lo <= final <= hi
     print(
         f"final EOC {final:.4f}, expected within [{lo:.2f}, {hi:.2f}]: "

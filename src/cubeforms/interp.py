@@ -171,7 +171,7 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     k = refined.order
     q = _rule_order(quad_order, k)
     if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
-        integrals = _own_mesh_integrals(form._blocks, form.refined.order, refined, p, q)
+        integrals = _own_mesh_integrals(form._store[:, None], form.refined.order, refined, p, q)
         return Cochain(p, integrals[0])
     values = np.empty(refined.count(p))
     tpts, twts = gauss_unit_cube(p, q)
@@ -221,34 +221,34 @@ def _rule_order(quad_order: int | None, k: int) -> int:
     return quad_order
 
 
-def _own_mesh_integrals(blocks, order: int, refined: RefinedMesh, p: int, q: int) -> np.ndarray:
+def _own_mesh_integrals(stack, order: int, refined: RefinedMesh, p: int, q: int) -> np.ndarray:
     """Integrals of stacked interpolants on their own mesh, one cochain per row.
 
-    ``blocks`` holds p-form blocks of basis order ``order``, stored cells last
-    as :class:`PiecewiseForm` stores one form's, with ``trials * n_cells``
-    rows on the last axis, cell fastest; the result, shape (trials, count),
-    is the value of :func:`de_rham` on ``refined`` with a ``q``-point rule,
-    form by form.  Per axis j, each factor is integrated by the 1-D rule over
-    the k segments [b/k, (b+1)/k] (j in I) or evaluated at the k + 1 nodes
-    b/k (j not in I), and one einsum per anchor axis, axis 0 first, sums that
-    axis against its table into the small cubes' axis in its place, the rows
-    kept last: no block is copied and no BLAS call is made, so each value is
-    summed in one fixed order whatever the kernel or the number of rows.  Each
-    global cube then takes, in one gather, its first owner's integral and sign.
+    ``stack`` (local cubes, trials, n_cells) holds the coefficient stores of
+    p-forms of basis order ``order``, as :class:`PiecewiseForm` stores one
+    form's, one per trial; the result, shape (trials, count), is the value of
+    :func:`de_rham` on ``refined`` with a ``q``-point rule, form by form.  Per
+    axis j, each factor is integrated by the 1-D rule over the k segments
+    [b/k, (b+1)/k] (j in I) or evaluated at the k + 1 nodes b/k (j not in I),
+    and one einsum per anchor axis, axis 0 first, sums that axis against its
+    table into the small cubes' axis in its place, the rows kept last: no
+    block is copied and no BLAS call is made, so each value is summed in one
+    fixed order whatever the kernel or the number of rows.  Each global cube
+    then takes, in one gather, its first owner's integral and sign.
     """
     n, k = refined.dimension, refined.order
-    n_cells = refined.mesh.n_cells
-    trials = next(iter(blocks.values())).shape[-1] // n_cells
+    _, trials, n_cells = stack.shape
+    rows = stack.reshape(len(stack), trials * n_cells)
     integrals = np.empty((refined.cell_tables[p].shape[1], trials, n_cells))
     # point values (p = 0) span no axis, so they need no rule
     edges, nodes = _own_mesh_tables(order, k, q if p else 1)
     axes = list(range(n + 1))  # the anchor axes, then the rows
     outs = [axes[:j] + [n + 1] + axes[j + 1 :] for j in range(n)]  # axis j becomes the cubes'
-    for dirs, sl, anchors in anchor_runs(n, p, k):
-        block = blocks[dirs]
+    for (dirs, sl, _), (_, block_sl, shape) in zip(_runs(n, p, k), _runs(n, p, order)):
+        block = rows[block_sl].reshape(*shape, trials * n_cells)
         for j in range(n):
             block = np.einsum(block, axes, edges if j in dirs else nodes, [j, n + 1], outs[j])
-        integrals[sl] = block.reshape(len(anchors), trials, n_cells)
+        integrals[sl] = block.reshape(sl.stop - sl.start, trials, n_cells)
     cells, local = refined.first_owners[p].T
     return refined.cell_signs[p][cells, local] * (k**-p * integrals[local, :, cells]).T
 
@@ -274,12 +274,13 @@ def interpolate(cochain: Cochain, refined: RefinedMesh) -> "PiecewiseForm":
     """The discrete-space form whose small-cube integrals match the cochain.
 
     A cell's coefficients are its local cochain values (see :class:`PiecewiseForm`),
-    so this is one signed gather: no solve, and no check, since the small cubes are
-    unisolvent for every (n, p, k).  ValueError if the cochain has the wrong length.
+    so this is one signed gather, whose rows the form keeps as its store, uncopied: no
+    solve, and no check, since the small cubes are unisolvent for every (n, p, k).
+    ValueError if the cochain has the wrong length.
     """
     p = cochain.degree
     _require_count(cochain, refined)
-    return PiecewiseForm(refined, p, _cells_first(_gather_rows(cochain.values[None], refined, p)))
+    return PiecewiseForm._of_store(refined, p, _gather_rows(cochain.values[None], refined, p))
 
 
 def _require_count(cochain: Cochain, refined: RefinedMesh) -> None:
@@ -292,19 +293,19 @@ def _require_count(cochain: Cochain, refined: RefinedMesh) -> None:
         )
 
 
-def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> dict:
-    """Coefficient blocks of the interpolants of stacked cochains, at chosen rows, cells last.
+def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) -> np.ndarray:
+    """The coefficient store of the interpolants of stacked cochains, at chosen rows.
 
-    ``values`` holds one p-cochain per row, shape (trials, count).  Row
-    ``t * n_cells + c`` of the result, its last axis, is cell c of cochain
-    t's interpolant; ``rows`` picks some of them, in order, and by default
-    every row is kept.  Either way one ``take`` through the refinement's
-    cells-last tables gathers them, faster than indexing by (trial, cell)
-    pairs.  Each picked cell's values are pulled to local orientation, and
-    they are its coefficients.
+    ``values`` holds one p-cochain per row, shape (trials, count).  Column
+    ``t * n_cells + c`` of the result, shape (local cubes, rows) as
+    :class:`PiecewiseForm` stores one form's, is cell c of cochain t's
+    interpolant; ``rows`` picks some of them, in order, and by default every
+    row is kept.  Either way one ``take`` through the refinement's cells-last
+    tables gathers them, faster than indexing by (trial, cell) pairs.  Each
+    picked cell's values are pulled to local orientation, and they are its
+    coefficients.  The result is a new contiguous array.
     """
-    n, k = refined.dimension, refined.order
-    # the stores, (local cubes, cells)
+    # the refinement's stores, (local cubes, cells)
     table, signs = refined.cell_tables[p].T, refined.cell_signs[p].T
     if rows is None:
         # signed in place, then viewed (local cubes, trials, cells): at one trial no copy follows
@@ -315,9 +316,7 @@ def _gather_rows(values: np.ndarray, refined: RefinedMesh, p: int, rows=None) ->
         trial, cell = np.divmod(rows, refined.mesh.n_cells)
         local = values.take(table[:, cell] + trial * values.shape[1]) * signs[:, cell]
     # one row per local cube, the rows contiguous
-    by_cube = np.ascontiguousarray(local).reshape(len(local), -1)
-    runs = anchor_runs(n, p, k)
-    return {d: by_cube[sl].reshape(*pattern_shape(n, d, k), -1) for d, sl, _ in runs}
+    return np.ascontiguousarray(local).reshape(len(local), -1)
 
 
 def _factor_tables(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,11 +358,12 @@ class PiecewiseForm:
     the small cubes, so the entry is the form's integral over the small cube
     anchored at a, in the canonical small-cube order (axis 0 slowest).
 
-    Each block is stored once, with the cell axis last and contiguous, so
-    that evaluation gathers a point batch's values along contiguous rows;
-    ``coefficients`` holds views of it with the cell axis moved first.  The
-    constructor takes blocks of the documented shape, and copies one only
-    if it is not already such a view.
+    All values are held in one read-only store of shape (local cubes,
+    n_cells): row i holds local small cube i, in the canonical order, for
+    every cell, contiguous, so that evaluation gathers a point batch's
+    values with one ``take``.  ``coefficients`` holds views of it.  The
+    constructor takes blocks of the documented shape and concatenates them
+    into the store once.
 
     Evaluation locates points (lowest cell index wins on shared faces,
     or pass ``cell=`` to pin one) and pushes the cell's reference form
@@ -374,14 +374,30 @@ class PiecewiseForm:
     refined: RefinedMesh
     degree: int
     coefficients: dict[tuple[int, ...], np.ndarray]
-    _blocks: dict[tuple[int, ...], np.ndarray] = field(init=False, repr=False, compare=False)
+    _store: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._blocks = {
-            dirs: _frozen(np.ascontiguousarray(block.transpose(*range(1, block.ndim), 0)))
-            for dirs, block in self.coefficients.items()
-        }
-        self.coefficients = _cells_first(self._blocks)
+        n_cells = self.refined.mesh.n_cells
+        runs = _runs(self.dimension, self.degree, self.refined.order)
+        blocks = [
+            np.asarray(self.coefficients[d]).reshape(n_cells, sl.stop - sl.start).T
+            for d, sl, _ in runs
+        ]
+        # above the top degree there are no rows
+        self._set_store(np.concatenate(blocks or [np.empty((0, n_cells))]))
+
+    @classmethod
+    def _of_store(cls, refined: RefinedMesh, degree: int, store: np.ndarray) -> "PiecewiseForm":
+        """The form whose store is ``store``, a new array that it keeps uncopied."""
+        form = cls.__new__(cls)
+        form.refined, form.degree = refined, degree
+        form._set_store(store)
+        return form
+
+    def _set_store(self, store: np.ndarray) -> None:
+        self._store = _frozen(store)
+        blocks = _blocks(store, self.dimension, self.degree, self.refined.order)
+        self.coefficients = _cells_first(blocks)
 
     @property
     def dimension(self) -> int:
@@ -391,7 +407,9 @@ class PiecewiseForm:
         """Components at one point (n,) or a batch (..., n) of physical points.
 
         Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
-        (the lowest cell index wins on shared faces); ``cell=`` gives every point that cell,
+        (the lowest cell index wins on shared faces), and a batch the mesh remembers also
+        keeps the minors and factor tables computed here, per (order, degree), so that
+        evaluating it again only gathers and contracts; ``cell=`` gives every point that cell,
         pulled back by :meth:`CubicalMesh.pull_back` as in location.  Then the per-point
         kernel of :meth:`evaluate_reference` runs, so a point has the same bits alone or in
         a batch.  Raises ValueError if the points do not have n coordinates, if ``cell`` is
@@ -411,7 +429,8 @@ class PiecewiseForm:
         flat = pts.reshape(-1, n)
         mesh = self.refined.mesh
         if cell is None:
-            cells, x = mesh.locate(flat)
+            label = (self.refined.order, self.degree)
+            cells, x, tables = mesh._locate_with(flat, label, self._batch_tables)
         else:
             cells = np.full(len(flat), cell)
             x = mesh.pull_back(flat, cells)
@@ -424,7 +443,8 @@ class PiecewiseForm:
                     where = f"pulls back to a non-finite point of cell {cell}"
                     raise ValueError(f"point {point.tolist()} {where}")
                 raise ValueError(f"point {point.tolist()} has a non-finite coordinate")
-        values = self._values(cells, x)
+            tables = self._batch_tables(cells, x)
+        values = self._values(cells, tables)
         if pts.ndim == 1:
             return {dirs: float(v[0]) for dirs, v in values.items()}
         return {dirs: v.reshape(pts.shape[:-1]) for dirs, v in values.items()}
@@ -447,13 +467,18 @@ class PiecewiseForm:
         inside = np.all((index >= 0) & (index < n_cells)) if index.dtype.kind in "iu" else False
         if not (inside and index.shape in {(), x.shape[:1]}):
             raise ValueError(f"cells must be one integer or one per point in 0..{n_cells - 1}")
-        return self._values(np.broadcast_to(index, x.shape[:1]), x)
+        cells = np.broadcast_to(index, x.shape[:1])
+        return self._values(cells, self._batch_tables(cells, x))
 
-    def _values(self, cells: np.ndarray, x: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-        """The kernel of :meth:`evaluate_reference`, on valid cells (s,) and finite points."""
+    def _batch_tables(self, cells: np.ndarray, x: np.ndarray) -> tuple:
+        """What the kernel reads of valid cells (s,) and finite reference points (s, n)
+        besides the store: the cells' pushforward minors and the points' factor tables."""
         push = self.refined.mesh.pushforward(self.degree).take(cells, axis=0)
-        tables = _factor_tables(x, self.refined.order)
-        out = _reference_values(self._blocks, self.degree, cells, push, *tables)
+        return (push, *_factor_tables(x, self.refined.order))
+
+    def _values(self, cells: np.ndarray, tables: tuple) -> dict[tuple[int, ...], np.ndarray]:
+        """The kernel of :meth:`evaluate_reference`, on cells (s,) and their batch's tables."""
+        out = _reference_values(self._store, self.degree, cells, *tables)
         return dict(zip(combinations(range(self.dimension), self.degree), out))
 
     def exterior_derivative(self) -> "PiecewiseForm":
@@ -463,8 +488,23 @@ class PiecewiseForm:
         the nodal values across it: d is the reference coboundary, times the
         sign of dx_j ^ dx_I.
         """
-        blocks = _differentiate(self._blocks, self.dimension)
-        return PiecewiseForm(self.refined, self.degree + 1, _cells_first(blocks))
+        store = _differentiate(self._store, self.dimension, self.degree, self.refined.order)
+        return PiecewiseForm._of_store(self.refined, self.degree + 1, store)
+
+
+@lru_cache(maxsize=None)
+def _runs(n: int, p: int, k: int) -> tuple:
+    """Each direction tuple, its slice of the canonical small-cube order and its block's
+    anchor shape (:func:`anchor_runs`, :func:`pattern_shape`); none above the top degree,
+    where every form is zero."""
+    if p > n:
+        return ()
+    return tuple((d, sl, pattern_shape(n, d, k)) for d, sl, _ in anchor_runs(n, p, k))
+
+
+def _blocks(store: np.ndarray, n: int, p: int, k: int) -> dict:
+    """Views of a coefficient store's rows as cells-last blocks, one per direction tuple."""
+    return {d: store[sl].reshape(*shape, store.shape[1]) for d, sl, shape in _runs(n, p, k)}
 
 
 def _cells_first(blocks: dict) -> dict:
@@ -473,35 +513,39 @@ def _cells_first(blocks: dict) -> dict:
     return {d: block.transpose(-1, *range(block.ndim - 1)) for d, block in blocks.items()}
 
 
-def _differentiate(blocks, n: int) -> dict:
-    """The blocks of d of cells-last coefficient blocks (see
-    :meth:`PiecewiseForm.exterior_derivative`); rows need not be cells."""
-    terms: dict[tuple[int, ...], np.ndarray] = {}
-    for dirs, block in blocks.items():
+def _differentiate(store: np.ndarray, n: int, p: int, k: int) -> np.ndarray:
+    """The coefficient store of d of a p-form's store (see
+    :meth:`PiecewiseForm.exterior_derivative`), a new array; its columns need not be cells.
+    Each direction tuple's rows start at zero and take its terms in place, in axis order."""
+    runs = _runs(n, p + 1, k)
+    out = np.zeros((runs[-1][1].stop if runs else 0, store.shape[1]))
+    terms = _blocks(out, n, p + 1, k)
+    for dirs, block in _blocks(store, n, p, k).items():
         for axis in sorted(set(range(n)) - set(dirs)):
             sign, new_dirs = wedge_insert(axis, dirs)
-            terms[new_dirs] = terms.get(new_dirs, 0) + sign * np.diff(block, axis=axis)
-    return dict(sorted(terms.items()))
+            terms[new_dirs] += sign * np.diff(block, axis=axis)
+    return out
 
 
-def _reference_values(blocks, degree, cells, push, spanned, fixed) -> np.ndarray:
+def _reference_values(store, degree, cells, push, spanned, fixed) -> np.ndarray:
     """Physical components of a piecewise form at reference points of cells.
 
-    ``blocks`` holds the blocks of a ``degree``-form, one row per cell on the last
-    axis as :class:`PiecewiseForm` stores them, ``cells`` (s,) the row of each point,
-    and ``spanned`` and ``fixed`` the points' factor tables from :func:`_factor_tables`.
-    Each point gathers its values, contiguous along the points, and sums out the
-    anchor axes, the last first; the result, one row per direction tuple in
-    ``combinations`` order, is pushed forward with ``push`` (s, C, C), each point's
-    minors of the inverse Jacobian (:meth:`CubicalMesh.pushforward`).  Every sum is an
-    einsum (no BLAS call) over one point's values in a fixed order, so a point rounds
-    the same in any batch.
+    ``store`` (local cubes, rows) holds the coefficients of a ``degree``-form as
+    :class:`PiecewiseForm` stores them, ``cells`` (s,) the row of each point, and
+    ``spanned`` and ``fixed`` the points' factor tables from :func:`_factor_tables`.
+    One ``take`` gathers every point's values, contiguous along the points; each
+    direction tuple's rows then sum out the anchor axes, the last first; the
+    result, one row per direction tuple in ``combinations`` order, is pushed forward
+    with ``push`` (s, C, C), each point's minors of the inverse Jacobian
+    (:meth:`CubicalMesh.pushforward`).  Every sum is an einsum (no BLAS call) over one
+    point's values in a fixed order, so a point rounds the same in any batch.
     """
-    n, p = spanned.shape[1], degree
-    combos = list(combinations(range(n), p))
-    ref = np.empty((len(combos), spanned.shape[-1]))
-    for r, dirs in enumerate(combos):
-        val = blocks[dirs].take(cells, axis=-1)
+    n, k = spanned.shape[1], len(fixed) - 1
+    runs = _runs(n, degree, k)
+    values = store.take(cells, axis=1)
+    ref = np.empty((len(runs), len(cells)))
+    for r, (dirs, sl, shape) in enumerate(runs):
+        val = values[sl].reshape(*shape, len(cells))
         for j in reversed(range(n)):  # sum out the last anchor axis
             val = np.einsum("...as,as->...s", val, (spanned if j in dirs else fixed)[:, j])
         ref[r] = val
@@ -577,8 +621,9 @@ def verify_identities(
     difference a - b.
     Before any work, raises ValueError if ``degree``, ``trials``, ``samples``
     or a given ``quad_order`` is not an integer, or if ``trials``, ``samples``
-    or ``quad_order`` is below 1 (no identity, or no rule, to check with), and
-    KeyError if degree p, or p + 1 below the top degree, was not refined.
+    or ``quad_order`` is below 1 (no identity, or no rule, to check with), or if
+    the mesh is empty (no cell to sample), and KeyError if degree p, or p + 1
+    below the top degree, was not refined.
     """
     for name, value in (("degree", degree), ("trials", trials), ("samples", samples)):
         _require_integer(name, value)
@@ -586,6 +631,8 @@ def verify_identities(
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     n, k, n_cells = refined.dimension, refined.order, refined.mesh.n_cells
+    if not n_cells:
+        raise ValueError("verify_identities samples cells, and the mesh is empty")
     p = degree
     q = _rule_order(quad_order, k)
     count = refined.count(p)
@@ -610,23 +657,23 @@ def verify_identities(
     y = np.empty_like(x)
     for t0 in range(0, trials, per_batch):
         batch = _gather_rows(x[t0 : t0 + per_batch], refined, p)
-        y[t0 : t0 + per_batch] = _own_mesh_integrals(batch, k, refined, p, q)
+        stack = batch.reshape(len(batch), -1, n_cells)
+        y[t0 : t0 + per_batch] = _own_mesh_integrals(stack, k, refined, p, q)
     _require_finite(y)
     w = _gather_rows(x, refined, p, rows)
 
     tables = _factor_tables(points.reshape(-1, n), k)
 
     def gap(a, b, form_degree: int) -> float:
-        diff = {dirs: block - b[dirs] for dirs, block in a.items()}
         push = refined.mesh.pushforward(form_degree).take(cells.reshape(-1), axis=0)
-        return float(np.abs(_reference_values(diff, form_degree, at, push, *tables)).max())
+        return float(np.abs(_reference_values(a - b, form_degree, at, push, *tables)).max())
 
     e_recon = gap(w, _gather_rows(y, refined, p, rows), p)
     e_comm = None
     if matrix is not None:
         dx = (matrix @ x.T).T
         _require_finite(dx)
-        e_comm = gap(_gather_rows(dx, refined, p + 1, rows), _differentiate(w, n), p + 1)
+        e_comm = gap(_gather_rows(dx, refined, p + 1, rows), _differentiate(w, n, p, k), p + 1)
     return IdentityReport(
         degree=p,
         round_trip_error=float(np.abs(y - x).max()),

@@ -217,26 +217,55 @@ class CubicalMesh:
         raises, or whose entry alone would exceed the bound, is not kept, and one
         whose bytes alone exceed it is not even copied into a key.
         """
+        cells, x, _ = self._locate_with(points)
+        return cells, x
+
+    def _locate_with(self, points, label=None, derive=None) -> tuple:
+        """:meth:`locate`'s cells and reference points, and with a ``label``, ``derive(cells,
+        x)``: a tuple of arrays that depend on the batch alone, kept with the batch's entry
+        under that label.
+
+        A remembered batch computes them once; they count against
+        :data:`LOCATE_CACHE_BYTES` and go with their entry.  Arrays that would push
+        their entry past the bound are returned but not kept.
+        """
         points = np.asarray(points, dtype=float)
         n = self.dimension
         if points.ndim != 2 or points.shape[1] != n:
             raise ValueError(f"points must have shape (*, {n}), got {points.shape}")
-        if points.nbytes > LOCATE_CACHE_BYTES:
-            return tuple(map(_frozen, self._locate(points)))
-        key = points.tobytes()
-        located = self._located.get(key)
-        if located is not None:
+        key = points.tobytes() if points.nbytes <= LOCATE_CACHE_BYTES else None
+        entry = None if key is None else self._located.get(key)
+        held = self._located_bytes
+        if entry is None:
+            cells, x = map(_frozen, self._locate(points))
+            kept = {}
+        else:
             self._located.move_to_end(key)
-            return located
-        located = tuple(map(_frozen, self._locate(points)))
-        size = _entry_bytes(key, located)
-        if size <= LOCATE_CACHE_BYTES:
-            held = self._located_bytes + size
-            while held > LOCATE_CACHE_BYTES:
-                held -= _entry_bytes(*self._located.popitem(last=False))
-            self._located[key] = located
-            object.__setattr__(self, "_located_bytes", held)
-        return located
+            cells, x, kept = entry
+            if label is None or label in kept:
+                return cells, x, kept.get(label)
+            held -= _entry_bytes(key, entry)
+        arrays = None if label is None else derive(cells, x)
+        if key is not None:
+            grown = None if label is None else (cells, x, {**kept, label: arrays})
+            # a new batch whose arrays do not fit is still remembered by its location
+            if not (grown and self._hold(key, grown, held)) and entry is None:
+                self._hold(key, (cells, x, kept), held)
+        return cells, x, arrays
+
+    def _hold(self, key: bytes, entry: tuple, held: int) -> bool:
+        """Remember ``entry`` under ``key`` as the most recently used, if it fits
+        :data:`LOCATE_CACHE_BYTES` alone, then drop the least recently used entries
+        until all fit; ``held`` counts the bytes of the others.  False if it does not fit."""
+        size = _entry_bytes(key, entry)
+        if size > LOCATE_CACHE_BYTES:
+            return False
+        self._located[key] = entry
+        held += size
+        while held > LOCATE_CACHE_BYTES:
+            held -= _entry_bytes(*self._located.popitem(last=False))
+        object.__setattr__(self, "_located_bytes", held)
+        return True
 
     def _locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`locate` of (s, n) float points, without its cache."""
@@ -494,7 +523,8 @@ def structured_mesh(dimension: int, subdivisions: int, shear: float = 0.0) -> Cu
 def load_mesh(path) -> CubicalMesh:
     """Read a mesh from JSON: {"dimension", "vertices", "cells"}.
 
-    Cells list vertex ids in binary-corner order, 0-based.  A bad entry, or a
+    Cells list vertex ids in binary-corner order, 0-based.  An empty vertex
+    list reads as no vertices of the file's dimension.  A bad entry, or a
     ``dimension`` that is not an integer, is a malformed file.
     """
     with open(path) as fh:
@@ -503,7 +533,10 @@ def load_mesh(path) -> CubicalMesh:
         dimension = data["dimension"]
         if not isinstance(dimension, int) or isinstance(dimension, bool):
             raise TypeError(f"dimension must be an integer, got {dimension!r}")
-        return CubicalMesh(dimension, np.asarray(data["vertices"], dtype=float), data["cells"])
+        vertices = np.asarray(data["vertices"], dtype=float)
+        if vertices.shape == (0,) and dimension > 0:  # JSON [] keeps no second axis
+            vertices = vertices.reshape(0, dimension)
+        return CubicalMesh(dimension, vertices, data["cells"])
     except MeshValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -597,13 +630,16 @@ def compound_matrix(matrices, degree: int) -> np.ndarray:
 LOCATE_TOL = 1e-12
 
 #: Bytes of the batches that :meth:`CubicalMesh.locate` remembers per mesh, keys,
-#: results and their Python objects counted by ``sys.getsizeof``: a time-stepper
-#: probing fixed points skips location after its first step.  A point's key and
-#: results take 8(2n + 1) bytes and each batch about 0.4 kB more, so in 3D this
-#: holds about 360 batches of 200 points, or 10,000 single points, and the dict's
-#: own slots add up to 30% (single points).  Looking a batch up costs one copy of
-#: its bytes and a hash, about 2 us for 200 points in 3D, against about 160 us to
-#: locate them.
+#: results, the arrays kept with them and their Python objects counted by
+#: ``sys.getsizeof``: a time-stepper probing fixed points skips location after its
+#: first step.  A point's key and results take 8(2n + 1) bytes and each batch about
+#: 0.4 kB more, so in 3D this holds about 360 batches of 200 points, or 10,000 single
+#: points, and the dict's own slots add up to 30% (single points).  An unpinned
+#: evaluation also keeps its batch's factor tables and minors, 8(2(k + 1)n + C^2)
+#: bytes a point for C direction tuples: a 200-point 3D batch evaluated at k = 2,
+#: p = 1 holds 56 kB, so about 75 such batches fit.  Looking a batch up costs one
+#: copy of its bytes and a hash, about 2 us for 200 points in 3D, against about
+#: 160 us to locate them.
 LOCATE_CACHE_BYTES = 1 << 22
 
 
@@ -672,8 +708,14 @@ def _all_columns(mask: np.ndarray) -> np.ndarray:
 
 
 def _entry_bytes(key: bytes, located: tuple) -> int:
-    """What one remembered batch of :meth:`CubicalMesh.locate` holds, in bytes."""
-    return sys.getsizeof(key) + sys.getsizeof(located) + sum(map(sys.getsizeof, located))
+    """What one remembered batch of :meth:`CubicalMesh.locate` holds, in bytes: its key,
+    its cells and reference points, and the arrays kept with them, a buffer that views
+    share counted once."""
+    cells, x, kept = located
+    arrays = [cells, x, *(a for held in kept.values() for a in held)]
+    owners = {id(a.base): a.base for a in arrays if a.base is not None}
+    parts = [key, located, kept, *kept, *kept.values(), *arrays, *owners.values()]
+    return sum(map(sys.getsizeof, parts))
 
 
 def _bucket_coords(points, start, width, shape) -> np.ndarray:

@@ -322,7 +322,7 @@ def de_rham_by_cell(form, refined, quad_order=None):
             push = compound_matrix(form.refined.mesh.inverse_linears[ci], p)
             push = np.broadcast_to(push, (len(x), *push.shape))
             comps = _reference_values(
-                cells_last(form.coefficients), p, np.full(len(x), ci), push, *factors
+                coefficient_store(form.coefficients), p, np.full(len(x), ci), push, *factors
             )
             integrand = np.zeros(len(x))
             for minor, vals in zip(spans[ci, :, t], comps):
@@ -393,7 +393,7 @@ def verify_identities_by_trial(
         tables = _factor_tables(ref_pts, refined.order)
         push = compound_matrix(refined.mesh.inverse_linears[cells], a.degree)
         va, vb = (
-            _reference_values(cells_last(f.coefficients), f.degree, cells, push, *tables)
+            _reference_values(coefficient_store(f.coefficients), f.degree, cells, push, *tables)
             for f in (a, b)
         )
         return float(np.abs(va - vb).max(initial=0.0))
@@ -541,14 +541,15 @@ def evaluate_product_basis(blocks, degree, refined, cells, x):
     n = refined.dimension
     push = refined.mesh.pushforward(degree).take(cells, axis=0)
     tables = product_factor_tables(x, refined.order)
-    values = _reference_values(cells_last(blocks), degree, cells, push, *tables)
+    values = _reference_values(coefficient_store(blocks), degree, cells, push, *tables)
     return dict(zip(combinations(range(n), degree), values))
 
 
-def cells_last(blocks):
-    """Views of cell-first coefficient blocks, as ``PiecewiseForm.coefficients``
-    holds them, with the cell axis last, as the private kernels take them."""
-    return {dirs: np.moveaxis(block, 0, -1) for dirs, block in blocks.items()}
+def coefficient_store(blocks):
+    """Cell-first coefficient blocks, as ``PiecewiseForm.coefficients`` holds them,
+    concatenated into one (local cubes, cells) store, direction tuples in sorted order
+    and anchors in C order, as the private kernels take them."""
+    return np.concatenate([block.reshape(len(block), -1).T for _, block in sorted(blocks.items())])
 
 
 def _face_between(cell_a, cell_b, dimension):

@@ -189,7 +189,7 @@ def test_criterion_5_operator_identities():
 
 
 def test_criterion_6_convergence_rates():
-    from cubeforms.cli import run_convergence
+    from cubeforms.cli import expected_order, run_convergence
 
     results = []
     ok = True
@@ -202,14 +202,15 @@ def test_criterion_6_convergence_rates():
     ]:
         rows = run_convergence(n, 1, k, m_list)
         eoc = rows[-1].eoc
-        good = eoc is not None and k - 0.3 <= eoc <= k + 0.5
+        order = expected_order(1, k)
+        good = eoc is not None and order - 0.3 <= eoc <= order + 0.5
         ok = ok and good
         results.append(f"n={n} k={k}: {eoc:.3f}")
     _report(
         6,
         ok,
         "degree-1 interpolation converges at the expected order "
-        f"({'; '.join(results)}; gates [k-0.3, k+0.5])",
+        f"({'; '.join(results)}; gates [k-0.3, k+0.5], expected_order(1, k) = k)",
     )
 
 

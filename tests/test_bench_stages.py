@@ -21,6 +21,7 @@ STAGES = [
     "locate_repeat",
     "evaluate",
     "evaluate_repeat",
+    "step",
     "evaluate_reference",
     "evaluate_pinned",
     "verify_identities",
@@ -91,6 +92,10 @@ def test_stage_bench_writes_every_stage_with_the_outputs_digests(stages, tmp_pat
     assert digests["evaluate"] == _sha(values[(0,)], values[(1,)])
     values = approx.evaluate(points)
     assert digests["evaluate_repeat"] == digests["evaluate_reference"] == _sha(values[(0,)], values[(1,)])
+    # a step interpolates the first of its amplitudes' multiples of the cochain
+    amplitude = next(stages._amplitudes([0, 3]))
+    values = cf.interpolate(cf.Cochain(1, amplitude * cochain.values), refined).evaluate(points)
+    assert digests["step"] == _sha(values[(0,)], values[(1,)])
     report = cf.verify_identities(refined, 1, trials=1, samples=200, rng=0)
     errors = [report.round_trip_error, report.reconstruction_error, report.commutation_error]
     assert digests["verify_identities"] == _sha(errors)

@@ -385,17 +385,32 @@ def test_convergence_passes_for_first_order(tmp_path, capsys):
     assert 0.7 <= float(final[3]) <= 1.5
 
 
-def test_convergence_flags_degree_zero_superconvergence(capsys):
-    # vertex interpolation converges one order faster than the gate
-    # expects, so the check honestly reports failure once the rate is
-    # resolved
+def test_convergence_expects_order_k_plus_one_at_degree_zero(capsys):
+    # vertex interpolation is Lagrange Q_k interpolation: its sup error falls as
+    # h^(k+1), so a resolved degree-0 rate passes the band around k + 1
+    assert [cli.expected_order(p, 3) for p in range(4)] == [4, 3, 3, 3]
     code = main(
-        ["convergence", "--n", "2", "--p", "0", "--k", "1", "--m-list", "8,16"]
+        ["convergence", "--n", "2", "--p", "0", "--k", "1", "--m-list", "4,8,16"]
     )
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert "final EOC 1.95" in err and "expected within [1.70, 2.50]: ok" in err
+
+
+def test_convergence_flags_a_rate_outside_the_expected_band(capsys):
+    # one cell and then four do not resolve the degree-0 rate at k = 2, so the
+    # observed order falls far below k + 1 and the run fails
+    code = main(["convergence", "--n", "2", "--p", "0", "--k", "2", "--m-list", "1,2"])
     assert code == EXIT_FAIL
     err = capsys.readouterr().err
-    assert "OUT OF RANGE" in err
-    assert "final EOC 1.95" in err
+    assert "final EOC 0.8586, expected within [2.70, 3.50]: OUT OF RANGE" in err
+
+
+def test_convergence_refuses_one_dimension(capsys):
+    # the catalog has no 1-D form, so the limits table starts at 2D
+    argv = ["convergence", "--n", "1", "--p", "1", "--k", "2", "--m-list", "2,4"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --n must be in 2..3, got 1\n"
 
 
 def test_convergence_rejects_bad_m_lists(capsys):

@@ -527,6 +527,90 @@ def test_locate_remembers_within_its_bound_least_recently_used_first(n, monkeypa
         assert list(mesh._located) == held
 
 
+def _pinned_by_cell(form, pts, cells):
+    """Unpinned-shaped values of ``pts`` evaluated cell by cell with ``cell=``."""
+    out = {dirs: np.empty(len(pts)) for dirs in combinations(range(form.dimension), form.degree)}
+    for c in np.unique(cells):
+        got = form.evaluate(pts[cells == c], cell=int(c))
+        for dirs, values in got.items():
+            out[dirs][cells == c] = values
+    return out
+
+
+@pytest.mark.blas_free
+@pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3) for k in (1, 2, 3)])
+def test_a_repeated_batch_evaluates_from_its_kept_tables_as_a_first_evaluation(n, k):
+    # the first unpinned evaluation keeps the batch's minors and factor tables per
+    # (order, degree) with its location; a new interpolant evaluated on the same
+    # bytes reads them and gives the bits of a first evaluation on a fresh mesh and
+    # of pinned evaluation
+    rng = np.random.default_rng([n, k, 33])
+    mesh = structured_mesh(n, 3, shear=0.3)
+    refined = refine(mesh, k)
+    pts = _probe_points(mesh, rng, 60)
+    key = pts.tobytes()
+    for p in range(n + 1):
+        first, again = (rng.standard_normal(refined.count(p)) for _ in range(2))
+        interpolate(Cochain(p, first), refined).evaluate(pts)
+        assert (k, p) in mesh._located[key][2]
+        got = interpolate(Cochain(p, again), refined).evaluate(pts)
+        fresh = refine(structured_mesh(n, 3, shear=0.3), k)
+        want = interpolate(Cochain(p, again), fresh).evaluate(pts)
+        pinned = _pinned_by_cell(interpolate(Cochain(p, again), refined), pts, mesh.locate(pts)[0])
+        for dirs in want:
+            assert got[dirs].tobytes() == want[dirs].tobytes() == pinned[dirs].tobytes()
+    assert sorted(mesh._located[key][2]) == [(k, p) for p in range(n + 1)]
+    assert _held_bytes(mesh) == mesh._located_bytes
+    # an empty batch keeps empty tables and still gives empty components
+    approx = interpolate(Cochain(1, rng.standard_normal(refined.count(1))), refined)
+    for _ in range(2):
+        values = approx.evaluate(np.empty((0, n)))
+        assert sorted(values) == [(j,) for j in range(n)]
+        assert all(v.shape == (0,) for v in values.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kept_tables_count_against_the_locate_bound(n, monkeypatch):
+    def interpolant():
+        mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+        refined = refine(mesh, 3, degrees=(1,))
+        values = np.random.default_rng(n).standard_normal(refined.count(1))
+        return mesh, interpolate(Cochain(1, values), refined)
+
+    rng = np.random.default_rng([n, 34])
+    mesh, approx = interpolant()
+    pts = _probe_points(mesh, rng, 50)
+    key = pts.tobytes()
+    mesh.locate(pts)
+    located = mesh_module._entry_bytes(key, mesh._located[key])
+    approx.evaluate(pts)
+    whole = mesh_module._entry_bytes(key, mesh._located[key])
+    (arrays,) = mesh._located[key][2].values()
+    assert whole - located >= sum(a.nbytes for a in arrays)  # the data, not just headers
+    assert _held_bytes(mesh) == mesh._located_bytes == whole
+    # a bound that holds the batch's location but not its tables as well: the
+    # tables are computed and used, not kept, and the location is remembered
+    monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", whole - 1)
+    mesh, approx = interpolant()
+    calls = _count_location_work(monkeypatch, mesh)
+    for _ in range(2):
+        got = approx.evaluate(pts)
+        assert mesh._located[key][2] == {}
+        assert _held_bytes(mesh) == mesh._located_bytes == located
+    assert len(calls) == 1
+    want = approx.evaluate_reference(*mesh.locate(pts))
+    assert all(got[d].tobytes() == want[d].tobytes() for d in want)
+    # under a bound of two whole entries, kept tables push older batches out
+    bound = 2 * whole + located // 2
+    monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", bound)
+    batches = [_probe_points(mesh, rng, 50) for _ in range(6)]
+    for batch in batches:
+        approx.evaluate(batch)
+        assert (3, 1) in mesh._located[batch.tobytes()][2]
+        assert _held_bytes(mesh) == mesh._located_bytes <= bound
+    assert [batch.tobytes() in mesh._located for batch in batches] == [False] * 4 + [True] * 2
+
+
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(
     n=st.integers(1, 3),
@@ -870,6 +954,21 @@ def test_evaluate_on_an_empty_batch_gives_empty_components():
     ):
         assert list(values) == [(0,), (1,)]
         assert all(v.shape == (0,) for v in values.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_empty_mesh_integrates_refuses_sampling_and_round_trips_a_file(n, tmp_path):
+    mesh = CubicalMesh(n, np.zeros((0, n)), ())
+    refined = refine(mesh, 2)
+    for p in range(n + 1):
+        back = de_rham(interpolate(Cochain(p, []), refined), refined)
+        assert back.degree == p and back.values.shape == (0,)
+    # no cell can be sampled: a named error before any draw
+    with pytest.raises(ValueError, match="^verify_identities samples cells, and the mesh is empty$"):
+        verify_identities(refined, 0)
+    mesh_module.save_mesh(mesh, tmp_path / "empty.json")
+    loaded = mesh_module.load_mesh(tmp_path / "empty.json")
+    assert loaded.dimension == n and loaded.vertices.shape == (0, n) and loaded.n_cells == 0
 
 
 class _PhysicalOnly:
