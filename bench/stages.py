@@ -13,7 +13,9 @@ per-point kernel behind ``evaluate``, split from location), pinned
 batches it has located, so ``locate`` and ``evaluate`` run each call on the
 points in a new order, which the mesh has not located before, and
 ``locate_repeat`` and ``evaluate_repeat`` time the same batch again and
-again, as a time-stepper's fixed probes repeat it.  ``step`` is one step of
+again, as a time-stepper's fixed probes repeat it (``evaluate`` keeps its own
+entry, so the cold call of ``evaluate_repeat`` locates the batch once more).
+``step`` is one step of
 such a time-stepper, as the ``probe-3d`` benchmark workload times it: it
 interpolates a new multiple of the cochain and evaluates the repeated batch
 (each call draws its own amplitude).  For each stage it

@@ -170,10 +170,10 @@ def de_rham(form, refined: RefinedMesh, quad_order: int | None = None) -> Cochai
     p = form.degree
     k = refined.order
     q = _rule_order(quad_order, k)
+    values = np.empty(refined.count(p))  # first, as it names a degree that was not refined
     if isinstance(form, PiecewiseForm) and form.refined.mesh is refined.mesh:
         integrals = _own_mesh_integrals(form._store[:, None], form.refined.order, refined, p, q)
         return Cochain(p, integrals[0])
-    values = np.empty(refined.count(p))
     tpts, twts = gauss_unit_cube(p, q)
     nq = len(twts)
     size = max(1, DE_RHAM_BATCH_POINTS // nq)
@@ -407,10 +407,10 @@ class PiecewiseForm:
         """Components at one point (n,) or a batch (..., n) of physical points.
 
         Unpinned, the whole batch is located at once by :meth:`CubicalMesh.locate`
-        (the lowest cell index wins on shared faces), and a batch the mesh remembers also
-        keeps the minors and factor tables computed here, per (order, degree), so that
-        evaluating it again only gathers and contracts; ``cell=`` gives every point that cell,
-        pulled back by :meth:`CubicalMesh.pull_back` as in location.  Then the per-point
+        (the lowest cell index wins on shared faces), and the mesh remembers the batch with
+        the minors and factor tables computed here, one entry per (order, degree), so that
+        evaluating it again only gathers and contracts; ``cell=`` gives every point that
+        cell, pulled back by :meth:`CubicalMesh.pull_back` as in location.  Then the per-point
         kernel of :meth:`evaluate_reference` runs, so a point has the same bits alone or in
         a batch.  Raises ValueError if the points do not have n coordinates, if ``cell`` is
         not an integer in 0..n_cells-1, if a point is not finite or lies in no cell, or if
@@ -430,7 +430,7 @@ class PiecewiseForm:
         mesh = self.refined.mesh
         if cell is None:
             label = (self.refined.order, self.degree)
-            cells, x, tables = mesh._locate_with(flat, label, self._batch_tables)
+            cells, x, *tables = mesh._locate_with(flat, label, self._batch_tables)
         else:
             cells = np.full(len(flat), cell)
             x = mesh.pull_back(flat, cells)

@@ -215,57 +215,34 @@ class CubicalMesh:
         least recently used going first: locating the same bytes again returns
         the arrays the first call computed, with no location work.  A batch that
         raises, or whose entry alone would exceed the bound, is not kept, and one
-        whose bytes alone exceed it is not even copied into a key.
+        whose bytes alone exceed it is not even copied into a key.  Unpinned
+        :meth:`PiecewiseForm.evaluate` keeps its own entries in the same store, one
+        per order and degree, so the same bytes evaluated there are located again.
         """
-        cells, x, _ = self._locate_with(points)
-        return cells, x
+        return self._locate_with(points)
 
     def _locate_with(self, points, label=None, derive=None) -> tuple:
-        """:meth:`locate`'s cells and reference points, and with a ``label``, ``derive(cells,
-        x)``: a tuple of arrays that depend on the batch alone, kept with the batch's entry
-        under that label.
-
-        A remembered batch computes them once; they count against
-        :data:`LOCATE_CACHE_BYTES` and go with their entry.  Arrays that would push
-        their entry past the bound are returned but not kept.
-        """
+        """:meth:`locate`'s cells and reference points, and with a ``label``, the arrays of
+        ``derive(cells, x)``, which depend on the batch alone: one entry, remembered under
+        (label, the batch's bytes) if it fits :data:`LOCATE_CACHE_BYTES`, with its size."""
         points = np.asarray(points, dtype=float)
         n = self.dimension
         if points.ndim != 2 or points.shape[1] != n:
             raise ValueError(f"points must have shape (*, {n}), got {points.shape}")
-        key = points.tobytes() if points.nbytes <= LOCATE_CACHE_BYTES else None
-        entry = None if key is None else self._located.get(key)
-        held = self._located_bytes
-        if entry is None:
-            cells, x = map(_frozen, self._locate(points))
-            kept = {}
-        else:
+        key = (label, points.tobytes()) if points.nbytes <= LOCATE_CACHE_BYTES else None
+        kept = self._located.get(key)
+        if kept is not None:
             self._located.move_to_end(key)
-            cells, x, kept = entry
-            if label is None or label in kept:
-                return cells, x, kept.get(label)
-            held -= _entry_bytes(key, entry)
-        arrays = None if label is None else derive(cells, x)
-        if key is not None:
-            grown = None if label is None else (cells, x, {**kept, label: arrays})
-            # a new batch whose arrays do not fit is still remembered by its location
-            if not (grown and self._hold(key, grown, held)) and entry is None:
-                self._hold(key, (cells, x, kept), held)
-        return cells, x, arrays
-
-    def _hold(self, key: bytes, entry: tuple, held: int) -> bool:
-        """Remember ``entry`` under ``key`` as the most recently used, if it fits
-        :data:`LOCATE_CACHE_BYTES` alone, then drop the least recently used entries
-        until all fit; ``held`` counts the bytes of the others.  False if it does not fit."""
-        size = _entry_bytes(key, entry)
-        if size > LOCATE_CACHE_BYTES:
-            return False
-        self._located[key] = entry
-        held += size
-        while held > LOCATE_CACHE_BYTES:
-            held -= _entry_bytes(*self._located.popitem(last=False))
-        object.__setattr__(self, "_located_bytes", held)
-        return True
+            return kept[0]
+        cells, x = map(_frozen, self._locate(points))
+        entry = (cells, x) if label is None else (cells, x, *derive(cells, x))
+        if key is not None and (size := _entry_bytes(key, entry)) <= LOCATE_CACHE_BYTES:
+            self._located[key] = (entry, size)
+            held = self._located_bytes + size
+            while held > LOCATE_CACHE_BYTES:
+                held -= self._located.popitem(last=False)[1][1]
+            object.__setattr__(self, "_located_bytes", held)
+        return entry
 
     def _locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`locate` of (s, n) float points, without its cache."""
@@ -630,16 +607,15 @@ def compound_matrix(matrices, degree: int) -> np.ndarray:
 LOCATE_TOL = 1e-12
 
 #: Bytes of the batches that :meth:`CubicalMesh.locate` remembers per mesh, keys,
-#: results, the arrays kept with them and their Python objects counted by
-#: ``sys.getsizeof``: a time-stepper probing fixed points skips location after its
-#: first step.  A point's key and results take 8(2n + 1) bytes and each batch about
-#: 0.4 kB more, so in 3D this holds about 360 batches of 200 points, or 10,000 single
-#: points, and the dict's own slots add up to 30% (single points).  An unpinned
-#: evaluation also keeps its batch's factor tables and minors, 8(2(k + 1)n + C^2)
-#: bytes a point for C direction tuples: a 200-point 3D batch evaluated at k = 2,
-#: p = 1 holds 56 kB, so about 75 such batches fit.  Looking a batch up costs one
-#: copy of its bytes and a hash, about 2 us for 200 points in 3D, against about
-#: 160 us to locate them.
+#: arrays and their Python objects counted by ``sys.getsizeof``: a time-stepper
+#: probing fixed points skips location after its first step.  A point's key and
+#: results take 8(2n + 1) bytes and each entry about 0.45 kB more, so in 3D this
+#: holds about 360 batches of 200 points, or 8,000 single points, and the dict's own
+#: slots add up to 30% (single points).  An unpinned evaluation's entry also holds
+#: its batch's factor tables and minors, 8(2(k + 1)n + C^2) bytes a point for C
+#: direction tuples: a 200-point 3D batch evaluated at k = 2, p = 1 holds 56 kB, so
+#: about 75 such batches fit.  Looking a batch up costs one copy of its bytes and a
+#: hash, about 2 us for 200 points in 3D, against about 160 us to locate them.
 LOCATE_CACHE_BYTES = 1 << 22
 
 
@@ -707,14 +683,12 @@ def _all_columns(mask: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _entry_bytes(key: bytes, located: tuple) -> int:
+def _entry_bytes(key: tuple, entry: tuple) -> int:
     """What one remembered batch of :meth:`CubicalMesh.locate` holds, in bytes: its key,
-    its cells and reference points, and the arrays kept with them, a buffer that views
+    the pair that stores its arrays with its size, and the arrays, a buffer that views
     share counted once."""
-    cells, x, kept = located
-    arrays = [cells, x, *(a for held in kept.values() for a in held)]
-    owners = {id(a.base): a.base for a in arrays if a.base is not None}
-    parts = [key, located, kept, *kept, *kept.values(), *arrays, *owners.values()]
+    owners = {id(a.base): a.base for a in entry if a.base is not None}
+    parts = [*key, key, entry, (entry, 0), *entry, *owners.values()]
     return sum(map(sys.getsizeof, parts))
 
 

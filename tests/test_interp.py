@@ -439,30 +439,22 @@ def test_locate_returns_a_repeated_batch_bit_equal_and_read_only(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_remembered_batch_is_not_located_again(n, monkeypatch):
+    # each label, locate's and unpinned evaluate's (order, degree), locates a batch once
     mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
     refined = refine(mesh, 2, degrees=(1,))
     approx = interpolate(Cochain(1, np.random.default_rng(n).standard_normal(refined.count(1))), refined)
     pts = _probe_points(mesh, np.random.default_rng([n, 31]), 40)
-    bucket_coords = mesh_module._bucket_coords
-
-    def refuse(*args):
-        raise AssertionError("located a remembered batch again")
-
-    def once(*args):
-        monkeypatch.setattr(mesh_module, "_bucket_coords", refuse)
-        return bucket_coords(*args)
-
-    mesh.cell_grid  # built before the patch: it buckets the cells' boxes too
-    monkeypatch.setattr(mesh_module, "_bucket_coords", once)
+    calls = _count_location_work(monkeypatch, mesh)
     cells, x = mesh.locate(pts)
     want = approx.evaluate_reference(cells, x)
     for _ in range(2):
         assert all(a is b for a, b in zip(mesh.locate(pts), (cells, x)))
-        # unpinned evaluate locates the same bytes, here reshaped, through the cache
+        # unpinned evaluate looks up the same bytes, here reshaped, under its own label
         got = approx.evaluate(pts.reshape(2, -1, n))
         assert all(got[d].tobytes() == want[d].tobytes() for d in want)
-    with pytest.raises(AssertionError, match="remembered"):
-        mesh.locate(pts[::-1])
+        assert len(calls) == 2
+    mesh.locate(pts[::-1])
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -478,6 +470,7 @@ def test_a_batch_that_raises_is_not_remembered(n, monkeypatch):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 mesh.locate(pts)
         assert len(calls) == before + 2
+    assert not mesh._located
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -493,7 +486,10 @@ def test_batches_whose_bytes_differ_are_separate_entries(n, monkeypatch):
 
 
 def _held_bytes(mesh):
-    return sum(mesh_module._entry_bytes(*entry) for entry in mesh._located.items())
+    """The bytes the mesh's entries hold, each stored size checked against a new count."""
+    for key, (entry, size) in mesh._located.items():
+        assert size == mesh_module._entry_bytes(key, entry)
+    return sum(size for _, size in mesh._located.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -527,6 +523,86 @@ def test_locate_remembers_within_its_bound_least_recently_used_first(n, monkeypa
         assert list(mesh._located) == held
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_an_entry_is_sized_once_when_it_is_kept(n, monkeypatch):
+    # not on a hit, and not when it is evicted: the stored size is subtracted
+    monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", 1 << 15)
+    mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+    refined = refine(mesh, 2, degrees=(0, 1))
+    rng = np.random.default_rng([n, 35])
+    forms = [interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined) for p in (0, 1)]
+    batches = [_probe_points(mesh, rng, 40) for _ in range(12)]
+    entry_bytes = mesh_module._entry_bytes
+    sized = []
+
+    def counted(key, entry):
+        sized.append(key)
+        return entry_bytes(key, entry)
+
+    monkeypatch.setattr(mesh_module, "_entry_bytes", counted)
+    for _ in range(2):
+        for pts in batches:
+            mesh.locate(pts)
+            for form in forms:
+                form.evaluate(pts)
+                form.evaluate(pts)  # a hit
+    kept = 3 * len(batches)
+    assert len(mesh._located) < kept  # entries were evicted on the first pass
+    # the second pass finds none of the first pass's oldest entries: each is kept again
+    assert len(sized) == 2 * kept and len(set(sized)) == kept
+    assert sum(size for _, size in mesh._located.values()) == mesh._located_bytes
+
+
+@pytest.mark.blas_free
+@pytest.mark.parametrize("n", [2, 3])
+def test_locate_and_two_degrees_on_the_same_bytes_make_three_entries(n, monkeypatch):
+    def interpolants(mesh):
+        refined = refine(mesh, 2)
+        rng = np.random.default_rng([n, 36])
+        return [interpolate(Cochain(p, rng.standard_normal(refined.count(p))), refined) for p in (1, 2)]
+
+    mesh = structured_mesh(n, 3, shear=0.3)
+    forms = interpolants(mesh)
+    pts = _probe_points(mesh, np.random.default_rng([n, 37]), 30)
+    calls = _count_location_work(monkeypatch, mesh)
+    for _ in range(2):
+        located = mesh.locate(pts)
+        got = [form.evaluate(pts) for form in forms]
+    assert len(calls) == 3
+    key = pts.tobytes()
+    assert set(mesh._located) == {(None, key), ((2, 1), key), ((2, 2), key)}
+    fresh = structured_mesh(n, 3, shear=0.3)
+    want = [form.evaluate(pts) for form in interpolants(fresh)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(located, fresh.locate(pts)))
+    for values, expected in zip(got, want):
+        assert all(values[d].tobytes() == expected[d].tobytes() for d in expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_entry_too_large_for_the_bound_is_not_kept(n, monkeypatch):
+    def interpolant():
+        mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+        refined = refine(mesh, 3, degrees=(1,))
+        values = np.random.default_rng(n).standard_normal(refined.count(1))
+        return mesh, interpolate(Cochain(1, values), refined)
+
+    mesh, approx = interpolant()
+    pts = _probe_points(mesh, np.random.default_rng([n, 38]), 50)
+    approx.evaluate(pts)
+    ((_, size),) = mesh._located.values()
+    # a bound that would hold the batch's location alone, not with its tables
+    monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", size - 1)
+    mesh, approx = interpolant()
+    calls = _count_location_work(monkeypatch, mesh)
+    for _ in range(2):
+        got = approx.evaluate(pts)
+        assert not mesh._located and mesh._located_bytes == 0
+    assert len(calls) == 2
+    want = approx.evaluate_reference(*mesh.locate(pts))
+    assert all(got[d].tobytes() == want[d].tobytes() for d in want)
+    assert list(mesh._located) == [(None, pts.tobytes())]  # the location alone fits
+
+
 def _pinned_by_cell(form, pts, cells):
     """Unpinned-shaped values of ``pts`` evaluated cell by cell with ``cell=``."""
     out = {dirs: np.empty(len(pts)) for dirs in combinations(range(form.dimension), form.degree)}
@@ -539,27 +615,31 @@ def _pinned_by_cell(form, pts, cells):
 
 @pytest.mark.blas_free
 @pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3) for k in (1, 2, 3)])
-def test_a_repeated_batch_evaluates_from_its_kept_tables_as_a_first_evaluation(n, k):
-    # the first unpinned evaluation keeps the batch's minors and factor tables per
-    # (order, degree) with its location; a new interpolant evaluated on the same
-    # bytes reads them and gives the bits of a first evaluation on a fresh mesh and
-    # of pinned evaluation
+def test_a_repeated_batch_evaluates_from_its_kept_tables_as_a_first_evaluation(n, k, monkeypatch):
+    # the first unpinned evaluation keeps the batch's location, minors and factor
+    # tables in one entry per (order, degree); a new interpolant evaluated on the
+    # same bytes reads them and gives the bits of a first evaluation on a fresh
+    # mesh and of pinned evaluation
     rng = np.random.default_rng([n, k, 33])
     mesh = structured_mesh(n, 3, shear=0.3)
     refined = refine(mesh, k)
     pts = _probe_points(mesh, rng, 60)
     key = pts.tobytes()
+    calls = _count_location_work(monkeypatch, mesh)
     for p in range(n + 1):
         first, again = (rng.standard_normal(refined.count(p)) for _ in range(2))
+        before = len(calls)
         interpolate(Cochain(p, first), refined).evaluate(pts)
-        assert (k, p) in mesh._located[key][2]
+        entry, _ = mesh._located[(k, p), key]
+        assert len(entry) == 5  # cells, points, minors and the two factor tables
         got = interpolate(Cochain(p, again), refined).evaluate(pts)
+        assert mesh._located[(k, p), key][0] is entry and len(calls) == before + 1
         fresh = refine(structured_mesh(n, 3, shear=0.3), k)
         want = interpolate(Cochain(p, again), fresh).evaluate(pts)
         pinned = _pinned_by_cell(interpolate(Cochain(p, again), refined), pts, mesh.locate(pts)[0])
         for dirs in want:
             assert got[dirs].tobytes() == want[dirs].tobytes() == pinned[dirs].tobytes()
-    assert sorted(mesh._located[key][2]) == [(k, p) for p in range(n + 1)]
+    assert {label for label, _ in mesh._located} == {None, *((k, p) for p in range(n + 1))}
     assert _held_bytes(mesh) == mesh._located_bytes
     # an empty batch keeps empty tables and still gives empty components
     approx = interpolate(Cochain(1, rng.standard_normal(refined.count(1))), refined)
@@ -571,44 +651,28 @@ def test_a_repeated_batch_evaluates_from_its_kept_tables_as_a_first_evaluation(n
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kept_tables_count_against_the_locate_bound(n, monkeypatch):
-    def interpolant():
-        mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
-        refined = refine(mesh, 3, degrees=(1,))
-        values = np.random.default_rng(n).standard_normal(refined.count(1))
-        return mesh, interpolate(Cochain(1, values), refined)
-
+    mesh = structured_mesh(n, 3, shear=0.3 if n > 1 else 0.0)
+    refined = refine(mesh, 3, degrees=(1,))
+    approx = interpolate(Cochain(1, np.random.default_rng(n).standard_normal(refined.count(1))), refined)
     rng = np.random.default_rng([n, 34])
-    mesh, approx = interpolant()
     pts = _probe_points(mesh, rng, 50)
     key = pts.tobytes()
     mesh.locate(pts)
-    located = mesh_module._entry_bytes(key, mesh._located[key])
     approx.evaluate(pts)
-    whole = mesh_module._entry_bytes(key, mesh._located[key])
-    (arrays,) = mesh._located[key][2].values()
-    assert whole - located >= sum(a.nbytes for a in arrays)  # the data, not just headers
-    assert _held_bytes(mesh) == mesh._located_bytes == whole
-    # a bound that holds the batch's location but not its tables as well: the
-    # tables are computed and used, not kept, and the location is remembered
-    monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", whole - 1)
-    mesh, approx = interpolant()
-    calls = _count_location_work(monkeypatch, mesh)
-    for _ in range(2):
-        got = approx.evaluate(pts)
-        assert mesh._located[key][2] == {}
-        assert _held_bytes(mesh) == mesh._located_bytes == located
-    assert len(calls) == 1
-    want = approx.evaluate_reference(*mesh.locate(pts))
-    assert all(got[d].tobytes() == want[d].tobytes() for d in want)
+    _, located = mesh._located[None, key]
+    entry, whole = mesh._located[(3, 1), key]
+    assert whole - located >= sum(a.nbytes for a in entry[2:])  # the data, not just headers
+    assert _held_bytes(mesh) == mesh._located_bytes == located + whole
     # under a bound of two whole entries, kept tables push older batches out
     bound = 2 * whole + located // 2
     monkeypatch.setattr(mesh_module, "LOCATE_CACHE_BYTES", bound)
     batches = [_probe_points(mesh, rng, 50) for _ in range(6)]
     for batch in batches:
         approx.evaluate(batch)
-        assert (3, 1) in mesh._located[batch.tobytes()][2]
+        assert ((3, 1), batch.tobytes()) in mesh._located
         assert _held_bytes(mesh) == mesh._located_bytes <= bound
-    assert [batch.tobytes() in mesh._located for batch in batches] == [False] * 4 + [True] * 2
+    assert [((3, 1), batch.tobytes()) in mesh._located for batch in batches] == [False] * 4 + [True] * 2
+    assert (None, key) not in mesh._located
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
