@@ -19,34 +19,23 @@ from .forms import AnalyticForm
 _PI = np.pi
 
 
-def _trig_value(letters: str):
-    def value(x):
-        out = None
-        for axis, letter in enumerate(letters):
-            f = np.sin if letter == "s" else np.cos
-            term = f(_PI * x[..., axis])
-            out = term if out is None else out * term
-        return out
-
-    return value
+def _trig_product(letters: str):
+    values = _trig_values({(): letters})
+    return lambda x: values(x)[()]
 
 
 def _trig_partial(letters: str, axis: int):
     # d/dx sin(pi x) = pi cos(pi x); d/dx cos(pi x) = -pi sin(pi x)
     toggled = letters[:axis] + ("c" if letters[axis] == "s" else "s") + letters[axis + 1 :]
     factor = _PI if letters[axis] == "s" else -_PI
-    base = _trig_value(toggled)
-
-    def part(x):
-        return factor * base(x)
-
-    return part
+    base = _trig_product(toggled)
+    return lambda x: factor * base(x)
 
 
 def _trig_values(letters_by_dirs: dict):
     """Every component at once: sin or cos of pi x_i is evaluated once per
-    axis and call, and the factors multiplied in axis order, as
-    :func:`_trig_value` does; only one axis's factors are held at a time."""
+    axis and call, and the factors multiplied in axis order; only one
+    axis's factors are held at a time."""
     letters_at = [sorted(set(column)) for column in zip(*letters_by_dirs.values())]
 
     def values(x):
@@ -62,7 +51,7 @@ def _trig_values(letters_by_dirs: dict):
 
 
 def _trig_form(dimension: int, degree: int, letters_by_dirs: dict, name: str) -> AnalyticForm:
-    components = {dirs: _trig_value(L) for dirs, L in letters_by_dirs.items()}
+    components = {dirs: _trig_product(L) for dirs, L in letters_by_dirs.items()}
     partials = {
         dirs: tuple(_trig_partial(L, axis) for axis in range(dimension))
         for dirs, L in letters_by_dirs.items()

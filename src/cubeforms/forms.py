@@ -29,6 +29,7 @@ import numpy as np
 from .combinatorics import FaceId
 from .smallcubes import SmallCube, pattern_shape
 
+#: Slack before evaluation warns: a point on a face rounds a few ulps out; 1e-12 is 4,500 ulps.
 _OUTSIDE_TOL = 1e-12
 
 
@@ -318,16 +319,25 @@ def span_residual(form: PolyForm, order: int) -> float:
     return float(np.sqrt(total))
 
 
-def span_membership(form: PolyForm, order: int, tol: float = 1e-10) -> bool:
+#: The least-squares residual, relative to max(1, coefficient norm), up to which
+#: :func:`span_membership` counts a form as in the space.  For n <= 3, k <= 5, random
+#: combinations of the basis forms, and their derivatives, read at most 4.8e-14; single
+#: basis forms read up to 1.2e-11 (3D 0-forms at k = 5; 2.3e-11 at k = 6), as the
+#: monomial basis's conditioning grows with k.
+SPAN_TOL = 1e-10
+
+
+def span_membership(form: PolyForm, order: int) -> bool:
     """True iff the form is a combination of the order-k basis forms.
 
     The form must already satisfy the order-k degree pattern (degree at
     most k-1 on its own directions, k elsewhere); violating it raises
     ValueError.  Membership is decided by least squares in the monomial
-    tensor basis, residual measured against max(1, coefficient norm).
+    tensor basis, the residual at most :data:`SPAN_TOL` times max(1,
+    coefficient norm).
     """
     res = span_residual(form, order)
-    return res <= tol * max(1.0, form.norm())
+    return res <= SPAN_TOL * max(1.0, form.norm())
 
 
 @dataclass(frozen=True)

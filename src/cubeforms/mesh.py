@@ -135,6 +135,10 @@ class CubicalMesh:
     _located_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "dimension", _require_integer("dimension", self.dimension))
+        except ValueError as exc:
+            raise MeshValidationError(str(exc)) from None
         if self.dimension < 1:
             raise MeshValidationError(f"dimension must be >= 1, got {self.dimension}")
         verts = np.asarray(self.vertices, dtype=float)
@@ -587,9 +591,12 @@ def compound_matrix(matrices, degree: int) -> np.ndarray:
     i-th row tuple and j-th column tuple, both listed as
     ``combinations``.  Degree 0 gives ones and degree 1 returns the
     input itself; column t of an edge matrix's compound is the wedge of
-    the edges in direction tuple t.
+    the edges in direction tuple t.  A degree above the size gives no
+    minor; a negative degree raises ValueError.
     """
     a = np.asarray(matrices, dtype=float)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if degree <= 1:
         return a if degree else np.ones(a.shape[:-2] + (1, 1))
     rows, cols = (

@@ -1394,19 +1394,25 @@ def test_identities_hold_where_the_product_basis_gate_refused(n, k):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_identity_report_matches_per_trial_oracle(n):
+def test_identity_report_matches_per_trial_oracle(n, monkeypatch):
     # the criterion-5 grid: sharing the factor tables, taking each gap on
     # coefficient differences and integrating on the reference cube move
     # the errors by roundoff only.  The bound, fixed beforehand, is a
-    # tenth of the default tolerance.  A one-point rule at k = 4 must
-    # fail on both sides, so the comparison is not between blind checks
+    # tenth of the default tolerance.  A one-point rule at k = 4, injected
+    # into the check and passed to the oracle, must fail on both sides, so
+    # the comparison is not between blind checks
     meshes = [structured_mesh(n, 1), structured_mesh(n, 2), structured_mesh(n, 2, shear=0.5)]
     for k, mesh in product((1, 2, 3, 4), meshes):
         refined = refine(mesh, k)
         for p, quad_order in product(range(n + 1), (None, 1) if k == 4 else (None,)):
-            kwargs = dict(trials=2, samples=60, quad_order=quad_order)
-            got = verify_identities(refined, p, rng=np.random.default_rng(0), **kwargs)
-            want = verify_identities_by_trial(refined, p, rng=np.random.default_rng(0), **kwargs)
+            kwargs = dict(trials=2, samples=60)
+            with monkeypatch.context() as patch:
+                if quad_order:
+                    patch.setattr(interp, "_rule_order", lambda quad_order, k: 1)
+                got = verify_identities(refined, p, rng=np.random.default_rng(0), **kwargs)
+            want = verify_identities_by_trial(
+                refined, p, rng=np.random.default_rng(0), quad_order=quad_order, **kwargs
+            )
             where = (k, mesh.n_cells, p, quad_order)
             assert got.passed == want.passed == (quad_order is None or p == 0), where
             assert (got.commutation_error is None) == (want.commutation_error is None), where
@@ -1428,7 +1434,8 @@ def test_identity_report_equals_every_cell_oracle(n, one_trial_batches, monkeypa
     # point, which leaves a single sampled row, runs with one trial only: the
     # loop evaluated each trial's gap on its one point, where NumPy's einsum
     # sums in another order than on a batch of points.  The round trip runs
-    # once in batches of all trials and once in batches of one trial
+    # once in batches of all trials and once in batches of one trial, and
+    # with the default rule and a one-point rule injected into the check
     if one_trial_batches:
         monkeypatch.setattr(interp, "IDENTITY_BATCH_VALUES", 1)
     rng = np.random.default_rng([15, n])
@@ -1441,13 +1448,16 @@ def test_identity_report_equals_every_cell_oracle(n, one_trial_batches, monkeypa
         refined = refine(mesh, k)
         for p, trials, quad_order in product(range(n + 1), (1, 2, 3, 4), (None, 1)):
             for samples in (1, 2, 40) if trials == 1 else (2, 40):
-                kwargs = dict(trials=trials, samples=samples, quad_order=quad_order)
+                kwargs = dict(trials=trials, samples=samples)
                 seed = [n, mesh.n_cells, k, p, trials, samples]
-                got = verify_identities(refined, p, rng=np.random.default_rng(seed), **kwargs)
+                with monkeypatch.context() as patch:
+                    if quad_order:
+                        patch.setattr(interp, "_rule_order", lambda quad_order, k: 1)
+                    got = verify_identities(refined, p, rng=np.random.default_rng(seed), **kwargs)
                 want = verify_identities_every_cell(
-                    refined, p, rng=np.random.default_rng(seed), **kwargs
+                    refined, p, rng=np.random.default_rng(seed), quad_order=quad_order, **kwargs
                 )
-                assert got == want, (mesh.n_cells, k, p, kwargs)
+                assert got == want, (mesh.n_cells, k, p, quad_order, kwargs)
 
 
 @pytest.mark.parametrize(
@@ -1458,8 +1468,6 @@ def test_identity_report_equals_every_cell_oracle(n, one_trial_batches, monkeypa
         ("trials", 2.5),
         ("trials", True),
         ("samples", 2.5),
-        ("quad_order", 2.5),
-        ("quad_order", True),
     ],
 )
 def test_identity_report_rejects_non_integer_arguments(name, value):
@@ -1473,7 +1481,7 @@ def test_identity_report_rejects_non_integer_arguments(name, value):
     assert rng.bit_generator.state == state
 
 
-def test_identity_report_checks_its_degrees_and_rule_before_any_work():
+def test_identity_report_checks_its_degrees_before_any_work():
     # an rng that draws nothing shows that no trial started
     refined = refine(structured_mesh(2, 2), 1, degrees=(0, 1))
     rng = np.random.default_rng(0)
@@ -1482,8 +1490,6 @@ def test_identity_report_checks_its_degrees_and_rule_before_any_work():
         verify_identities(refined, 1, rng=rng)
     with pytest.raises(KeyError, match=r"degree 2 was not refined"):
         verify_identities(refined, 2, rng=rng)
-    with pytest.raises(ValueError, match=r"^need at least one quadrature point, got 0$"):
-        verify_identities(refined, 0, quad_order=0, rng=rng)
     assert rng.bit_generator.state == state
 
 

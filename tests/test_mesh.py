@@ -132,6 +132,26 @@ def test_rejects_dimension_zero(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "dimension,vertices,cells",
+    [
+        (2.0, np.zeros((4, 2)), [[0, 1, 2, 3]]),
+        (True, np.array([[0.0], [1.0]]), [[0, 1]]),
+        ("1", np.array([[0.0], [1.0]]), [[0, 1]]),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_mesh_requires_an_integer_dimension(dimension, vertices, cells):
+    message = f"^dimension must be an integer, got {re.escape(repr(dimension))}$"
+    with pytest.raises(MeshValidationError, match=message):
+        CubicalMesh(dimension, vertices, cells)
+
+
+def test_mesh_keeps_a_numpy_integer_dimension_as_an_int():
+    mesh = CubicalMesh(np.int64(1), np.array([[0.0], [1.0]]), [[0, 1]])
+    assert type(mesh.dimension) is int and mesh.dimension == 1
+
+
+@pytest.mark.parametrize(
     "dimension,subdivisions,message",
     [
         (2, 2.5, "subdivisions must be an integer, got 2.5"),
@@ -914,6 +934,16 @@ def test_compound_matrix_entries_are_minors(n):
         lhs = compound_matrix(stack @ other, p)
         rhs = compound_matrix(stack, p) @ compound_matrix(other, p)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_compound_matrix_rejects_a_negative_degree():
+    mesh = structured_mesh(2, 2)
+    for call in (lambda: compound_matrix(np.eye(2), -1), lambda: mesh.pushforward(-1)):
+        with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+            call()
+    assert -1 not in mesh._pushforwards
+    # one degree above the size has no minor: the derivative of a top-degree form
+    assert compound_matrix(np.ones((4, 2, 2)), 3).shape == (4, 0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
